@@ -21,9 +21,9 @@ file(MAKE_DIRECTORY "${OUT_DIR}")
 
 # Yandex exercises the native Base64 carrier on top of the engine-side
 # joins; high scenario fractions keep the run small but finding-rich.
-# --shards is pinned (it defaults to --jobs): the job decomposition —
-# and with it every job seed and flow uid — must not change when only
-# the worker count does.
+# Two shards, so the parallel runs also exercise the shard merge; the
+# shard count is part of every job seed and flow uid, and stays fixed
+# while only the worker count changes.
 set(common_args --sites 12 --shards 2 --browsers Yandex
     --smuggling 0.6 --plain-http-fraction 0.2 --max-bounce-hops 3)
 

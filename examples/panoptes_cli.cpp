@@ -71,7 +71,8 @@ int Usage() {
                "  crawl --browser <name> [--sites N] [--incognito]\n"
                "        [--har FILE] [--csv FILE]\n"
                "  idle  --browser <name> [--minutes M]\n"
-               "  fleet [--jobs N] [--sites N] [--shards K] [--seed S]\n"
+               "  fleet [--jobs N] [--sites N] [--shards K (default 1)]\n"
+               "        [--seed S]\n"
                "        [--browsers A,B,..] [--incognito] [--idle]\n"
                "        [--population N] [--population-seed S]\n"
                "        [--chaos-profile NAME|FILE] [--max-retries N]\n"
@@ -434,7 +435,10 @@ int CmdFleet(const util::Args& args) {
     };
   }
 
-  int shards = static_cast<int>(args.IntOptionOr("shards", options.jobs));
+  // The shard count is part of every job's seed identity (and so of
+  // every flow uid), which is why it never follows --jobs: the worker
+  // count alone must not change a report byte.
+  int shards = static_cast<int>(args.IntOptionOr("shards", 1));
   // Device-population campaign: --population N synthesizes N device
   // cohorts deterministically from --population-seed and crosses them
   // with the browser x kind x shard plan. No --population keeps the

@@ -66,6 +66,7 @@ struct FleetMetrics {
   obs::Gauge& queue_depth;
   obs::Gauge& workers_busy;
   obs::Histogram& job_seconds;
+  obs::Counter& world_builds;
 
   static FleetMetrics& Get() {
     auto& registry = obs::MetricsRegistry::Default();
@@ -78,6 +79,8 @@ struct FleetMetrics {
                           "Workers currently executing a job"),
         registry.GetHistogram("panoptes_fleet_job_duration_seconds",
                               "Wall-clock time per fleet job"),
+        registry.GetCounter("panoptes_fleet_world_builds_total",
+                            "Generated webs built by fleet executors"),
     };
     return *metrics;
   }
@@ -170,6 +173,18 @@ FleetExecutor::FleetExecutor(FleetOptions options)
 
 FleetExecutor::~FleetExecutor() = default;
 
+std::shared_ptr<const web::World> FleetExecutor::world() const {
+  // Built inside the first job's span, so its cost stays in that job's
+  // time rather than in a span of its own.
+  std::call_once(world_once_, [this] {
+    world_ = web::World::Build(
+        options_.framework.catalog_seed.value_or(options_.base_seed),
+        options_.framework.catalog);
+    FleetMetrics::Get().world_builds.Inc();
+  });
+  return world_;
+}
+
 std::vector<FleetJob> FleetExecutor::PlanCampaign(
     const std::vector<browser::BrowserSpec>& browsers,
     const std::vector<CampaignKind>& kinds, int shard_count,
@@ -243,8 +258,9 @@ FleetJobResult FleetExecutor::ExecuteJob(const FleetJob& job, int attempt,
   // The job's framework simulates the cohort's device — PII payloads,
   // cadence and endpoints all key off these traits.
   fw.device_profile = job.cohort.profile;
-  // All jobs crawl the same generated web; only the runtime streams
-  // (browser jitter, tokens, idle cadence) differ per job.
+  // All jobs crawl the same generated web (the executor's shared
+  // world); only the runtime streams (browser jitter, tokens, idle
+  // cadence) differ per job.
   if (!fw.catalog_seed.has_value()) fw.catalog_seed = options_.base_seed;
   out.seed = fw.seed;
   // Every capture layer of this job's private framework reports into
@@ -267,7 +283,7 @@ FleetJobResult FleetExecutor::ExecuteJob(const FleetJob& job, int attempt,
           .Str("device", job.cohort.profile.model);
     }
   }
-  Framework framework(fw);
+  Framework framework(fw, world());
 
   if (job.kind == CampaignKind::kIdle) {
     IdleOptions idle = job.idle;

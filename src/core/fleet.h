@@ -4,16 +4,28 @@
 // crawled (plain and incognito) and left idle, with no shared state
 // between browsers. The executor shards that work into jobs — one per
 // (browser, campaign kind, site shard) — and runs them on a pool of
-// worker threads, each job owning a *private* Framework seeded from a
-// deterministically derived per-job seed. Because no two jobs touch the
-// same testbed, results are bit-identical to running the same job list
-// one at a time on a single thread, regardless of how the scheduler
-// interleaves workers. `RunSerial` is that reference path and the
-// differential harness (tests/core_fleet_test.cpp) pins `Run` to it.
+// worker threads. Each job owns a private Framework seeded from a
+// deterministically derived per-job seed: its own simulated clock,
+// network (DNS zone, web CA, origin servers and their hit counters),
+// vendor backends, device, proxy, chaos injector and flow stores.
+//
+// The one thing jobs share is the executor's web::World: the generated
+// site catalog and every rendered landing page, built once by the first
+// job that runs. Sharing it cannot couple jobs: it is immutable after
+// construction (handed out only as shared_ptr<const>), it draws no
+// randomness from any job's streams, and it is a pure function of
+// (catalog seed, CatalogOptions), which are the same for every job of a
+// run — a job's own Framework would have generated exactly these bytes.
+// So results are bit-identical to running the same job list one at a
+// time on a single thread, regardless of how the scheduler interleaves
+// workers. `RunSerial` is that reference path and the differential
+// harness (tests/core_fleet_test.cpp) pins `Run` to it and to jobs run
+// on standalone Frameworks.
 #pragma once
 
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -24,6 +36,7 @@
 #include "core/framework.h"
 #include "device/population.h"
 #include "obs/journal.h"
+#include "web/world.h"
 
 namespace panoptes::core {
 
@@ -163,6 +176,12 @@ class FleetExecutor {
   // Null when options.cache_dir is empty.
   const ResultCache* cache() const { return cache_.get(); }
 
+  // The generated web every job of this executor serves, built on first
+  // use — by the first job that executes, so a run whose every job
+  // replays from the cache builds none. A pure function of the catalog
+  // seed and CatalogOptions, which every cache fingerprint includes.
+  std::shared_ptr<const web::World> world() const;
+
   // Runs every job on `options.jobs` worker threads. Results come back
   // indexed exactly like `jobs`, independent of scheduling. When
   // `stats` is given it is filled with this run's wall-clock telemetry.
@@ -223,6 +242,8 @@ class FleetExecutor {
 
   FleetOptions options_;
   std::unique_ptr<ResultCache> cache_;
+  mutable std::once_flag world_once_;
+  mutable std::shared_ptr<const web::World> world_;
 };
 
 }  // namespace panoptes::core

@@ -1,18 +1,31 @@
 #include "core/framework.h"
 
+#include <stdexcept>
+
 #include "util/rng.h"
 
 namespace panoptes::core {
 
 Framework::Framework(FrameworkOptions options)
+    : Framework(options,
+                web::World::Build(options.CatalogSeed(), options.catalog)) {}
+
+Framework::Framework(FrameworkOptions options,
+                     std::shared_ptr<const web::World> world)
     : options_(options),
       network_(options.seed ^ 0xFAB51Cull),
       geo_plan_(vendors::GeoPlan::Default()),
+      world_(std::move(world)),
       device_(options.device_profile),
       netstack_(&device_, &network_, &clock_) {
-  // The generated web.
-  catalog_ = web::SiteCatalog::Generate(
-      options_.catalog_seed.value_or(options_.seed), options_.catalog);
+  if (world_ == nullptr ||
+      !world_->Matches(options_.CatalogSeed(), options_.catalog)) {
+    throw std::invalid_argument(
+        "Framework: the web::World does not match the options' catalog "
+        "seed and CatalogOptions");
+  }
+  // The generated web: this testbed's own origin servers, DNS records
+  // and certificates over the shared, read-only world.
   std::vector<net::IpAllocator> origin_blocks = {
       geo_plan_.Allocator("US-HOSTING"),
       geo_plan_.Allocator("DE-HOSTING"),
@@ -20,7 +33,7 @@ Framework::Framework(FrameworkOptions options)
   };
   // Note: copies of the allocators are fine here — origin installation
   // happens once, and the geo ranges (not offsets) drive geolocation.
-  web::InstallWeb(catalog_, network_, origin_blocks,
+  web::InstallWeb(world_, network_, origin_blocks,
                   geo_plan_.Allocator("US-ADTECH"));
 
   // The vendor backends.
@@ -34,10 +47,6 @@ Framework::Framework(FrameworkOptions options)
   proxy_->SetJournal(options_.journal);
   netstack_.SetDiverter(proxy_.get());
   netstack_.SetLatency(options_.latency);
-  if (options_.use_geo_latency) {
-    netstack_.SetLatencyModel(std::make_unique<net::GeoLatencyModel>(
-        net::GeoLatencyModel::FromVantageGreece(geo_plan_.ranges())));
-  }
 
   // Chaos fabric: one injector per framework, seeded from
   // (seed, profile) so the same job replays the same fault timeline
@@ -51,17 +60,23 @@ Framework::Framework(FrameworkOptions options)
     network_.SetChaos(chaos_.get());
     netstack_.SetChaos(chaos_.get());
     proxy_->SetChaos(chaos_.get());
-    if (options_.use_geo_latency) {
-      netstack_.SetLatencyModel(std::make_unique<net::ChaosLatencyModel>(
-          std::make_unique<net::GeoLatencyModel>(
-              net::GeoLatencyModel::FromVantageGreece(geo_plan_.ranges())),
-          chaos_.get()));
-    } else {
-      netstack_.SetLatencyModel(std::make_unique<net::ChaosLatencyModel>(
-          std::make_unique<net::FixedLatency>(options_.latency),
-          chaos_.get()));
-    }
   }
+
+  // Per-destination latency: geo RTTs from the Greek vantage point, or
+  // the flat latency, with chaos jitter layered on top when enabled.
+  std::unique_ptr<net::LatencyModel> latency;
+  if (options_.use_geo_latency) {
+    latency = std::make_unique<net::GeoLatencyModel>(
+        net::GeoLatencyModel::FromVantageGreece(geo_plan_.ranges()));
+  }
+  if (chaos_ != nullptr) {
+    if (latency == nullptr) {
+      latency = std::make_unique<net::FixedLatency>(options_.latency);
+    }
+    latency = std::make_unique<net::ChaosLatencyModel>(std::move(latency),
+                                                       chaos_.get());
+  }
+  if (latency != nullptr) netstack_.SetLatencyModel(std::move(latency));
 
   // Device trust: the public web PKI always; the Panoptes CA when
   // interception is wanted.

@@ -1,10 +1,11 @@
 // Panoptes: the top-level framework (paper Fig 1).
 //
 // Owns the whole testbed — simulated clock, network fabric with the
-// generated web and the vendor backends, the Android device, the
-// transparent MITM proxy with the taint-filter addon — and exposes the
-// two campaign types of the evaluation: crawls (§3.1-3.4) and idle
-// runs (§3.5).
+// generated web's servers and the vendor backends, the Android device,
+// the transparent MITM proxy with the taint-filter addon — and exposes
+// the two campaign types of the evaluation: crawls (§3.1-3.4) and idle
+// runs (§3.5). The generated web itself (web::World) is immutable and
+// may be shared with other frameworks; see the fleet executor.
 #pragma once
 
 #include <memory>
@@ -25,6 +26,7 @@
 #include "vendors/geo_plan.h"
 #include "vendors/world.h"
 #include "web/catalog.h"
+#include "web/world.h"
 
 namespace panoptes::obs {
 class Journal;
@@ -67,11 +69,24 @@ struct FrameworkOptions {
   // additive either way, no report byte depends on it. The fleet wires
   // one private journal per job here.
   obs::Journal* journal = nullptr;
+
+  // The seed the generated web draws from: catalog_seed when set, else
+  // seed.
+  uint64_t CatalogSeed() const { return catalog_seed.value_or(seed); }
 };
 
 class Framework {
  public:
+  // Builds its own generated web (web::World::Build over the options'
+  // catalog seed and CatalogOptions).
   explicit Framework(FrameworkOptions options = {});
+
+  // Installs a prebuilt, shared web instead. The world must be exactly
+  // the one the options describe — same catalog seed, same
+  // CatalogOptions — or the constructor throws std::invalid_argument:
+  // the result cache fingerprints a job by its options, so a framework
+  // serving any other web would file results under a false identity.
+  Framework(FrameworkOptions options, std::shared_ptr<const web::World> world);
 
   Framework(const Framework&) = delete;
   Framework& operator=(const Framework&) = delete;
@@ -79,7 +94,8 @@ class Framework {
   const FrameworkOptions& options() const { return options_; }
   util::SimClock& clock() { return clock_; }
   net::Network& network() { return network_; }
-  const web::SiteCatalog& catalog() const { return catalog_; }
+  const web::SiteCatalog& catalog() const { return world_->catalog(); }
+  const std::shared_ptr<const web::World>& world() const { return world_; }
   vendors::GeoPlan& geo_plan() { return geo_plan_; }
   vendors::VendorWorld& vendor_world() { return vendor_world_; }
   device::AndroidDevice& device() { return device_; }
@@ -110,7 +126,7 @@ class Framework {
   net::Network network_;
   vendors::GeoPlan geo_plan_;
   vendors::VendorWorld vendor_world_;
-  web::SiteCatalog catalog_;
+  std::shared_ptr<const web::World> world_;
   device::AndroidDevice device_;
   device::NetworkStack netstack_;
   std::unique_ptr<proxy::MitmProxy> proxy_;

@@ -3,9 +3,6 @@
 #include <array>
 #include <set>
 
-#include "web/origin_server.h"
-#include "web/thirdparty.h"
-
 namespace panoptes::web {
 
 namespace {
@@ -164,23 +161,6 @@ std::vector<const Site*> SiteCatalog::SensitiveSites() const {
     if (IsSensitiveCategory(site.category)) out.push_back(&site);
   }
   return out;
-}
-
-void InstallWeb(const SiteCatalog& catalog, net::Network& network,
-                std::vector<net::IpAllocator>& origin_blocks,
-                net::IpAllocator& thirdparty_block) {
-  size_t block_index = 0;
-  for (const auto& site : catalog.sites()) {
-    auto& block = origin_blocks[block_index % origin_blocks.size()];
-    ++block_index;
-    network.Host(site.hostname, block.Next(),
-                 std::make_shared<OriginServer>(site), site.supports_h3);
-  }
-  for (const auto& service : ThirdPartyPool()) {
-    network.Host(service.request_host, thirdparty_block.Next(),
-                 std::make_shared<ThirdPartyServer>(service),
-                 /*supports_h3=*/true);
-  }
 }
 
 }  // namespace panoptes::web

@@ -1,15 +1,13 @@
 // The crawl dataset: 500 Tranco-style popular sites plus 500 sensitive
 // sites (society / religion / sexuality / health, as selected from the
-// Curlie directory in the paper), all generated deterministically and
-// installable into the network fabric.
+// Curlie directory in the paper), all generated deterministically.
+// web/world.h wraps a catalog for installation into the network fabric.
 #pragma once
 
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "net/fabric.h"
-#include "net/ipalloc.h"
 #include "util/rng.h"
 #include "web/site.h"
 #include "web/sitegen.h"
@@ -20,6 +18,8 @@ struct CatalogOptions {
   int popular_count = 500;
   int sensitive_count = 500;  // split evenly across the four categories
   SiteGenOptions sitegen;
+
+  bool operator==(const CatalogOptions&) const = default;
 };
 
 class SiteCatalog {
@@ -45,13 +45,5 @@ class SiteCatalog {
  private:
   std::vector<Site> sites_;
 };
-
-// Installs origin servers for every catalog site and a generic server
-// for every third-party service into `network`. Origin addresses are
-// drawn from `origin_blocks` round-robin (so the dataset spans hosting
-// regions); third parties from `thirdparty_block`.
-void InstallWeb(const SiteCatalog& catalog, net::Network& network,
-                std::vector<net::IpAllocator>& origin_blocks,
-                net::IpAllocator& thirdparty_block);
 
 }  // namespace panoptes::web

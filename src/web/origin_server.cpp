@@ -2,7 +2,6 @@
 
 #include "util/json.h"
 #include "util/rng.h"
-#include "web/sitegen.h"
 
 namespace panoptes::web {
 
@@ -38,39 +37,39 @@ std::string FillerBody(std::string_view tag, size_t size) {
   return out;
 }
 
-OriginServer::OriginServer(Site site) : site_(std::move(site)) {
-  landing_html_ = RenderLandingHtml(site_);
-}
+OriginServer::OriginServer(std::shared_ptr<const World> world, size_t index)
+    : world_(std::move(world)), index_(index) {}
 
 net::HttpResponse OriginServer::Handle(const net::HttpRequest& request,
                                        const net::ConnectionMeta& meta) {
   (void)meta;
   ++hits_;
+  const Site& site = world_->site(index_);
   const std::string& path = request.url.path();
-  if (path == site_.landing_url.path()) {
+  if (path == site.landing_url.path()) {
     // First-party bounce: a landing hit that doesn't yet carry the
     // decoration parameter is 302'd through the site's tracker hops,
     // which hand the navigation back decorated with ?pan_uid=<uid>.
-    if (site_.bounce_tracking && !site_.bounce_hosts.empty() &&
+    if (site.bounce_tracking && !site.bounce_hosts.empty() &&
         !request.url.QueryParam("pan_uid")) {
-      return net::HttpResponse::Redirect(BounceLocation(site_));
+      return net::HttpResponse::Redirect(BounceLocation(site));
     }
-    auto resp = net::HttpResponse::Ok(landing_html_);
+    auto resp = net::HttpResponse::Ok(world_->landing_html(index_));
     // First-party session cookie, deterministic per site. Lets the
     // engine's cookie jar (and incognito's refusal to persist it) be
     // observable in traffic.
     std::string cookie =
         "sid=" +
-        std::to_string(util::HashString(site_.hostname) % 1000000007ULL) +
+        std::to_string(util::HashString(site.hostname) % 1000000007ULL) +
         "; Path=/";
     // `Secure` is only valid when the cookie is set over TLS: browsers
     // reject a Secure cookie arriving on plain http, which silently
     // killed sessions on http sites.
-    if (site_.landing_url.scheme() == "https") cookie += "; Secure";
+    if (site.landing_url.scheme() == "https") cookie += "; Secure";
     resp.headers.Set("Set-Cookie", cookie);
     return resp;
   }
-  for (const auto& resource : site_.resources) {
+  for (const auto& resource : site.resources) {
     if (!resource.third_party && resource.url.path() == path) {
       return net::HttpResponse::Ok(
           FillerBody(path, resource.body_size),

@@ -8,25 +8,29 @@
 #include "net/fabric.h"
 #include "web/site.h"
 #include "web/thirdparty.h"
+#include "web/world.h"
 
 namespace panoptes::web {
 
-// Serves one site's landing page and its first-party subresources.
+// Serves one site's landing page and its first-party subresources. The
+// site and its rendered landing HTML are read from the shared, immutable
+// world; only the hit counter belongs to this server.
 class OriginServer : public net::Server {
  public:
-  explicit OriginServer(Site site);
+  // Serves site `index` of `world`.
+  OriginServer(std::shared_ptr<const World> world, size_t index);
 
   net::HttpResponse Handle(const net::HttpRequest& request,
                            const net::ConnectionMeta& meta) override;
 
-  const Site& site() const { return site_; }
+  const Site& site() const { return world_->site(index_); }
 
   // How many requests this origin has answered (all paths).
   uint64_t hits() const { return hits_; }
 
  private:
-  Site site_;
-  std::string landing_html_;
+  std::shared_ptr<const World> world_;
+  size_t index_;
   uint64_t hits_ = 0;
 };
 

@@ -42,6 +42,8 @@ struct SiteGenOptions {
   double plain_http_fraction = 0.0;
   // Upper bound on tracker hops a bouncing site walks through (>= 1).
   int max_bounce_hops = 2;
+
+  bool operator==(const SiteGenOptions&) const = default;
 };
 
 // Expands one site. `rng` should be forked per site from the catalog

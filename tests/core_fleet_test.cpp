@@ -6,12 +6,18 @@
 // interleaves the workers.
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <set>
+#include <stdexcept>
 
 #include "analysis/export.h"
 #include "analysis/report.h"
 #include "browser/profiles.h"
+#include "chaos/profile.h"
 #include "core/fleet.h"
+#include "core/snapshot.h"
+#include "obs/metrics.h"
+#include "util/rng.h"
 
 namespace panoptes::core {
 namespace {
@@ -215,6 +221,191 @@ TEST(FleetSeed, JobSeedsAreDistinctAcrossThePlan) {
     seeds.insert(DeriveJobSeed(20231024, job.spec.name, job.kind, job.shard));
   }
   EXPECT_EQ(seeds.size(), jobs.size());
+}
+
+
+// --- the shared, read-only web::World ---
+
+// 2 browsers x crawl+idle x 2 shards under the "flaky" fault profile,
+// with bounce tracking on so landing pages redirect through trackers.
+FleetOptions SharedWorldFleet(int jobs) {
+  FleetOptions options = TinyFleet(jobs);
+  options.framework.chaos = *chaos::FaultProfile::Named("flaky");
+  options.framework.catalog.sitegen.bounce_fraction = 0.5;
+  return options;
+}
+
+std::vector<FleetJob> SharedWorldPlan() {
+  return FleetExecutor::PlanCampaign(
+      Browsers({"Yandex", "DuckDuckGo"}),
+      {CampaignKind::kCrawl, CampaignKind::kIdle}, 2, CrawlOptions{},
+      ShortIdle());
+}
+
+// The oracle: one job on a standalone Framework that generates its own
+// web, with the executor's seed derivation and shard split re-done by
+// hand (first attempt, paper-testbed cohort).
+FleetJobResult RunStandalone(const FleetOptions& options,
+                             const FleetJob& job) {
+  FrameworkOptions fw = options.framework;
+  fw.seed = DeriveJobSeed(options.base_seed, job.spec.name, job.kind,
+                          job.shard);
+  fw.device_profile = job.cohort.profile;
+  fw.catalog_seed = options.base_seed;
+  Framework framework(fw);
+
+  FleetJobResult out;
+  out.job = job;
+  out.seed = fw.seed;
+  if (job.kind == CampaignKind::kIdle) {
+    out.idle = RunIdle(framework, job.spec, job.idle);
+    out.flow_writes_dropped = out.idle->native_flows->dropped_writes();
+  } else {
+    const auto& sites = framework.catalog().sites();
+    size_t begin = sites.size() * job.shard / job.shard_count;
+    size_t end = sites.size() * (job.shard + 1) / job.shard_count;
+    std::vector<const web::Site*> shard_sites;
+    for (size_t i = begin; i < end; ++i) shard_sites.push_back(&sites[i]);
+    out.crawl = RunCrawl(framework, job.spec, shard_sites, job.crawl);
+    out.flow_writes_dropped = out.crawl->engine_flows->dropped_writes() +
+                              out.crawl->native_flows->dropped_writes();
+  }
+  out.faults = framework.chaos()->events();
+  return out;
+}
+
+// FNV-1a over every field of every site plus its landing HTML.
+uint64_t WorldHash(const web::World& world) {
+  std::string bytes;
+  auto add = [&bytes](std::string_view field) {
+    bytes.append(field);
+    bytes.push_back('\0');
+  };
+  for (size_t i = 0; i < world.size(); ++i) {
+    const web::Site& site = world.site(i);
+    add(site.hostname);
+    add(web::SiteCategoryName(site.category));
+    add(std::to_string(site.rank));
+    add(site.landing_url.Serialize());
+    add(std::to_string(site.document_size));
+    for (const auto& resource : site.resources) {
+      add(resource.url.Serialize());
+      add(web::ResourceTypeName(resource.type));
+      add(std::to_string(resource.body_size));
+      add(std::to_string(resource.third_party * 2 + resource.ad_related));
+    }
+    add(std::to_string(site.supports_h3 * 8 + site.plain_http * 4 +
+                       site.bounce_tracking * 2 + site.link_decoration));
+    for (const auto& host : site.bounce_hosts) add(host);
+    add(site.smuggle_uid);
+    add(world.landing_html(i));
+  }
+  return util::HashString(bytes);
+}
+
+uint64_t WorldBuilds() {
+  return obs::MetricsRegistry::Default()
+      .GetCounter("panoptes_fleet_world_builds_total")
+      .Value();
+}
+
+TEST(SharedWorld, FleetJobsMatchStandaloneFrameworksByteForByte) {
+  auto jobs = SharedWorldPlan();
+  ASSERT_EQ(jobs.size(), 6u);
+  std::vector<std::string> standalone;
+  for (const auto& job : jobs) {
+    FleetJobResult result = RunStandalone(SharedWorldFleet(1), job);
+    standalone.push_back(snapshot::Write(result, /*fingerprint=*/0));
+  }
+  for (int workers : {1, 4}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    FleetExecutor executor(SharedWorldFleet(workers));
+    auto results = executor.Run(jobs);
+    ASSERT_EQ(results.size(), jobs.size());
+    size_t faults = 0;
+    for (size_t i = 0; i < jobs.size(); ++i) {
+      SCOPED_TRACE(jobs[i].spec.name + "/" +
+                   std::string(CampaignKindName(jobs[i].kind)) + "/shard" +
+                   std::to_string(jobs[i].shard));
+      ASSERT_EQ(results[i].attempts, 1);
+      ASSERT_FALSE(results[i].quarantined);
+      faults += results[i].faults.size();
+      EXPECT_EQ(snapshot::Write(results[i], 0), standalone[i]);
+    }
+    // The chaos profile must actually have fired, or the comparison
+    // says nothing about per-job injector state.
+    EXPECT_GT(faults, 0u);
+  }
+}
+
+TEST(SharedWorld, WorldIsUnchangedByAConcurrentRun) {
+  FleetExecutor executor(SharedWorldFleet(4));
+  std::shared_ptr<const web::World> world = executor.world();
+  uint64_t before = WorldHash(*world);
+  auto results = executor.Run(SharedWorldPlan());
+  ASSERT_EQ(results.size(), 6u);
+  EXPECT_EQ(executor.world(), world);  // the same instance, not a rebuild
+  EXPECT_EQ(WorldHash(*world), before);
+  // And it is exactly the web a standalone framework would generate.
+  const FleetOptions& options = executor.options();
+  EXPECT_EQ(WorldHash(*web::World::Build(options.base_seed,
+                                         options.framework.catalog)),
+            before);
+}
+
+TEST(SharedWorld, FrameworkRejectsAMismatchedWorld) {
+  FrameworkOptions fw;
+  fw.catalog.popular_count = 3;
+  fw.catalog.sensitive_count = 1;
+  fw.catalog_seed = 7;
+  // The matching world installs, and the framework serves it.
+  auto world = web::World::Build(7, fw.catalog);
+  Framework framework(fw, world);
+  EXPECT_EQ(framework.world(), world);
+
+  EXPECT_THROW(Framework(fw, web::World::Build(8, fw.catalog)),
+               std::invalid_argument);
+  web::CatalogOptions more_sites = fw.catalog;
+  more_sites.popular_count = 4;
+  EXPECT_THROW(Framework(fw, web::World::Build(7, more_sites)),
+               std::invalid_argument);
+  web::CatalogOptions other_sitegen = fw.catalog;
+  other_sitegen.sitegen.h3_fraction = 0.9;
+  EXPECT_THROW(Framework(fw, web::World::Build(7, other_sitegen)),
+               std::invalid_argument);
+  // Hand-assembled sites have no generator identity at all.
+  EXPECT_THROW(Framework(fw, web::World::FromSites(world->catalog().sites())),
+               std::invalid_argument);
+  EXPECT_THROW(Framework(fw, nullptr), std::invalid_argument);
+  // Without catalog_seed the web follows the framework seed.
+  fw.catalog_seed.reset();
+  fw.seed = 7;
+  EXPECT_NO_THROW(Framework(fw, world));
+}
+
+TEST(SharedWorld, BuiltOncePerExecutorAndNeverOnAWarmReplay) {
+  namespace fs = std::filesystem;
+  fs::path cache = fs::temp_directory_path() / "panoptes_shared_world_test";
+  fs::remove_all(cache);
+  auto jobs = SharedWorldPlan();
+  FleetOptions options = SharedWorldFleet(4);
+  options.cache_dir = cache.string();
+
+  uint64_t start = WorldBuilds();
+  {
+    FleetExecutor cold(options);
+    cold.Run(jobs);
+    EXPECT_EQ(WorldBuilds() - start, 1u);
+    // A second run on the same executor reuses its world.
+    cold.RunSerial(jobs);
+    EXPECT_EQ(WorldBuilds() - start, 1u);
+  }
+  // Every job replays from the cache: nothing executes, nothing builds.
+  FleetExecutor warm(options);
+  auto replayed = warm.Run(jobs);
+  for (const auto& result : replayed) EXPECT_TRUE(result.cache_hit);
+  EXPECT_EQ(WorldBuilds() - start, 1u);
+  fs::remove_all(cache);
 }
 
 }  // namespace

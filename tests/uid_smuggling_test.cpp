@@ -20,6 +20,7 @@
 #include "util/binio.h"
 #include "web/origin_server.h"
 #include "web/sitegen.h"
+#include "web/world.h"
 
 namespace panoptes {
 namespace {
@@ -274,7 +275,7 @@ TEST(OriginServerBounce, LandingBouncesThroughTrackersThenServes) {
   web::Site site = web::GenerateSite("shop.com", web::SiteCategory::kPopular,
                                      1, util::Rng(80), on);
   ASSERT_TRUE(site.bounce_tracking);
-  web::OriginServer origin(site);
+  web::OriginServer origin(web::World::FromSites({site}), 0);
   net::ConnectionMeta meta;
 
   net::HttpRequest request;
@@ -319,7 +320,7 @@ TEST(OriginServerBounce, SecureCookieOnlyOnHttpsSites) {
   util::Rng rng(80);
   web::Site https_site =
       web::GenerateSite("shop.com", web::SiteCategory::kPopular, 1, rng);
-  web::OriginServer https_server(https_site);
+  web::OriginServer https_server(web::World::FromSites({https_site}), 0);
   net::ConnectionMeta meta;
   net::HttpRequest request;
   request.url = https_site.landing_url;
@@ -335,7 +336,7 @@ TEST(OriginServerBounce, SecureCookieOnlyOnHttpsSites) {
   web::Site http_site = web::GenerateSite(
       "news.com", web::SiteCategory::kPopular, 1, util::Rng(81), on);
   ASSERT_TRUE(http_site.plain_http);
-  web::OriginServer http_server(http_site);
+  web::OriginServer http_server(web::World::FromSites({http_site}), 0);
   net::HttpRequest http_request;
   http_request.url = http_site.landing_url;
   auto http_cookie =

@@ -8,6 +8,7 @@
 #include "web/origin_server.h"
 #include "web/sitegen.h"
 #include "web/thirdparty.h"
+#include "web/world.h"
 
 namespace panoptes::web {
 namespace {
@@ -118,7 +119,7 @@ TEST(Catalog, DeterministicAcrossRuns) {
 TEST(OriginServer, ServesLandingAndResources) {
   util::Rng rng(80);
   Site site = GenerateSite("shop.com", SiteCategory::kPopular, 1, rng);
-  OriginServer server(site);
+  OriginServer server(World::FromSites({site}), 0);
 
   net::HttpRequest request;
   request.url = site.landing_url;
@@ -208,19 +209,46 @@ TEST(EasyList, DefaultListBlocksAdsNotCdns) {
       "shop.com"));
 }
 
+TEST(World, BuildMatchesItsCatalogAndIdentity) {
+  CatalogOptions options;
+  options.popular_count = 5;
+  options.sensitive_count = 3;
+  auto world = World::Build(9, options);
+  auto catalog = SiteCatalog::Generate(9, options);
+  ASSERT_EQ(world->size(), catalog.sites().size());
+  for (size_t i = 0; i < world->size(); ++i) {
+    EXPECT_EQ(world->site(i).hostname, catalog.sites()[i].hostname);
+    EXPECT_EQ(world->landing_html(i), RenderLandingHtml(catalog.sites()[i]));
+  }
+
+  EXPECT_TRUE(world->Matches(9, options));
+  EXPECT_FALSE(world->Matches(10, options));
+  CatalogOptions other = options;
+  other.sitegen.bounce_fraction = 0.5;
+  EXPECT_FALSE(world->Matches(9, other));
+  // Hand-built sites carry no generator identity.
+  EXPECT_FALSE(World::FromSites(catalog.sites())->Matches(9, options));
+}
+
 TEST(InstallWeb, BindsEverySiteAndService) {
   CatalogOptions options;
   options.popular_count = 10;
   options.sensitive_count = 6;
-  auto catalog = SiteCatalog::Generate(4, options);
+  auto world = World::Build(4, options);
   net::Network network;
   std::vector<net::IpAllocator> origins = {
       net::IpAllocator(*net::Cidr::Parse("104.16.0.0/16"))};
   net::IpAllocator third(*net::Cidr::Parse("142.250.0.0/16"));
-  InstallWeb(catalog, network, origins, third);
+  InstallWeb(world, network, origins, third);
 
-  for (const auto& site : catalog.sites()) {
-    EXPECT_NE(network.FindByHost(site.hostname), nullptr) << site.hostname;
+  for (size_t i = 0; i < world->size(); ++i) {
+    const Site& site = world->site(i);
+    const net::HostBinding* binding = network.FindByHost(site.hostname);
+    ASSERT_NE(binding, nullptr) << site.hostname;
+    // Each origin serves its own slot of the shared world.
+    auto* origin = dynamic_cast<const OriginServer*>(binding->server.get());
+    ASSERT_NE(origin, nullptr) << site.hostname;
+    EXPECT_EQ(&origin->site(), &site);
   }
   for (const auto& service : ThirdPartyPool()) {
     EXPECT_NE(network.FindByHost(service.request_host), nullptr)
