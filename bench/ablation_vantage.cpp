@@ -53,16 +53,15 @@ VantageRun RunFrom(bool us_vantage) {
   for (const char* name : {"Yandex", "QQ", "UC International"}) {
     auto result =
         core::RunCrawl(framework, *browser::FindSpec(name), sites);
-    for (const auto* store :
-         {result.native_flows.get(), result.engine_flows.get()}) {
-      bool engine = store == result.engine_flows.get();
-      for (const auto& leak : detector.Scan(*store, engine)) {
+    for (const auto& side : result.Sides()) {
+      for (const auto& leak :
+           detector.Scan(side.flows, side.index, side.engine)) {
         if (leak.granularity != analysis::LeakGranularity::kFullUrl) {
           continue;
         }
         ++run.full_url_leaks;
         auto transfers = analysis::ClassifyTransfers(
-            *store, {leak.destination_host}, geo);
+            side.index, {leak.destination_host}, geo);
         if (transfers.empty()) continue;
         run.destinations.push_back(leak.destination_host + " (" +
                                    transfers.front().country_code + ")");

@@ -1,6 +1,7 @@
 // BM_AnalysisIndex: the full_report analysis battery over one crawl,
-// measured two ways. The legacy path rescans the raw flow vectors once
-// per analyzer (re-parsing query strings, re-decoding Base64, re-parsing
+// measured two ways. The legacy path runs the store-scanning reference
+// analyzers of tests/oracle, which rescan the raw flow vectors once per
+// analyzer (re-parsing query strings, re-decoding Base64, re-parsing
 // JSON bodies each time); the indexed path builds one analysis::FlowIndex
 // per store and hands every analyzer the pre-parsed columns. The indexed
 // timing INCLUDES the index builds, so the reported ratio is the honest
@@ -36,6 +37,7 @@
 #include "core/campaign.h"
 #include "core/framework.h"
 #include "net/psl.h"
+#include "oracle/store_scans.h"
 #include "util/binio.h"
 #include "util/rng.h"
 
@@ -95,26 +97,27 @@ Capture& GetCapture() {
   return *capture;
 }
 
-// The analyzer battery full_report runs per browser, on the legacy
-// store-scanning overloads. Returns a checksum so nothing is dead code.
+// The analyzer battery full_report runs per browser, on the
+// store-scanning reference analyzers. Returns a checksum so nothing is
+// dead code.
 uint64_t LegacyBattery(const Capture& c) {
   const proxy::FlowStore& engine = *c.result.engine_flows;
   const proxy::FlowStore& native = *c.result.native_flows;
   uint64_t checksum = 0;
 
   analysis::PiiScanner scanner(c.profile);
-  checksum += scanner.Scan(native).LeakCount();
+  checksum += oracle::ScanPii(scanner, native).LeakCount();
 
   analysis::HistoryLeakDetector detector(c.visited);
-  checksum += detector.Scan(native).size();
-  checksum += detector.Scan(engine, true).size();
+  checksum += oracle::ScanHistoryLeaks(detector, native).size();
+  checksum += oracle::ScanHistoryLeaks(detector, engine, true).size();
 
-  checksum += analysis::CountriesContacted(native, c.geo).size();
-  checksum += analysis::AnalyzeRefererLeakage(engine).leaking_requests;
-  checksum += analysis::AnalyzeDnsLeakage(native).queries;
+  checksum += oracle::CountriesContacted(native, c.geo).size();
+  checksum += oracle::AnalyzeRefererLeakage(engine).leaking_requests;
+  checksum += oracle::AnalyzeDnsLeakage(native).queries;
 
   analysis::NaiveSplitter splitter(c.site_hosts);
-  checksum += splitter.Evaluate(engine, native).correct;
+  checksum += oracle::EvaluateSplit(splitter, engine, native).correct;
 
   checksum += engine.RequestBytes() + native.RequestBytes();
   for (const auto& host : native.DistinctHosts()) {

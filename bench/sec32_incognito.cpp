@@ -43,8 +43,10 @@ int main() {
     auto incog_result = core::RunCrawl(framework, *spec, sites, incognito);
 
     auto count_leaks = [&](const core::CrawlResult& result) {
-      size_t n = detector.Scan(*result.native_flows).size() +
-                 detector.Scan(*result.engine_flows, true).size();
+      size_t n = 0;
+      for (const auto& side : result.Sides()) {
+        n += detector.Scan(side.flows, side.index, side.engine).size();
+      }
       return n;
     };
     size_t normal_leaks = count_leaks(normal_result);

@@ -39,10 +39,9 @@ int main() {
       }
       analysis::HistoryLeakDetector detector(visited);
       uint64_t full_reports = 0;
-      for (const auto* store :
-           {result.native_flows.get(), result.engine_flows.get()}) {
+      for (const auto& side : result.Sides()) {
         for (const auto& leak :
-             detector.Scan(*store, store == result.engine_flows.get())) {
+             detector.Scan(side.flows, side.index, side.engine)) {
           if (leak.granularity == analysis::LeakGranularity::kFullUrl) {
             full_reports += leak.report_count;
           }

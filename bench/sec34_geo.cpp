@@ -37,15 +37,14 @@ int main() {
   bench::ForEachBrowserCrawl(
       framework, sites, {}, [&](const core::CrawlResult& result) {
         bool browser_flagged = false;
-        for (const auto* store :
-             {result.native_flows.get(), result.engine_flows.get()}) {
-          bool engine = store == result.engine_flows.get();
-          for (const auto& leak : detector.Scan(*store, engine)) {
+        for (const auto& side : result.Sides()) {
+          for (const auto& leak :
+               detector.Scan(side.flows, side.index, side.engine)) {
             if (leak.granularity != analysis::LeakGranularity::kFullUrl) {
               continue;  // §3.4 focuses on the full-history leakers
             }
             auto transfers = analysis::ClassifyTransfers(
-                *store, {leak.destination_host}, geo);
+                side.index, {leak.destination_host}, geo);
             for (const auto& transfer : transfers) {
               table.AddRow({result.browser, transfer.host,
                             transfer.country_name,
@@ -66,7 +65,7 @@ int main() {
   bench::ForEachBrowserCrawl(
       framework, sites, {}, [&](const core::CrawlResult& result) {
         auto countries =
-            analysis::CountriesContacted(*result.native_flows, geo);
+            analysis::CountriesContacted(*result.native_index, geo);
         std::string line = result.browser + ": ";
         for (size_t i = 0; i < countries.size(); ++i) {
           if (i != 0) line += ", ";

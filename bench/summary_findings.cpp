@@ -59,13 +59,12 @@ int main() {
         result, analysis::VendorDomainsFor(spec.name), hosts_list);
     if (domain_stats.ad_related_hosts > 0) ad_talkers.insert(spec.name);
 
-    auto pii = scanner.Scan(*result.native_flows);
+    auto pii = scanner.Scan(*result.native_index);
     if (pii.LeakCount() > 0) pii_leakers.insert(spec.name);
 
-    for (const auto* store :
-         {result.native_flows.get(), result.engine_flows.get()}) {
-      bool engine = store == result.engine_flows.get();
-      for (const auto& leak : detector.Scan(*store, engine)) {
+    for (const auto& side : result.Sides()) {
+      for (const auto& leak :
+           detector.Scan(side.flows, side.index, side.engine)) {
         if (leak.granularity != analysis::LeakGranularity::kFullUrl) {
           continue;
         }
@@ -73,8 +72,8 @@ int main() {
         if (leak.persistent_identifier) {
           persistent_id_leakers.insert(spec.name);
         }
-        auto transfers =
-            analysis::ClassifyTransfers(*store, {leak.destination_host}, geo);
+        auto transfers = analysis::ClassifyTransfers(
+            side.index, {leak.destination_host}, geo);
         if (!transfers.empty() && transfers.front().outside_eu) {
           outside_eu_leakers.insert(spec.name);
         }
@@ -82,7 +81,8 @@ int main() {
     }
     // Same mechanism checked for Yandex's *companion* host-only report:
     // the persistent identifier rides api.browser.yandex.ru.
-    for (const auto& leak : detector.Scan(*result.native_flows)) {
+    for (const auto& leak :
+         detector.Scan(*result.native_flows, *result.native_index)) {
       if (leak.persistent_identifier &&
           leak.destination_host != "cloudflare-dns.com" &&
           leak.destination_host != "dns.google") {
@@ -95,10 +95,9 @@ int main() {
   for (const char* name : {"Yandex", "QQ", "UC International"}) {
     auto result = core::RunCrawl(framework, *browser::FindSpec(name),
                                  sites, incognito);
-    for (const auto* store :
-         {result.native_flows.get(), result.engine_flows.get()}) {
-      bool engine = store == result.engine_flows.get();
-      for (const auto& leak : detector.Scan(*store, engine)) {
+    for (const auto& side : result.Sides()) {
+      for (const auto& leak :
+           detector.Scan(side.flows, side.index, side.engine)) {
         if (leak.granularity == analysis::LeakGranularity::kFullUrl) {
           incognito_leakers.insert(name);
         }

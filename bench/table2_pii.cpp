@@ -74,7 +74,7 @@ int main() {
   int mismatches = 0;
   bench::ForEachBrowserCrawl(
       framework, sites, {}, [&](const core::CrawlResult& result) {
-        auto report = scanner.Scan(*result.native_flows);
+        auto report = scanner.Scan(*result.native_index);
         std::vector<std::string> row = {result.browser};
         const auto* expected = ExpectedFor(result.browser);
         for (size_t i = 0; i < analysis::kPiiFieldCount; ++i) {

@@ -85,19 +85,9 @@ int main(int argc, char** argv) {
   analysis::HistoryLeakDetector detector(visited);
   std::printf("--- browsing-history leaks ---\n");
   bool any = false;
-  struct TaintedStore {
-    const proxy::FlowStore* store;
-    const analysis::FlowIndex* index;
-    bool engine;
-  };
-  for (const auto& side : {
-           TaintedStore{result.native_flows.get(),
-                        result.native_index.get(), false},
-           TaintedStore{result.engine_flows.get(),
-                        result.engine_index.get(), true},
-       }) {
+  for (const auto& side : result.Sides()) {
     for (const auto& leak :
-         detector.Scan(*side.store, *side.index, side.engine)) {
+         detector.Scan(side.flows, side.index, side.engine)) {
       any = true;
       std::printf("%s receives the %s (%s%s%s) — %llu reports\n",
                   leak.destination_host.c_str(),

@@ -48,10 +48,9 @@ int main(int argc, char** argv) {
     std::printf("native requests: %llu\n",
                 (unsigned long long)result.native_flows->size());
     size_t leak_destinations = 0;
-    for (const auto* store :
-         {result.native_flows.get(), result.engine_flows.get()}) {
-      bool engine = store == result.engine_flows.get();
-      for (const auto& leak : detector.Scan(*store, engine)) {
+    for (const auto& side : result.Sides()) {
+      for (const auto& leak :
+           detector.Scan(side.flows, side.index, side.engine)) {
         ++leak_destinations;
         std::printf("  leak -> %-26s [%s, %llu reports%s]\n",
                     leak.destination_host.c_str(),

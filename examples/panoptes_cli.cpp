@@ -168,19 +168,9 @@ int CmdCrawl(const util::Args& args) {
   std::vector<net::Url> visited;
   for (const auto* site : sites) visited.push_back(site->landing_url);
   analysis::HistoryLeakDetector detector(visited);
-  struct TaintedStore {
-    const proxy::FlowStore* store;
-    const analysis::FlowIndex* index;
-    bool engine;
-  };
-  for (const auto& side : {
-           TaintedStore{result.native_flows.get(),
-                        result.native_index.get(), false},
-           TaintedStore{result.engine_flows.get(),
-                        result.engine_index.get(), true},
-       }) {
+  for (const auto& side : result.Sides()) {
     for (const auto& leak :
-         detector.Scan(*side.store, *side.index, side.engine)) {
+         detector.Scan(side.flows, side.index, side.engine)) {
       std::printf("leak -> %s [%s%s%s]\n", leak.destination_host.c_str(),
                   std::string(LeakGranularityName(leak.granularity)).c_str(),
                   leak.persistent_identifier ? ", persistent id" : "",

@@ -39,13 +39,12 @@ int main() {
     analysis::HistoryLeakDetector detector(visited);
 
     std::printf("=== %s ===\n", name);
-    for (const auto* store :
-         {result.native_flows.get(), result.engine_flows.get()}) {
-      bool engine = store == result.engine_flows.get();
-      for (const auto& leak : detector.Scan(*store, engine)) {
+    for (const auto& side : result.Sides()) {
+      for (const auto& leak :
+           detector.Scan(side.flows, side.index, side.engine)) {
         if (leak.granularity != analysis::LeakGranularity::kFullUrl) continue;
-        auto transfers =
-            analysis::ClassifyTransfers(*store, {leak.destination_host}, geo);
+        auto transfers = analysis::ClassifyTransfers(
+            side.index, {leak.destination_host}, geo);
         std::printf("%s (%s%s) received %llu full URLs%s:\n",
                     leak.destination_host.c_str(),
                     transfers.empty() ? "?"

@@ -10,7 +10,6 @@
 #include <string_view>
 #include <vector>
 
-#include "proxy/flowstore.h"
 
 namespace panoptes::analysis {
 
@@ -31,14 +30,10 @@ struct DnsLeakageReport {
 // label-boundary-aware.
 bool IsDohProviderHost(std::string_view host);
 
-// Scans native flows for DoH queries. `visited_hosts` (may be empty)
-// classifies which lookups expose the browsing history itself.
-DnsLeakageReport AnalyzeDnsLeakage(
-    const proxy::FlowStore& native_flows,
-    const std::set<std::string>& visited_hosts = {});
-
-// Index-backed variant: the provider classification runs once per
-// distinct host and the query parameters come pre-decoded.
+// Scans native flows for DoH queries through their index: the provider
+// classification runs once per distinct host and the query parameters
+// come pre-decoded. `visited_hosts` (may be empty) classifies which
+// lookups expose the browsing history itself.
 DnsLeakageReport AnalyzeDnsLeakage(
     const FlowIndex& native_index,
     const std::set<std::string>& visited_hosts = {});

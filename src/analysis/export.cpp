@@ -135,19 +135,12 @@ std::string SeedHex(uint64_t seed) {
   return std::string(buf.data());
 }
 
-// Sorted PII field names leaked by the native store, scanned for the
-// values of `profile` — the device the capturing job actually
-// simulated, never a hardcoded testbed. The scan runs over the
-// prebuilt index when the result carries one; results without an index
-// (hand-assembled in tests) get a local single-use build, which the
-// scanner consumes identically.
-std::vector<std::string> PiiFieldNames(const proxy::FlowStore& native,
-                                       const FlowIndex* index,
+// Sorted PII field names leaked by the native store (scanned through its
+// index) for the values of `profile` — the device the capturing job
+// actually simulated, never a hardcoded testbed.
+std::vector<std::string> PiiFieldNames(const FlowIndex& index,
                                        const device::DeviceProfile& profile) {
-  PiiScanner scanner(profile);
-  PiiReport report = index != nullptr
-                         ? scanner.Scan(*index)
-                         : scanner.Scan(FlowIndex::Build(native));
+  PiiReport report = PiiScanner(profile).Scan(index);
   std::vector<std::string> names;
   for (size_t i = 0; i < kPiiFieldCount; ++i) {
     if (report.leaked[i]) {
@@ -246,26 +239,16 @@ std::string FleetSummaryCsv(
       const core::CrawlResult& crawl = *result.crawl;
       engine = crawl.EngineRequestCount();
       native = crawl.NativeRequestCount();
-      engine_bytes = crawl.engine_index != nullptr
-                         ? crawl.engine_index->request_bytes_total()
-                         : crawl.engine_flows->RequestBytes();
-      native_bytes = crawl.native_index != nullptr
-                         ? crawl.native_index->request_bytes_total()
-                         : crawl.native_flows->RequestBytes();
+      engine_bytes = crawl.engine_index->request_bytes_total();
+      native_bytes = crawl.native_index->request_bytes_total();
       ratio = crawl.NativeRatio();
-      pii = PiiFieldNames(*crawl.native_flows, crawl.native_index.get(),
-                          profile)
-                .size();
+      pii = PiiFieldNames(*crawl.native_index, profile).size();
     } else if (result.idle.has_value()) {
       const core::IdleResult& idle = *result.idle;
       native = idle.native_flows->size();
-      native_bytes = idle.native_index != nullptr
-                         ? idle.native_index->request_bytes_total()
-                         : idle.native_flows->RequestBytes();
+      native_bytes = idle.native_index->request_bytes_total();
       ratio = native == 0 ? 0 : 1.0;  // idle traffic is all native
-      pii = PiiFieldNames(*idle.native_flows, idle.native_index.get(),
-                          profile)
-                .size();
+      pii = PiiFieldNames(*idle.native_index, profile).size();
     }
     std::vector<std::string> row = {
         result.job.spec.name,
@@ -352,34 +335,20 @@ std::string FleetReportJson(
       entry["native_requests"] = crawl.NativeRequestCount();
       entry["native_ratio"] = crawl.NativeRatio();
       entry["engine_request_bytes"] =
-          crawl.engine_index != nullptr
-              ? crawl.engine_index->request_bytes_total()
-              : crawl.engine_flows->RequestBytes();
+          crawl.engine_index->request_bytes_total();
       entry["native_request_bytes"] =
-          crawl.native_index != nullptr
-              ? crawl.native_index->request_bytes_total()
-              : crawl.native_flows->RequestBytes();
+          crawl.native_index->request_bytes_total();
       entry["incognito_effective"] = crawl.incognito_effective;
       entry["visits"] = static_cast<uint64_t>(crawl.visits.size());
       uint64_t ok = 0;
       for (const auto& visit : crawl.visits) ok += visit.ok ? 1 : 0;
       entry["visits_ok"] = ok;
       util::JsonArray hosts;
-      if (crawl.native_index != nullptr) {
-        for (auto& host : crawl.native_index->SortedHosts()) {
-          hosts.emplace_back(std::move(host));
-        }
-      } else {
-        for (const auto& host : crawl.native_flows->DistinctHosts()) {
-          hosts.emplace_back(host);
-        }
+      for (auto& host : crawl.native_index->SortedHosts()) {
+        hosts.emplace_back(std::move(host));
       }
       entry["native_hosts"] = std::move(hosts);
-      PiiScanner scanner(job_profile);
-      PiiReport pii_report =
-          crawl.native_index != nullptr
-              ? scanner.Scan(*crawl.native_index)
-              : scanner.Scan(FlowIndex::Build(*crawl.native_flows));
+      PiiReport pii_report = PiiScanner(job_profile).Scan(*crawl.native_index);
       util::JsonArray pii;
       size_t pii_count = 0;
       for (size_t i = 0; i < kPiiFieldCount; ++i) {
@@ -414,19 +383,13 @@ std::string FleetReportJson(
       entry["native_requests"] =
           static_cast<uint64_t>(idle.native_flows->size());
       entry["native_request_bytes"] =
-          idle.native_index != nullptr
-              ? idle.native_index->request_bytes_total()
-              : idle.native_flows->RequestBytes();
+          idle.native_index->request_bytes_total();
       util::JsonArray buckets;
       for (uint64_t count : idle.cumulative_by_bucket) {
         buckets.emplace_back(count);
       }
       entry["cumulative_by_bucket"] = std::move(buckets);
-      PiiScanner scanner(job_profile);
-      PiiReport pii_report =
-          idle.native_index != nullptr
-              ? scanner.Scan(*idle.native_index)
-              : scanner.Scan(FlowIndex::Build(*idle.native_flows));
+      PiiReport pii_report = PiiScanner(job_profile).Scan(*idle.native_index);
       util::JsonArray pii;
       size_t pii_count = 0;
       for (size_t i = 0; i < kPiiFieldCount; ++i) {
@@ -508,22 +471,11 @@ std::optional<UidSmugglingReport> SmugglingFor(
     const core::FleetJobResult& result) {
   if (result.crawl.has_value()) {
     const core::CrawlResult& crawl = *result.crawl;
-    if (crawl.engine_index == nullptr || crawl.native_index == nullptr) {
-      return AnalyzeUidSmuggling(*crawl.engine_flows,
-                                 FlowIndex::Build(*crawl.engine_flows),
-                                 *crawl.native_flows,
-                                 FlowIndex::Build(*crawl.native_flows));
-    }
     return AnalyzeUidSmuggling(*crawl.engine_flows, *crawl.engine_index,
                                *crawl.native_flows, *crawl.native_index);
   }
   if (result.idle.has_value()) {
     const core::IdleResult& idle = *result.idle;
-    if (idle.native_index == nullptr) {
-      return AnalyzeUidSmuggling(EmptyFlowStore(), EmptyFlowIndex(),
-                                 *idle.native_flows,
-                                 FlowIndex::Build(*idle.native_flows));
-    }
     return AnalyzeUidSmuggling(EmptyFlowStore(), EmptyFlowIndex(),
                                *idle.native_flows, *idle.native_index);
   }

@@ -29,36 +29,6 @@ std::optional<GeoInfo> GeoIpDb::Lookup(net::IpAddress ip) const {
   return GeoInfo{best->country_code, best->country_name, best->eu_member};
 }
 
-std::vector<CountryShare> CountriesContacted(const proxy::FlowStore& flows,
-                                             const GeoIpDb& db) {
-  std::map<std::string, CountryShare> by_code;
-  std::map<std::string, std::set<std::string>> hosts_by_code;
-  for (const auto& flow : flows.flows()) {
-    auto info = db.Lookup(flow.server_ip);
-    std::string code = info ? info->country_code : "??";
-    auto& share = by_code[code];
-    if (share.flows == 0) {
-      share.country_code = code;
-      share.country_name = info ? info->country_name : "unknown";
-      share.eu_member = info && info->eu_member;
-    }
-    ++share.flows;
-    hosts_by_code[code].insert(std::string(flow.Host()));
-  }
-  std::vector<CountryShare> out;
-  for (auto& [code, share] : by_code) {
-    for (const auto& host : hosts_by_code[code]) {
-      share.hosts.push_back(host);
-    }
-    out.push_back(std::move(share));
-  }
-  std::sort(out.begin(), out.end(),
-            [](const CountryShare& a, const CountryShare& b) {
-              return a.flows > b.flows;
-            });
-  return out;
-}
-
 std::vector<CountryShare> CountriesContacted(const FlowIndex& index,
                                              const GeoIpDb& db) {
   std::map<std::string, CountryShare> by_code;
@@ -94,33 +64,6 @@ std::vector<CountryShare> CountriesContacted(const FlowIndex& index,
   return out;
 }
 
-namespace {
-
-TransferFinding MakeTransferFinding(const std::string& host,
-                                    const std::optional<GeoInfo>& info) {
-  TransferFinding finding;
-  finding.host = host;
-  finding.country_code = info ? info->country_code : "??";
-  finding.country_name = info ? info->country_name : "unknown";
-  finding.outside_eu = !info || !info->eu_member;
-  return finding;
-}
-
-}  // namespace
-
-std::vector<TransferFinding> ClassifyTransfers(
-    const proxy::FlowStore& flows, const std::vector<std::string>& hosts,
-    const GeoIpDb& db) {
-  std::vector<TransferFinding> out;
-  for (const auto& host : hosts) {
-    auto matching = flows.ToHost(host);
-    if (matching.empty()) continue;
-    auto info = db.Lookup(matching.front().server_ip);
-    out.push_back(MakeTransferFinding(host, info));
-  }
-  return out;
-}
-
 std::vector<TransferFinding> ClassifyTransfers(
     const FlowIndex& index, const std::vector<std::string>& hosts,
     const GeoIpDb& db) {
@@ -130,7 +73,12 @@ std::vector<TransferFinding> ClassifyTransfers(
     if (postings == nullptr || postings->empty()) continue;
     auto info = db.Lookup(
         net::IpAddress(index.entries()[postings->front()].server_ip));
-    out.push_back(MakeTransferFinding(host, info));
+    TransferFinding finding;
+    finding.host = host;
+    finding.country_code = info ? info->country_code : "??";
+    finding.country_name = info ? info->country_name : "unknown";
+    finding.outside_eu = !info || !info->eu_member;
+    out.push_back(std::move(finding));
   }
   return out;
 }

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "net/geo.h"
-#include "proxy/flowstore.h"
 
 namespace panoptes::analysis {
 
@@ -45,12 +44,9 @@ struct CountryShare {
   std::vector<std::string> hosts;  // distinct destinations there
 };
 
-// Groups a native flow store's destinations by country.
-std::vector<CountryShare> CountriesContacted(const proxy::FlowStore& flows,
-                                             const GeoIpDb& db);
-
-// Index-backed variant: the (linear-scan) geo lookup runs once per
-// distinct server IP instead of once per flow.
+// Groups a native flow store's destinations by country, from its index:
+// the (linear-scan) geo lookup runs once per distinct server IP instead
+// of once per flow.
 std::vector<CountryShare> CountriesContacted(const FlowIndex& index,
                                              const GeoIpDb& db);
 
@@ -64,12 +60,8 @@ struct TransferFinding {
   bool outside_eu = false;
 };
 
-std::vector<TransferFinding> ClassifyTransfers(
-    const proxy::FlowStore& flows, const std::vector<std::string>& hosts,
-    const GeoIpDb& db);
-
-// Index-backed variant: per-host flows come from the host postings
-// instead of a full store scan per queried host.
+// Per-host flows come from the index's host postings. Hosts the store
+// never contacted are skipped.
 std::vector<TransferFinding> ClassifyTransfers(
     const FlowIndex& index, const std::vector<std::string>& hosts,
     const GeoIpDb& db);

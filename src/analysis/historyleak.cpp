@@ -1,10 +1,10 @@
 #include "analysis/historyleak.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "analysis/flow_index.h"
 #include "util/base64.h"
-#include "util/json.h"
 #include "util/strings.h"
 #include "util/uuid.h"
 
@@ -22,8 +22,7 @@ bool IsHexToken(std::string_view value) {
   return true;
 }
 
-// Per-destination tallies shared by the store-scan and index-backed
-// Scan variants.
+// Per-destination tallies.
 struct Accumulator {
   uint64_t full_reports = 0;
   uint64_t host_reports = 0;
@@ -146,87 +145,13 @@ HistoryLeakDetector::Hit HistoryLeakDetector::BestHit(
 }
 
 std::vector<LeakFinding> HistoryLeakDetector::Scan(
-    const proxy::FlowStore& flows, bool engine_store) const {
-  std::map<std::string, Accumulator> by_destination;
-
-  for (const auto& flow : flows.flows()) {
-    const std::string destination(flow.Host());
-    // Flows to a visited site itself are the visit, not a leak; the
-    // interesting case is a *different* destination learning the URL.
-    if (visited_hosts_.count(destination) > 0) continue;
-
-    // Candidate texts: decoded query parameter values (each followed by
-    // its Base64-decoded twin when one exists), then the raw body, then
-    // its percent-decoded form (form posts may carry the URL
-    // percent-encoded). `owned` keeps the query strings alive for the
-    // duration of the automaton pass.
-    std::vector<std::string> owned;
-    for (auto& [key, value] : flow.url.QueryParams()) {
-      (void)key;
-      auto decoded = util::Base64Decode(value);
-      const bool twin = decoded.has_value() && value.size() >= 8;
-      owned.push_back(std::move(value));
-      if (twin) owned.push_back(std::move(*decoded));
-    }
-    std::string decoded_body;
-    bool has_decoded_body = false;
-    if (!flow.request_body.empty() &&
-        flow.request_body.find('%') != std::string_view::npos) {
-      decoded_body = util::PercentDecode(flow.request_body);
-      has_decoded_body = true;
-    }
-    std::vector<std::string_view> candidates(owned.begin(), owned.end());
-    if (!flow.request_body.empty()) {
-      candidates.push_back(flow.request_body);
-      if (has_decoded_body) candidates.push_back(decoded_body);
-    }
-
-    bool flow_matched = false;
-    Hit best_hit = BestHit(candidates, flow_matched);
-    if (!flow_matched) continue;
-
-    auto& acc = by_destination[destination];
-    if (best_hit.full_url) {
-      ++acc.full_reports;
-    } else {
-      ++acc.host_reports;
-    }
-    if (acc.sample.empty() || best_hit.full_url) {
-      acc.encoding = best_hit.encoding;
-      acc.sample = best_hit.sample;
-      acc.flow_uid = flow.uid;
-    }
-
-    // Does a stable identifier accompany the report?
-    for (const auto& [key, value] : flow.url.QueryParams()) {
-      (void)key;
-      if (LooksLikeIdentifier(value)) {
-        acc.persistent_identifier = true;
-        acc.identifier_sample = value;
-      }
-    }
-    if (!flow.request_body.empty()) {
-      if (auto json = util::Json::Parse(flow.request_body);
-          json && json->is_object()) {
-        for (const auto& [key, value] : json->as_object()) {
-          (void)key;
-          if (value.is_string() && LooksLikeIdentifier(value.as_string())) {
-            acc.persistent_identifier = true;
-            acc.identifier_sample = value.as_string();
-          }
-        }
-      }
-    }
-  }
-
-  return Finalize(by_destination, engine_store);
-}
-
-std::vector<LeakFinding> HistoryLeakDetector::Scan(
     const proxy::FlowStore& flows, const FlowIndex& index,
     bool engine_store) const {
+  // Bodies are read back from the store by flow id, so an index over a
+  // different store would read the wrong flows (or past the end).
   if (index.flow_count() != flows.size()) {
-    return Scan(flows, engine_store);
+    throw std::invalid_argument(
+        "HistoryLeakDetector::Scan: index does not match its flow store");
   }
   // Accumulate per interned host id (vector slot, not map node); the
   // by-destination map Finalize expects is assembled once at the end.
@@ -246,9 +171,10 @@ std::vector<LeakFinding> HistoryLeakDetector::Scan(
     const FlowIndex::FlowEntry& entry = index.entries()[flow_id];
     if (is_visited[entry.host_id]) continue;
 
-    // Same candidate texts, same order as the store scan: decoded query
-    // values with Base64-decoded twins interleaved (the pool keeps that
-    // order), then the raw body, then its percent-decoded form.
+    // Candidate texts, in scan order: decoded query values with
+    // Base64-decoded twins interleaved (the pool keeps that order), then
+    // the raw body, then its percent-decoded form (form posts may carry
+    // the URL percent-encoded).
     const std::string_view body = flows.flow(flow_id).request_body;
     candidates.clear();
     for (uint32_t p = entry.param_begin; p < entry.param_end; ++p) {
@@ -282,7 +208,7 @@ std::vector<LeakFinding> HistoryLeakDetector::Scan(
     }
 
     // Does a stable identifier accompany the report? Query values
-    // first, then JSON body strings — the store scan's order.
+    // first, then JSON body strings.
     for (uint32_t p = entry.param_begin; p < entry.param_end; ++p) {
       if (params[p].source == FlowIndex::ParamSource::kQuery &&
           LooksLikeIdentifier(params[p].value)) {

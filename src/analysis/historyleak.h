@@ -48,21 +48,22 @@ class HistoryLeakDetector {
   // `visited` are the URLs the campaign navigated to.
   explicit HistoryLeakDetector(std::vector<net::Url> visited);
 
-  // Scans a flow store. `engine_store` true marks findings as
-  // injection-based (the UC case: leak rides tainted engine traffic to
-  // a non-website destination).
-  std::vector<LeakFinding> Scan(const proxy::FlowStore& flows,
-                                bool engine_store = false) const;
-
-  // Index-backed variant: candidate texts come from the pre-decoded
-  // parameter pool; only raw bodies are read back from the store, so
-  // `index` must have been built over (or merged from) `flows`. Falls
-  // back to the store scan when the two disagree in size.
+  // Scans a flow store through its index. `engine_store` true marks
+  // findings as injection-based (the UC case: leak rides tainted engine
+  // traffic to a non-website destination). Candidate texts come from
+  // the pre-decoded parameter pool; only raw bodies are read back from
+  // the store, so `index` must have been built over (or merged from)
+  // `flows` — throws std::invalid_argument when the two disagree in
+  // size.
   std::vector<LeakFinding> Scan(const proxy::FlowStore& flows,
                                 const FlowIndex& index,
                                 bool engine_store = false) const;
 
  private:
+  // The store-scanning reference scan (tests/oracle) reduces candidates
+  // with BestHit too.
+  friend class StoreScanOracle;
+
   struct Hit {
     bool full_url = false;
     std::string encoding;

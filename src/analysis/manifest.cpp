@@ -152,10 +152,9 @@ ManifestResult RunManifest(const Manifest& manifest) {
       entry_result.engine_requests = crawl.engine_flows->size();
       entry_result.native_requests = crawl.native_flows->size();
       entry_result.native_ratio = crawl.NativeRatio();
-      for (const auto* store :
-           {crawl.native_flows.get(), crawl.engine_flows.get()}) {
-        bool engine = store == crawl.engine_flows.get();
-        for (const auto& leak : detector.Scan(*store, engine)) {
+      for (const auto& side : crawl.Sides()) {
+        for (const auto& leak :
+             detector.Scan(side.flows, side.index, side.engine)) {
           if (leak.granularity == LeakGranularity::kFullUrl) {
             ++entry_result.full_url_leak_destinations;
           } else {
@@ -163,16 +162,14 @@ ManifestResult RunManifest(const Manifest& manifest) {
           }
         }
       }
-      entry_result.pii_fields =
-          scanner.Scan(*crawl.native_flows).LeakCount();
+      entry_result.pii_fields = scanner.Scan(*crawl.native_index).LeakCount();
     } else {
       core::IdleOptions idle_options;
       idle_options.duration = util::Duration::Minutes(entry.idle_minutes);
       auto idle = core::RunIdle(framework, *spec, idle_options);
       entry_result.native_requests = idle.native_flows->size();
       entry_result.native_ratio = 1.0;  // idle traffic is all native
-      entry_result.pii_fields =
-          scanner.Scan(*idle.native_flows).LeakCount();
+      entry_result.pii_fields = scanner.Scan(*idle.native_index).LeakCount();
     }
     result.entries.push_back(std::move(entry_result));
   }

@@ -45,22 +45,6 @@ proxy::TrafficOrigin NaiveSplitter::PredictCanonical(
   return proxy::TrafficOrigin::kNative;
 }
 
-void NaiveSplitter::ScoreStore(const proxy::FlowStore& flows,
-                               proxy::TrafficOrigin truth,
-                               Score& score) const {
-  for (const auto& flow : flows.flows()) {
-    ++score.total;
-    proxy::TrafficOrigin predicted = PredictHost(flow.Host());
-    if (predicted == truth) {
-      ++score.correct;
-    } else if (truth == proxy::TrafficOrigin::kNative) {
-      ++score.native_as_engine;
-    } else {
-      ++score.engine_as_native;
-    }
-  }
-}
-
 void NaiveSplitter::ScoreIndex(const FlowIndex& index,
                                proxy::TrafficOrigin truth,
                                Score& score) const {
@@ -77,19 +61,6 @@ void NaiveSplitter::ScoreIndex(const FlowIndex& index,
       score.engine_as_native += count;
     }
   }
-}
-
-NaiveSplitter::Score NaiveSplitter::Evaluate(
-    const proxy::FlowStore& engine_flows,
-    const proxy::FlowStore& native_flows) const {
-  Score score;
-  ScoreStore(engine_flows, proxy::TrafficOrigin::kEngine, score);
-  ScoreStore(native_flows, proxy::TrafficOrigin::kNative, score);
-  if (score.total > 0) {
-    score.accuracy =
-        static_cast<double>(score.correct) / static_cast<double>(score.total);
-  }
-  return score;
 }
 
 NaiveSplitter::Score NaiveSplitter::Evaluate(

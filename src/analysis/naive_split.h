@@ -44,18 +44,13 @@ class NaiveSplitter {
     double accuracy = 0;
   };
 
-  // Scores predictions against taint ground truth over both stores.
-  Score Evaluate(const proxy::FlowStore& engine_flows,
-                 const proxy::FlowStore& native_flows) const;
-
-  // Index-backed variant: the prediction is per-host, so it runs once
-  // per distinct host and is weighted by that host's posting size.
+  // Scores predictions against taint ground truth over both stores'
+  // indexes: the prediction is per-host, so it runs once per distinct
+  // host and is weighted by that host's posting size.
   Score Evaluate(const FlowIndex& engine_index,
                  const FlowIndex& native_index) const;
 
  private:
-  void ScoreStore(const proxy::FlowStore& flows,
-                  proxy::TrafficOrigin truth, Score& score) const;
   void ScoreIndex(const FlowIndex& index, proxy::TrafficOrigin truth,
                   Score& score) const;
 

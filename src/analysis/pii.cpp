@@ -249,14 +249,6 @@ void PiiScanner::ScanFlow(const proxy::FlowView& flow,
   ScanFlowImpl(flow, report);
 }
 
-PiiReport PiiScanner::Scan(const proxy::FlowStore& flows) const {
-  PiiReport report;
-  for (const auto& flow : flows.flows()) {
-    ScanFlow(flow, report);
-  }
-  return report;
-}
-
 PiiReport PiiScanner::Scan(const FlowIndex& index) const {
   PiiReport report;
   const auto& params = index.params();

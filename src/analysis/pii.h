@@ -66,11 +66,9 @@ class PiiScanner {
  public:
   explicit PiiScanner(device::DeviceProfile profile);
 
-  // Scans every flow in the store (native database).
-  PiiReport Scan(const proxy::FlowStore& flows) const;
-
-  // Same report, computed from the pre-parsed index: the query/body
-  // decode work was already done once at index build time.
+  // Scans every flow of a native store through its pre-parsed index:
+  // the query/body decode work was already done once at index build
+  // time.
   PiiReport Scan(const FlowIndex& index) const;
 
   // Scans one flow, appending evidence to `report`. The Flow and

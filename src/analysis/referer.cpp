@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <stdexcept>
 #include <unordered_map>
 
 #include "util/strings.h"
@@ -13,71 +14,11 @@
 
 namespace panoptes::analysis {
 
-namespace {
-
-struct PerHost {
-  uint64_t requests = 0;
-  std::set<std::string> sites;
-};
-
-// Third party = destination and referring page live on different
-// registrable domains (net::SameSite is exactly this equality). Both
-// analysis paths — the store scan and the indexed one — route through
-// this single predicate so they cannot drift on edge hosts (IP
-// literals, bare PSL suffixes, trailing-dot spellings): one side
-// compares domains interned by the FlowIndex, the other computes them
-// fresh, but the classification itself is shared.
-bool CrossSiteReferer(std::string_view dest_domain,
-                      std::string_view referer_domain) {
-  return dest_domain != referer_domain;
-}
-
-std::vector<RefererLeak> SortedLeaks(std::map<std::string, PerHost>& by_host) {
-  std::vector<RefererLeak> leaks;
-  for (auto& [host, entry] : by_host) {
-    RefererLeak leak;
-    leak.third_party_host = host;
-    leak.requests = entry.requests;
-    leak.distinct_sites = entry.sites.size();
-    leaks.push_back(std::move(leak));
-  }
-  std::sort(leaks.begin(), leaks.end(),
-            [](const RefererLeak& a, const RefererLeak& b) {
-              return a.requests > b.requests;
-            });
-  return leaks;
-}
-
-}  // namespace
-
-RefererReport AnalyzeRefererLeakage(const proxy::FlowStore& engine_flows) {
-  RefererReport report;
-  std::map<std::string, PerHost> by_host;
-
-  for (const auto& flow : engine_flows.flows()) {
-    ++report.engine_requests;
-    auto referer = flow.request_headers.Get("Referer");
-    if (!referer) continue;
-    auto referer_url = net::Url::Parse(*referer);
-    if (!referer_url) continue;
-    if (!CrossSiteReferer(net::RegistrableDomain(flow.Host()),
-                          net::RegistrableDomain(referer_url->host()))) {
-      continue;
-    }
-    ++report.leaking_requests;
-    auto& entry = by_host[std::string(flow.Host())];
-    ++entry.requests;
-    entry.sites.insert(referer_url->host());
-  }
-
-  report.leaks = SortedLeaks(by_host);
-  return report;
-}
-
 RefererReport AnalyzeRefererLeakage(const proxy::FlowStore& engine_flows,
                                     const FlowIndex& index) {
   if (index.flow_count() != engine_flows.size()) {
-    return AnalyzeRefererLeakage(engine_flows);
+    throw std::invalid_argument(
+        "AnalyzeRefererLeakage: index does not match its flow store");
   }
   RefererReport report;
   // Accumulate per interned destination host id (a vector slot), not
@@ -137,15 +78,17 @@ RefererReport AnalyzeRefererLeakage(const proxy::FlowStore& engine_flows,
     }
     if (!*last_info) continue;
     const FlowIndex::HostInfo& host = index.host(entry.host_id);
-    if (!CrossSiteReferer(host.domain, (*last_info)->domain)) continue;
+    // Third party = destination and referring page live on different
+    // registrable domains (net::SameSite is exactly this equality).
+    if (host.domain == (*last_info)->domain) continue;
     ++report.leaking_requests;
     auto& leak = by_host_id[entry.host_id];
     ++leak.requests;
     leak.site_ids.insert((*last_info)->host_id);
   }
 
-  // Assemble in host-ascending order (what the legacy map iteration
-  // feeds the sort) so tie-breaking matches the store-scan path.
+  // Feed the sort in host-ascending order: std::sort is not stable, so
+  // a fixed input order keeps the placement of ties reproducible.
   std::map<std::string_view, const PerHostId*> ordered;
   for (size_t id = 0; id < by_host_id.size(); ++id) {
     if (by_host_id[id].requests > 0) {

@@ -39,14 +39,11 @@ struct RefererReport {
 };
 
 // Scans an engine flow store (requires a non-compact store: headers
-// must have been retained).
-RefererReport AnalyzeRefererLeakage(const proxy::FlowStore& engine_flows);
-
-// Index-backed variant: destination registrable domains come from the
-// interned host table and referer-host domains are memoized, so the
-// PSL walk runs per distinct host instead of per flow. Headers are
-// still read from the store; `index` must match it (falls back to the
-// store scan when the sizes disagree).
+// must have been retained) through its index: destination registrable
+// domains come from the interned host table and referer-host domains
+// are memoized, so the PSL walk runs per distinct host instead of per
+// flow. Headers are still read from the store by flow id, so `index`
+// must match it — throws std::invalid_argument when the sizes disagree.
 RefererReport AnalyzeRefererLeakage(const proxy::FlowStore& engine_flows,
                                     const FlowIndex& index);
 

@@ -86,17 +86,13 @@ std::string FleetSummaryTable(
                     std::to_string(crawl.EngineRequestCount()),
                     std::to_string(crawl.NativeRequestCount()),
                     Ratio(crawl.NativeRatio()),
-                    Bytes(crawl.native_index != nullptr
-                              ? crawl.native_index->request_bytes_total()
-                              : crawl.native_flows->RequestBytes())});
+                    Bytes(crawl.native_index->request_bytes_total())});
     } else if (result.idle.has_value()) {
       const core::IdleResult& idle = *result.idle;
       table.AddRow({result.job.spec.name,
                     std::string(core::CampaignKindName(result.job.kind)),
                     "0", std::to_string(idle.native_flows->size()), "-",
-                    Bytes(idle.native_index != nullptr
-                              ? idle.native_index->request_bytes_total()
-                              : idle.native_flows->RequestBytes())});
+                    Bytes(idle.native_index->request_bytes_total())});
     }
   }
   std::string out = table.Render();

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "analysis/flow_index.h"
-#include "net/psl.h"
 
 namespace panoptes::analysis {
 
@@ -21,14 +20,9 @@ RequestStats ComputeRequestStats(const core::CrawlResult& result) {
 VolumeStats ComputeVolumeStats(const core::CrawlResult& result) {
   VolumeStats stats;
   stats.browser = result.browser;
-  // Byte totals are accumulated at index-build time; summing the store
-  // again only covers results whose index was never built (tests).
-  stats.engine_bytes = result.engine_index != nullptr
-                           ? result.engine_index->request_bytes_total()
-                           : result.engine_flows->RequestBytes();
-  stats.native_bytes = result.native_index != nullptr
-                           ? result.native_index->request_bytes_total()
-                           : result.native_flows->RequestBytes();
+  // Byte totals are accumulated at index-build time.
+  stats.engine_bytes = result.engine_index->request_bytes_total();
+  stats.native_bytes = result.native_index->request_bytes_total();
   stats.native_extra_fraction =
       stats.engine_bytes == 0
           ? 0
@@ -41,31 +35,22 @@ DomainStats ComputeDomainStats(const core::CrawlResult& result,
                                const HostsList& hosts_list) {
   DomainStats stats;
   stats.browser = result.browser;
-  auto classify = [&](const std::string& host, const std::string& domain) {
+  // The host table already carries each distinct host with its
+  // registrable domain; no flow rescan, no re-derivation.
+  stats.distinct_hosts = result.native_index->hosts().size();
+  for (const auto& host : result.native_index->hosts()) {
     bool first_party = false;
     for (const auto& vendor_domain : vendor_domains) {
-      if (domain == vendor_domain) {
+      if (host.domain == vendor_domain) {
         first_party = true;
         break;
       }
     }
     if (!first_party) ++stats.third_party_hosts;
-    if (hosts_list.IsAdRelated(host)) {
+    if (hosts_list.IsAdRelated(host.raw)) {
       ++stats.ad_related_hosts;
-      stats.ad_hosts.push_back(host);
+      stats.ad_hosts.push_back(host.raw);
     }
-  };
-  if (result.native_index != nullptr) {
-    // The host table already carries each distinct host with its
-    // registrable domain; no flow rescan, no re-derivation.
-    stats.distinct_hosts = result.native_index->hosts().size();
-    for (const auto& host : result.native_index->hosts()) {
-      classify(host.raw, host.domain);
-    }
-  } else {
-    auto hosts = result.native_flows->DistinctHosts();
-    stats.distinct_hosts = hosts.size();
-    for (const auto& host : hosts) classify(host, net::RegistrableDomain(host));
   }
   std::sort(stats.ad_hosts.begin(), stats.ad_hosts.end());
   if (stats.distinct_hosts > 0) {

@@ -75,6 +75,11 @@ double CrawlResult::NativeRatio() const {
   return native / (engine + native);
 }
 
+std::array<CrawlResult::Side, 2> CrawlResult::Sides() const {
+  return {{{*native_flows, *native_index, false},
+           {*engine_flows, *engine_index, true}}};
+}
+
 CrawlResult RunCrawl(Framework& framework, const browser::BrowserSpec& spec,
                      const std::vector<const web::Site*>& sites,
                      const CrawlOptions& options) {
@@ -314,13 +319,8 @@ CrawlResult RunCrawl(Framework& framework, const browser::BrowserSpec& spec,
 
 double IdleResult::ShareToHost(std::string_view host) const {
   if (native_flows->empty()) return 0;
-  size_t to_host;
-  if (native_index != nullptr) {
-    const auto* postings = native_index->FlowsToHost(host);
-    to_host = postings != nullptr ? postings->size() : 0;
-  } else {
-    to_host = native_flows->ToHost(host).size();
-  }
+  const auto* postings = native_index->FlowsToHost(host);
+  const size_t to_host = postings != nullptr ? postings->size() : 0;
   return static_cast<double>(to_host) /
          static_cast<double>(native_flows->size());
 }
@@ -328,16 +328,12 @@ double IdleResult::ShareToHost(std::string_view host) const {
 double IdleResult::ShareToDomain(std::string_view domain) const {
   if (native_flows->empty()) return 0;
   size_t to_domain = 0;
-  if (native_index != nullptr) {
-    // Registrable domains are precomputed per distinct host; summing
-    // postings replaces the per-flow RegistrableDomain of ToDomain().
-    for (uint32_t id = 0; id < native_index->hosts().size(); ++id) {
-      if (native_index->host(id).domain == domain) {
-        to_domain += native_index->by_host()[id].size();
-      }
+  // Registrable domains are precomputed per distinct host; summing
+  // postings replaces a per-flow RegistrableDomain walk.
+  for (uint32_t id = 0; id < native_index->hosts().size(); ++id) {
+    if (native_index->host(id).domain == domain) {
+      to_domain += native_index->by_host()[id].size();
     }
-  } else {
-    to_domain = native_flows->ToDomain(domain).size();
   }
   return static_cast<double>(to_domain) /
          static_cast<double>(native_flows->size());

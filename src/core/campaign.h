@@ -8,6 +8,7 @@
 // 10 minutes, bucketing native requests over time (Fig 5).
 #pragma once
 
+#include <array>
 #include <memory>
 #include <string>
 #include <vector>
@@ -88,7 +89,9 @@ struct CrawlResult {
   std::unique_ptr<proxy::FlowStore> native_flows;  // full
   // Columnar index over each store, built once at capture end (or
   // restored from the job snapshot, or merged from shard indexes).
-  // Analyses consume (store, index) pairs instead of rescanning flows.
+  // Invariant: never null, and flow_count() equals its store's size() —
+  // analyses consume (store, index) pairs and have no store-only path.
+  // Code assembling a result by hand builds them (FlowIndex::Build).
   // shared_ptr: shard merges and cached results alias the same index.
   std::shared_ptr<const analysis::FlowIndex> engine_index;
   std::shared_ptr<const analysis::FlowIndex> native_index;
@@ -105,6 +108,16 @@ struct CrawlResult {
   uint64_t NativeRequestCount() const { return native_flows->size(); }
   // Fig 2's black line: native / (native + engine).
   double NativeRatio() const;
+
+  // One capture side as the (store, index) pair analyses consume;
+  // `engine` marks the tainted engine side.
+  struct Side {
+    const proxy::FlowStore& flows;
+    const analysis::FlowIndex& index;
+    bool engine;
+  };
+  // Native side first, then engine.
+  std::array<Side, 2> Sides() const;
 };
 
 // Crawls `sites` with `spec`'s browser. The framework's taint addon is
@@ -125,7 +138,7 @@ struct IdleOptions {
 struct IdleResult {
   std::string browser;
   std::unique_ptr<proxy::FlowStore> native_flows;
-  // Columnar index over the store (see CrawlResult).
+  // Columnar index over the store; same invariant as CrawlResult's.
   std::shared_ptr<const analysis::FlowIndex> native_index;
   // Chaos-synthesized flows observed (and excluded from the store).
   uint64_t fault_injected_flows = 0;

@@ -44,19 +44,12 @@ device::NetworkStackStats SumStats(const device::NetworkStackStats& a,
 // Extends `into_index` with `from_index` during a shard merge. Appending
 // interns `from`'s tables in first-appearance order — exactly what
 // Build() over the appended store would produce — so the merged index
-// serializes byte-identically to a from-scratch rebuild; the rebuild
-// branch only covers indexes a caller never populated.
+// serializes byte-identically to a from-scratch rebuild.
 void MergeIndex(std::shared_ptr<const analysis::FlowIndex>* into_index,
-                const std::shared_ptr<const analysis::FlowIndex>& from_index,
-                const proxy::FlowStore& merged_store) {
-  if (*into_index != nullptr && from_index != nullptr) {
-    auto combined = std::make_shared<analysis::FlowIndex>(**into_index);
-    combined->Append(*from_index);
-    *into_index = std::move(combined);
-  } else {
-    *into_index = std::make_shared<const analysis::FlowIndex>(
-        analysis::FlowIndex::Build(merged_store));
-  }
+                const analysis::FlowIndex& from_index) {
+  auto combined = std::make_shared<analysis::FlowIndex>(**into_index);
+  combined->Append(from_index);
+  *into_index = std::move(combined);
 }
 
 // Fleet-layer metrics, registered once. References stay valid for the
@@ -127,7 +120,8 @@ std::string_view CampaignKindName(CampaignKind kind) {
 }
 
 uint64_t DeriveJobSeed(uint64_t base_seed, std::string_view browser,
-                       CampaignKind kind, int shard) {
+                       CampaignKind kind, int shard, int attempt,
+                       uint64_t device_fingerprint) {
   // Splitmix chain: each identity component perturbs the state and is
   // diffused before the next one lands. Stable across platforms
   // (FNV-1a + splitmix64, no std::hash).
@@ -138,30 +132,22 @@ uint64_t DeriveJobSeed(uint64_t base_seed, std::string_view browser,
   state ^= (static_cast<uint64_t>(kind) + 1) * 0x9E3779B97F4A7C15ull;
   util::SplitMix64(state);
   state ^= static_cast<uint64_t>(shard) + 1;
-  return util::SplitMix64(state);
-}
-
-uint64_t DeriveJobSeed(uint64_t base_seed, std::string_view browser,
-                       CampaignKind kind, int shard, int attempt) {
-  uint64_t state = DeriveJobSeed(base_seed, browser, kind, shard);
-  // attempt 0 must stay bit-identical to the 4-argument form (pinned
-  // by the determinism golden tests); retries diffuse the counter in.
-  if (attempt == 0) return state;
-  state ^= (static_cast<uint64_t>(attempt)) * 0x9E3779B97F4A7C15ull;
-  return util::SplitMix64(state);
-}
-
-uint64_t DeriveJobSeed(uint64_t base_seed, std::string_view browser,
-                       CampaignKind kind, int shard, int attempt,
-                       uint64_t device_fingerprint) {
-  uint64_t state = DeriveJobSeed(base_seed, browser, kind, shard, attempt);
+  state = util::SplitMix64(state);
+  // Attempt 0 (pinned by the determinism golden tests) adds nothing;
+  // retries diffuse the counter in.
+  if (attempt != 0) {
+    state ^= static_cast<uint64_t>(attempt) * 0x9E3779B97F4A7C15ull;
+    state = util::SplitMix64(state);
+  }
   // The paper testbed is the identity element: default-cohort jobs keep
   // the exact pre-population seeds the golden tests pin. Any other
   // profile perturbs the chain, so a cohort sweep never replays the
   // testbed's runtime streams.
-  if (device_fingerprint == device::PaperTestbedFingerprint()) return state;
-  state ^= device_fingerprint;
-  return util::SplitMix64(state);
+  if (device_fingerprint != device::PaperTestbedFingerprint()) {
+    state ^= device_fingerprint;
+    state = util::SplitMix64(state);
+  }
+  return state;
 }
 
 FleetExecutor::FleetExecutor(FleetOptions options)
@@ -531,8 +517,8 @@ std::vector<FleetJobResult> FleetExecutor::MergeShards(
     CrawlResult& from = *result.crawl;
     into.engine_flows->Append(*from.engine_flows);
     into.native_flows->Append(*from.native_flows);
-    MergeIndex(&into.engine_index, from.engine_index, *into.engine_flows);
-    MergeIndex(&into.native_index, from.native_index, *into.native_flows);
+    MergeIndex(&into.engine_index, *from.engine_index);
+    MergeIndex(&into.native_index, *from.native_index);
     into.visits.insert(into.visits.end(),
                        std::make_move_iterator(from.visits.begin()),
                        std::make_move_iterator(from.visits.end()));

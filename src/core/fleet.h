@@ -52,23 +52,19 @@ std::string_view CampaignKindName(CampaignKind kind);
 // derivation depends only on the job's identity — never on scheduling,
 // thread ids or the order other jobs finish — so a fleet run and a
 // serial run build byte-identical testbeds for the same job.
-uint64_t DeriveJobSeed(uint64_t base_seed, std::string_view browser,
-                       CampaignKind kind, int shard);
-
-// Retry-aware form: `attempt` 0 is the first execution and returns
-// exactly the value above; each retry gets a fresh decorrelated seed,
-// still a pure function of job identity + attempt counter.
-uint64_t DeriveJobSeed(uint64_t base_seed, std::string_view browser,
-                       CampaignKind kind, int shard, int attempt);
-
-// Device-aware form: folds the job's device-profile fingerprint
-// (device::DeviceProfileFingerprint) into the chain so two cohorts of
-// the same browser×kind×shard never share a runtime stream. The paper
-// testbed's fingerprint is the identity element — it returns exactly
-// the value above, keeping every pinned golden seed valid.
-uint64_t DeriveJobSeed(uint64_t base_seed, std::string_view browser,
-                       CampaignKind kind, int shard, int attempt,
-                       uint64_t device_fingerprint);
+//
+// `attempt` 0 is the first execution; each retry gets a fresh
+// decorrelated seed, still a pure function of job identity + attempt
+// counter. `device_fingerprint` (device::DeviceProfileFingerprint) folds
+// the job's device profile into the chain so two cohorts of the same
+// browser×kind×shard never share a runtime stream. Both defaults are
+// identity elements: attempt 0 and the paper testbed's fingerprint
+// leave the identity-only seed unchanged, keeping every pinned golden
+// seed valid.
+uint64_t DeriveJobSeed(
+    uint64_t base_seed, std::string_view browser, CampaignKind kind,
+    int shard, int attempt = 0,
+    uint64_t device_fingerprint = device::PaperTestbedFingerprint());
 
 // One unit of fleet work: a browser × device cohort × campaign kind ×
 // site shard. Crawl shards split the catalog into `shard_count`

@@ -10,28 +10,20 @@ namespace panoptes::core::snapshot {
 
 namespace {
 
-// Index payloads are presence-flagged so a result whose index was never
-// built (hand-assembled in tests) still snapshots cleanly; readers
-// rebuild absent indexes from the store, which serializes to the same
-// bytes as the one that was skipped.
-void WriteIndex(const std::shared_ptr<const analysis::FlowIndex>& index,
-                util::BinWriter& out) {
-  out.Bool(index != nullptr);
-  if (index != nullptr) index->SerializeTo(out);
+// The presence byte is always 1; a 0, or an index whose flow count
+// disagrees with the store just read, is corruption — never a cue to
+// rebuild (see the index note in snapshot.h).
+void WriteIndex(const analysis::FlowIndex& index, util::BinWriter& out) {
+  out.Bool(true);
+  index.SerializeTo(out);
 }
 
 bool ReadIndex(util::BinReader& in, const proxy::FlowStore& store,
                std::shared_ptr<const analysis::FlowIndex>* index) {
-  if (in.Bool()) {
-    std::shared_ptr<const analysis::FlowIndex> restored =
-        analysis::FlowIndex::Deserialize(in);
-    if (restored == nullptr) return false;
-    *index = std::move(restored);
-  } else {
-    *index = std::make_shared<const analysis::FlowIndex>(
-        analysis::FlowIndex::Build(store));
-  }
-  return in.ok();
+  if (!in.Bool()) return false;
+  *index = analysis::FlowIndex::Deserialize(in);
+  return *index != nullptr && (*index)->flow_count() == store.size() &&
+         in.ok();
 }
 
 void WriteStackStats(const device::NetworkStackStats& stats,
@@ -126,9 +118,9 @@ void WriteCrawl(const CrawlResult& crawl, util::BinWriter& out) {
   out.Bool(crawl.incognito_requested);
   out.Bool(crawl.incognito_effective);
   crawl.engine_flows->SerializeTo(out);
-  WriteIndex(crawl.engine_index, out);
+  WriteIndex(*crawl.engine_index, out);
   crawl.native_flows->SerializeTo(out);
-  WriteIndex(crawl.native_index, out);
+  WriteIndex(*crawl.native_index, out);
   out.U32(static_cast<uint32_t>(crawl.visits.size()));
   for (const auto& visit : crawl.visits) WriteVisit(visit, out);
   WriteStackStats(crawl.stack_stats, out);
@@ -166,7 +158,7 @@ bool ReadCrawl(util::BinReader& in, CrawlResult* crawl) {
 void WriteIdle(const IdleResult& idle, util::BinWriter& out) {
   out.Str(idle.browser);
   idle.native_flows->SerializeTo(out);
-  WriteIndex(idle.native_index, out);
+  WriteIndex(*idle.native_index, out);
   out.U64(idle.fault_injected_flows);
   out.U32(static_cast<uint32_t>(idle.cumulative_by_bucket.size()));
   for (uint64_t value : idle.cumulative_by_bucket) out.U64(value);

@@ -58,6 +58,10 @@ inline constexpr std::string_view kMagic = "PANOSNAP";
 // decoder still reads the v4 record tag, so kMinReadableSchema stays
 // at 6: a v6 snapshot replays with chain fields zeroed, which is
 // exactly what its run observed (no redirect scenarios existed).
+// Every store is followed by its FlowIndex behind a presence byte that
+// writers always set; readers reject a 0 or an index whose flow count
+// differs from its store's, so a restored result always satisfies the
+// CrawlResult/IdleResult index invariant.
 inline constexpr uint32_t kSchemaVersion = 7;
 inline constexpr uint32_t kMinReadableSchema = 6;
 

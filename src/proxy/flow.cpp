@@ -11,59 +11,4 @@ std::string_view TrafficOriginName(TrafficOrigin origin) {
   return "?";
 }
 
-void SerializeFlow(const Flow& flow, util::BinWriter& out) {
-  out.U64(flow.id);
-  out.I64(flow.time.millis);
-  out.Str(flow.browser);
-  out.I64(flow.app_uid);
-  out.U8(static_cast<uint8_t>(flow.method));
-  out.Str(flow.url.Serialize());
-  out.U32(static_cast<uint32_t>(flow.request_headers.size()));
-  for (const auto& [name, value] : flow.request_headers.entries()) {
-    out.Str(name);
-    out.Str(value);
-  }
-  out.Str(flow.request_body);
-  out.I64(flow.response_status);
-  out.U64(flow.request_bytes);
-  out.U64(flow.response_bytes);
-  out.U32(flow.server_ip.value());
-  out.U8(static_cast<uint8_t>(flow.version));
-  out.U8(static_cast<uint8_t>(flow.origin));
-  out.Str(flow.taint);
-  out.Bool(flow.blocked);
-  out.Str(flow.blocked_by);
-  out.Bool(flow.fault_injected);
-}
-
-bool DeserializeFlow(util::BinReader& in, Flow* flow) {
-  flow->id = in.U64();
-  flow->time.millis = in.I64();
-  flow->browser = in.Str();
-  flow->app_uid = static_cast<int>(in.I64());
-  flow->method = static_cast<net::HttpMethod>(in.U8());
-  auto url = net::Url::Parse(in.Str());
-  if (!url.has_value()) return false;
-  flow->url = *url;
-  uint32_t header_count = in.U32();
-  flow->request_headers = net::HttpHeaders();
-  for (uint32_t i = 0; i < header_count && in.ok(); ++i) {
-    std::string name = in.Str();
-    std::string value = in.Str();
-    flow->request_headers.Add(name, value);
-  }
-  flow->request_body = in.Str();
-  flow->response_status = static_cast<int>(in.I64());
-  flow->request_bytes = in.U64();
-  flow->response_bytes = in.U64();
-  flow->server_ip = net::IpAddress(in.U32());
-  flow->version = static_cast<net::HttpVersion>(in.U8());
-  flow->origin = static_cast<TrafficOrigin>(in.U8());
-  flow->taint = in.Str();
-  flow->blocked = in.Bool();
-  flow->blocked_by = in.Str();
-  flow->fault_injected = in.Bool();
-  return in.ok();
-}
-
 }  // namespace panoptes::proxy

@@ -9,7 +9,6 @@
 
 #include "net/http.h"
 #include "net/ip.h"
-#include "util/binio.h"
 #include "util/clock.h"
 
 namespace panoptes::proxy {
@@ -63,14 +62,5 @@ struct Flow {
 
   std::string Host() const { return url.host(); }
 };
-
-// Binary round trip for the job-snapshot format (core/snapshot.h).
-// Every field is encoded — snapshot restores must reproduce reports
-// byte-for-byte, including PII scans over headers and bodies.
-void SerializeFlow(const Flow& flow, util::BinWriter& out);
-
-// Fills `flow` from `in`; false on truncation, corruption, or an URL
-// that no longer parses. `flow` is unspecified on failure.
-bool DeserializeFlow(util::BinReader& in, Flow* flow);
 
 }  // namespace panoptes::proxy

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "analysis/flow_index.h"
 #include "browser/profiles.h"
 #include "core/campaign.h"
 #include "core/framework.h"
@@ -28,8 +29,8 @@ TEST(DnsLeakage, CountsQueriesAndClassifiesVisited) {
   other.url = net::Url::MustParse("https://update.vendor.com/check");
   store.Add(other);
 
-  auto report =
-      AnalyzeDnsLeakage(store, {"shop.example.com", "unvisited.org"});
+  auto report = AnalyzeDnsLeakage(FlowIndex::Build(store),
+                                  {"shop.example.com", "unvisited.org"});
   EXPECT_TRUE(report.uses_doh);
   EXPECT_EQ(report.provider_host, "cloudflare-dns.com");
   EXPECT_EQ(report.queries, 3u);
@@ -42,7 +43,7 @@ TEST(DnsLeakage, StubBrowserShowsNothing) {
   proxy::Flow flow;
   flow.url = net::Url::MustParse("https://sba.yandex.net/report");
   store.Add(flow);
-  auto report = AnalyzeDnsLeakage(store);
+  auto report = AnalyzeDnsLeakage(FlowIndex::Build(store));
   EXPECT_FALSE(report.uses_doh);
   EXPECT_EQ(report.queries, 0u);
 }
@@ -60,8 +61,7 @@ TEST(DnsLeakage, RealCrawlSplitsDohFromStubBrowsers) {
   }
 
   auto edge = core::RunCrawl(framework, *browser::FindSpec("Edge"), sites);
-  auto edge_report =
-      AnalyzeDnsLeakage(*edge.native_flows, visited_hosts);
+  auto edge_report = AnalyzeDnsLeakage(*edge.native_index, visited_hosts);
   EXPECT_TRUE(edge_report.uses_doh);
   EXPECT_EQ(edge_report.provider_host, "cloudflare-dns.com");
   // Every visited site's hostname reached the resolver operator.
@@ -69,8 +69,7 @@ TEST(DnsLeakage, RealCrawlSplitsDohFromStubBrowsers) {
 
   auto whale =
       core::RunCrawl(framework, *browser::FindSpec("Whale"), sites);
-  auto whale_report =
-      AnalyzeDnsLeakage(*whale.native_flows, visited_hosts);
+  auto whale_report = AnalyzeDnsLeakage(*whale.native_index, visited_hosts);
   EXPECT_FALSE(whale_report.uses_doh);  // local stub resolver
 }
 

@@ -19,6 +19,7 @@
 #include "core/result_cache.h"
 #include "core/run_manifest.h"
 #include "core/snapshot.h"
+#include "util/binio.h"
 
 namespace panoptes {
 namespace {
@@ -104,6 +105,61 @@ TEST(Snapshot, RejectsCorruptionAndForeignBytes) {
   }
   // Trailing garbage is corruption, not a longer snapshot.
   EXPECT_FALSE(core::snapshot::Read(bytes + "x", jobs[0], &restored));
+}
+
+// Every result carries an index per store, so a snapshot whose index
+// is absent (presence byte 0, the encoding of a null index) or belongs
+// to another store is corrupt: replaying it must not rebuild or trust
+// it.
+core::FleetJobResult& FirstCrawl(std::vector<core::FleetJobResult>& results) {
+  for (auto& result : results) {
+    if (result.crawl.has_value()) return result;
+  }
+  ADD_FAILURE() << "plan has no crawl job";
+  return results.front();
+}
+
+TEST(Snapshot, RejectsAnAbsentIndex) {
+  core::FleetExecutor executor(SmallFleet());
+  auto jobs = SmallPlan();
+  auto results = executor.RunSerial(jobs);
+  const core::FleetJobResult& result = FirstCrawl(results);
+  std::string bytes = core::snapshot::Write(result, 1);
+
+  // Locate the engine index payload: it directly follows the engine
+  // store, behind its presence byte.
+  util::BinWriter store_out;
+  result.crawl->engine_flows->SerializeTo(store_out);
+  util::BinWriter index_out;
+  result.crawl->engine_index->SerializeTo(index_out);
+  const std::string store_bytes = store_out.Take();
+  const std::string index_bytes = index_out.Take();
+  size_t at = bytes.find(store_bytes);
+  ASSERT_NE(at, std::string::npos);
+  at += store_bytes.size();
+  ASSERT_EQ(bytes[at], 1);
+  ASSERT_EQ(bytes.compare(at + 1, index_bytes.size(), index_bytes), 0);
+
+  // The snapshot a null engine index would have produced.
+  std::string absent = bytes.substr(0, at) + '\0' +
+                       bytes.substr(at + 1 + index_bytes.size());
+  core::FleetJobResult restored;
+  ASSERT_TRUE(core::snapshot::Read(bytes, result.job, &restored));
+  EXPECT_FALSE(core::snapshot::Read(absent, result.job, &restored));
+}
+
+TEST(Snapshot, RejectsAnIndexOfTheWrongStore) {
+  core::FleetExecutor executor(SmallFleet());
+  auto jobs = SmallPlan();
+  auto results = executor.RunSerial(jobs);
+  core::FleetJobResult& result = FirstCrawl(results);
+  ASSERT_NE(result.crawl->engine_flows->size(),
+            result.crawl->native_flows->size());
+  result.crawl->native_index = result.crawl->engine_index;
+
+  core::FleetJobResult restored;
+  EXPECT_FALSE(core::snapshot::Read(core::snapshot::Write(result, 1),
+                                    result.job, &restored));
 }
 
 TEST(ResultCache, WarmRunIsAllHitsAndByteIdentical) {

@@ -4,6 +4,7 @@
 // broken runs.
 #include <gtest/gtest.h>
 
+#include "analysis/flow_index.h"
 #include "analysis/historyleak.h"
 #include "browser/profiles.h"
 #include "chaos/injector.h"
@@ -82,23 +83,30 @@ TEST(Failure, EmptySiteListYieldsEmptyResult) {
 TEST(Failure, LeakDetectorHandlesEmptyInputs) {
   analysis::HistoryLeakDetector empty_detector({});
   proxy::FlowStore store;
-  EXPECT_TRUE(empty_detector.Scan(store).empty());
+  const auto index = analysis::FlowIndex::Build(store);
+  EXPECT_TRUE(empty_detector.Scan(store, index).empty());
 
   analysis::HistoryLeakDetector detector(
       {net::Url::MustParse("https://a.com/")});
-  EXPECT_TRUE(detector.Scan(store).empty());
+  EXPECT_TRUE(detector.Scan(store, index).empty());
 }
 
 TEST(Failure, CrawlResultRatioWithNoTraffic) {
   core::CrawlResult result;
   result.engine_flows = std::make_unique<proxy::FlowStore>();
   result.native_flows = std::make_unique<proxy::FlowStore>();
+  result.engine_index = std::make_shared<const analysis::FlowIndex>(
+      analysis::FlowIndex::Build(*result.engine_flows));
+  result.native_index = std::make_shared<const analysis::FlowIndex>(
+      analysis::FlowIndex::Build(*result.native_flows));
   EXPECT_EQ(result.NativeRatio(), 0.0);
 }
 
 TEST(Failure, IdleShareOnEmptyStore) {
   core::IdleResult result;
   result.native_flows = std::make_unique<proxy::FlowStore>();
+  result.native_index = std::make_shared<const analysis::FlowIndex>(
+      analysis::FlowIndex::Build(*result.native_flows));
   EXPECT_EQ(result.ShareToHost("graph.facebook.com"), 0.0);
 }
 

@@ -86,7 +86,7 @@ TEST_P(BrowserSweep, PiiLeaksMatchSpecProfile) {
   auto result = core::RunCrawl(framework, Spec(), sites);
 
   analysis::PiiScanner scanner(framework.device().profile());
-  auto report = scanner.Scan(*result.native_flows);
+  auto report = scanner.Scan(*result.native_index);
 
   const auto& pii = Spec().pii;
   EXPECT_EQ(report.Leaks(analysis::PiiField::kDeviceType), pii.device_type);
@@ -115,8 +115,9 @@ TEST_P(BrowserSweep, HistoryLeakMechanismMatchesSpec) {
   for (const auto* site : sites) visited.push_back(site->landing_url);
   analysis::HistoryLeakDetector detector(visited);
 
-  auto native = detector.Scan(*result.native_flows);
-  auto engine = detector.Scan(*result.engine_flows, true);
+  auto native = detector.Scan(*result.native_flows, *result.native_index);
+  auto engine =
+      detector.Scan(*result.engine_flows, *result.engine_index, true);
 
   bool native_full = false, engine_full = false, host_only = false;
   for (const auto& finding : native) {
@@ -291,7 +292,7 @@ TEST(Integration, NaiveSplitterMissesNativeAdCalls) {
   std::set<std::string> site_hosts;
   for (const auto* site : sites) site_hosts.insert(site->hostname);
   analysis::NaiveSplitter splitter(site_hosts);
-  auto score = splitter.Evaluate(*result.engine_flows, *result.native_flows);
+  auto score = splitter.Evaluate(*result.engine_index, *result.native_index);
   // Kiwi's native ad-SDK calls land on web ad-tech hosts: the
   // heuristic must misclassify a meaningful number of them.
   EXPECT_GT(score.native_as_engine, 0u);

@@ -1,4 +1,4 @@
-// Property tests for the arena-backed FlowStore (schema v3 payload).
+// Property tests for the arena-backed FlowStore (snapshot payload).
 //
 // The arena rewrite makes three promises that plain unit tests of the
 // query API cannot falsify: (1) Serialize → Deserialize → Append is a
@@ -201,6 +201,80 @@ TEST(FlowStoreArena, ViewsSurviveArenaGrowthAndStoreMove) {
   ExpectViewEqualsFlow(moved.flow(0), first_copy);
   ASSERT_EQ(moved.size(), 257u);
   EXPECT_EQ(moved.flow(256).request_body.size(), 16u * 1024);
+}
+
+// Pre-v4 store encodings are gone: the v2 per-flow layout (leading
+// Bool(compact)) and the 0xF3 tag only ever appeared inside snapshots
+// older than the minimum readable schema. Each stream below is
+// well-formed in its own format — one flow to https://a.example/x —
+// and must now be rejected rather than decoded.
+TEST(FlowStoreSerialize, PreV4EncodingsAreRejected) {
+  const std::string url = "https://a.example/x";
+
+  util::BinWriter v2;
+  v2.U8(0);        // Bool(compact): the v2 stream's first byte
+  v2.U64(0);       // dropped writes
+  v2.U32(1);       // flow count
+  v2.U64(7);       // id
+  v2.I64(1000);    // time
+  v2.Str("Yandex");
+  v2.I64(10123);   // app uid
+  v2.U8(0);        // method
+  v2.Str(url);
+  v2.U32(1);       // one header
+  v2.Str("User-Agent");
+  v2.Str("panoptes");
+  v2.Str("");      // body
+  v2.I64(200);     // status
+  v2.U64(120);     // request bytes
+  v2.U64(60);      // response bytes
+  v2.U32(0x01020304);
+  v2.U8(0);        // http version
+  v2.U8(2);        // origin
+  v2.Str("");      // taint
+  v2.Bool(false);  // blocked
+  v2.Str("");      // blocked_by
+  v2.Bool(false);  // fault injected
+
+  util::BinWriter v3;
+  v3.U8(0xF3);
+  v3.Bool(false);  // compact
+  v3.U64(0);       // dropped writes
+  v3.U32(2);       // label pool: browser, blocked_by
+  v3.Str("Yandex");
+  v3.Str("");
+  v3.U32(1);       // header-name pool
+  v3.Str("User-Agent");
+  v3.U32(1);       // record count
+  const std::string blob = url + "panoptes";
+  v3.U64(blob.size());
+  v3.Raw(blob);
+  v3.U64(7);       // id (v3 records carry no uid)
+  v3.I64(1000);    // time
+  v3.U32(0);       // browser label id
+  v3.I64(10123);   // app uid
+  v3.U8(0);        // method
+  v3.U32(static_cast<uint32_t>(url.size()));
+  v3.U32(1);       // one header
+  v3.U32(0);       // name id
+  v3.U32(8);       // value length
+  v3.U32(0);       // body length
+  v3.I64(200);     // status
+  v3.U64(120);     // request bytes
+  v3.U64(60);      // response bytes
+  v3.U32(0x01020304);
+  v3.U8(0);        // http version
+  v3.U8(2);        // origin
+  v3.U32(0);       // taint length
+  v3.Bool(false);  // blocked
+  v3.U32(1);       // blocked_by label id
+  v3.Bool(false);  // fault injected
+
+  for (const std::string& bytes : {v2.Take(), v3.Take()}) {
+    util::BinReader in(bytes);
+    EXPECT_EQ(FlowStore::Deserialize(in), nullptr)
+        << "leading byte " << static_cast<int>(bytes[0] & 0xFF);
+  }
 }
 
 }  // namespace
