@@ -37,13 +37,13 @@ int main() {
     // The naive way: type every URL into the address bar first.
     proxy::FlowStore typed_store;
     auto& runtime = framework.PrepareBrowser(*spec);
-    framework.taint_addon().SetStores(nullptr, &typed_store);
+    framework.taint_addon().SetSinks(nullptr, &typed_store);
     runtime.Startup();
     for (const auto* site : sites) {
       runtime.TypeInAddressBar(site->hostname);
       runtime.Navigate(site->landing_url);
     }
-    framework.taint_addon().SetStores(nullptr, nullptr);
+    framework.taint_addon().SetSinks(nullptr, nullptr);
     framework.TeardownBrowser();
 
     uint64_t typed_native = typed_store.size();

@@ -85,7 +85,7 @@ void BM_InstrumentedVisit(benchmark::State& state) {
   const auto* spec = browser::FindSpec("Edge");
   auto& runtime = framework.PrepareBrowser(*spec);
   proxy::FlowStore engine_store(true), native_store;
-  framework.taint_addon().SetStores(&engine_store, &native_store);
+  framework.taint_addon().SetSinks(&engine_store, &native_store);
   runtime.Startup();
   const auto& site = framework.catalog().sites().front();
 
@@ -96,7 +96,7 @@ void BM_InstrumentedVisit(benchmark::State& state) {
   state.counters["flows/visit"] = benchmark::Counter(
       static_cast<double>(engine_store.size() + native_store.size()) /
       static_cast<double>(state.iterations()));
-  framework.taint_addon().SetStores(nullptr, nullptr);
+  framework.taint_addon().SetSinks(nullptr, nullptr);
 }
 BENCHMARK(BM_InstrumentedVisit)->Unit(benchmark::kMicrosecond);
 

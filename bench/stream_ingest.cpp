@@ -123,8 +123,9 @@ FleetOutcome RunFleetCampaign(uint64_t budget, const std::string& spill_dir) {
   auto results = executor.Run(jobs);
   FleetOutcome out;
   for (const auto& result : results) {
-    if (result.crawl.has_value()) out.ingest.Accumulate(result.crawl->ingest);
-    if (result.idle.has_value()) out.ingest.Accumulate(result.idle->ingest);
+    if (const core::CaptureResult* capture = result.capture()) {
+      out.ingest.Accumulate(capture->ingest);
+    }
   }
   out.report =
       analysis::FleetReportJson(FleetExecutor::MergeShards(std::move(results)));
@@ -219,7 +220,7 @@ int main() {
       std::abort();
     }
   });
-  e2e.Run(5);
+  e2e.Run(15);
   e2e.Print();
   fs::remove_all(spill_dir);
 

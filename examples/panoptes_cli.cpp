@@ -59,6 +59,7 @@
 #include "util/args.h"
 #include "util/strings.h"
 #include "web/sitelist.h"
+#include "web/world.h"
 
 using namespace panoptes;
 
@@ -352,14 +353,19 @@ int CmdFleet(const util::Args& args) {
     obs::Journal run_journal;
     std::string combined = "{\"results\":[";
     bool first = true;
+    // Every browser's framework serves the same generated web, built
+    // once, as the fleet executor does.
+    core::FrameworkOptions base_fw = options.framework;
+    base_fw.catalog_seed = options.base_seed;
+    const auto world =
+        web::World::Build(base_fw.CatalogSeed(), base_fw.catalog);
     for (const auto& spec : browsers) {
-      core::FrameworkOptions fw = options.framework;
-      fw.catalog_seed = options.base_seed;
+      core::FrameworkOptions fw = base_fw;
       fw.seed = core::DeriveJobSeed(options.base_seed, spec.name,
                                     core::CampaignKind::kIdle, 0);
       obs::Journal job_journal;
       if (window_journal_path) fw.journal = &job_journal;
-      core::Framework framework(fw);
+      core::Framework framework(fw, world);
       auto result = core::RunWindow(framework, spec, window_options);
       std::printf(
           "%s window %llds: %llu native requests, %llu shed, %llu spill "
@@ -804,13 +810,11 @@ int CmdExplain(const util::Args& args) {
     std::vector<Side> sides;
     if (result.crawl.has_value()) {
       sides.push_back({result.crawl->engine_flows.get(), "engine"});
-      sides.push_back({result.crawl->native_flows.get(), "native"});
     }
-    if (result.idle.has_value()) {
-      sides.push_back({result.idle->native_flows.get(), "native"});
+    if (const core::CaptureResult* capture = result.capture()) {
+      sides.push_back({capture->native_flows.get(), "native"});
     }
     for (const Side& side : sides) {
-      if (side.store == nullptr) continue;
       for (const auto& flow : side.store->flows()) {
         if (flow.uid != uid) continue;
 

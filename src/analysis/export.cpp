@@ -135,12 +135,10 @@ std::string SeedHex(uint64_t seed) {
   return std::string(buf.data());
 }
 
-// Sorted PII field names leaked by the native store (scanned through its
-// index) for the values of `profile` — the device the capturing job
-// actually simulated, never a hardcoded testbed.
-std::vector<std::string> PiiFieldNames(const FlowIndex& index,
-                                       const device::DeviceProfile& profile) {
-  PiiReport report = PiiScanner(profile).Scan(index);
+// Names of the PII fields `report` found leaked, in PiiField order.
+// Reports scan with the profile of the device the capturing job actually
+// simulated, never a hardcoded testbed.
+std::vector<std::string> PiiFieldNames(const PiiReport& report) {
   std::vector<std::string> names;
   for (size_t i = 0; i < kPiiFieldCount; ++i) {
     if (report.leaked[i]) {
@@ -158,6 +156,19 @@ bool HasPopulation(const std::vector<core::FleetJobResult>& results) {
     if (!result.job.cohort.IsDefault()) return true;
   }
   return false;
+}
+
+// Fig 2's native share of a job's capture. Idle traffic is all native,
+// so an idle run scores 1 once it has any flow at all.
+double NativeRatio(const core::FleetJobResult& result) {
+  if (result.crawl.has_value()) return result.crawl->NativeRatio();
+  return result.idle->native_flows->empty() ? 0.0 : 1.0;
+}
+
+// The visits a job's flow uids resolve against; null for idle runs.
+const std::vector<core::VisitRecord>* VisitsOf(
+    const core::FleetJobResult& result) {
+  return result.crawl.has_value() ? &result.crawl->visits : nullptr;
 }
 
 // Resolves a finding's flow_uid to the visit (index into `visits`) that
@@ -235,20 +246,16 @@ std::string FleetSummaryCsv(
     uint64_t engine = 0, native = 0, engine_bytes = 0, native_bytes = 0;
     double ratio = 0;
     size_t pii = 0;
-    if (result.crawl.has_value()) {
-      const core::CrawlResult& crawl = *result.crawl;
-      engine = crawl.EngineRequestCount();
-      native = crawl.NativeRequestCount();
-      engine_bytes = crawl.engine_index->request_bytes_total();
-      native_bytes = crawl.native_index->request_bytes_total();
-      ratio = crawl.NativeRatio();
-      pii = PiiFieldNames(*crawl.native_index, profile).size();
-    } else if (result.idle.has_value()) {
-      const core::IdleResult& idle = *result.idle;
-      native = idle.native_flows->size();
-      native_bytes = idle.native_index->request_bytes_total();
-      ratio = native == 0 ? 0 : 1.0;  // idle traffic is all native
-      pii = PiiFieldNames(*idle.native_index, profile).size();
+    if (const core::CaptureResult* capture = result.capture()) {
+      if (result.crawl.has_value()) {
+        engine = result.crawl->EngineRequestCount();
+        engine_bytes = result.crawl->engine_index->request_bytes_total();
+      }
+      native = capture->native_flows->size();
+      native_bytes = capture->native_index->request_bytes_total();
+      ratio = NativeRatio(result);
+      pii = PiiFieldNames(PiiScanner(profile).Scan(*capture->native_index))
+                .size();
     }
     std::vector<std::string> row = {
         result.job.spec.name,
@@ -285,6 +292,57 @@ struct PopulationAggregate {
   std::set<std::string> pii_union;
   uint64_t cohorts = 0;
 };
+
+// One job's capture as report fields — the crawl or idle extras, then
+// the native counts, PII fields and findings every campaign reports —
+// folded into `agg` too for population runs.
+void CaptureJson(const core::FleetJobResult& result, size_t job_index,
+                 util::JsonObject& entry, PopulationAggregate* agg) {
+  const core::CaptureResult& capture = *result.capture();
+  if (result.crawl.has_value()) {
+    const core::CrawlResult& crawl = *result.crawl;
+    entry["engine_requests"] = crawl.EngineRequestCount();
+    entry["native_ratio"] = crawl.NativeRatio();
+    entry["engine_request_bytes"] = crawl.engine_index->request_bytes_total();
+    entry["incognito_effective"] = crawl.incognito_effective;
+    entry["visits"] = static_cast<uint64_t>(crawl.visits.size());
+    uint64_t ok = 0;
+    for (const auto& visit : crawl.visits) ok += visit.ok ? 1 : 0;
+    entry["visits_ok"] = ok;
+    util::JsonArray hosts;
+    for (auto& host : crawl.native_index->SortedHosts()) {
+      hosts.emplace_back(std::move(host));
+    }
+    entry["native_hosts"] = std::move(hosts);
+  } else {
+    util::JsonArray buckets;
+    for (uint64_t count : result.idle->cumulative_by_bucket) {
+      buckets.emplace_back(count);
+    }
+    entry["cumulative_by_bucket"] = std::move(buckets);
+  }
+  const uint64_t native = capture.native_flows->size();
+  entry["native_requests"] = native;
+  entry["native_request_bytes"] = capture.native_index->request_bytes_total();
+  PiiReport pii_report =
+      PiiScanner(result.job.cohort.profile).Scan(*capture.native_index);
+  std::vector<std::string> pii = PiiFieldNames(pii_report);
+  entry["findings"] = FindingsJson(pii_report, *capture.native_flows,
+                                   VisitsOf(result), job_index,
+                                   result.attempts);
+  if (agg != nullptr) {
+    double w = result.job.cohort.weight;
+    agg->weight += w;
+    agg->native_requests += w * static_cast<double>(native);
+    agg->native_ratio += w * NativeRatio(result);
+    agg->pii_fields += w * static_cast<double>(pii.size());
+    agg->pii_union.insert(pii.begin(), pii.end());
+    ++agg->cohorts;
+  }
+  util::JsonArray pii_json;
+  for (std::string& field : pii) pii_json.emplace_back(std::move(field));
+  entry["pii_fields"] = std::move(pii_json);
+}
 
 }  // namespace
 
@@ -328,96 +386,9 @@ std::string FleetReportJson(
       cohort_json["rooted"] = cohort.profile.rooted;
       entry["cohort"] = util::Json(std::move(cohort_json));
     }
-    const device::DeviceProfile& job_profile = result.job.cohort.profile;
-    if (result.crawl.has_value()) {
-      const core::CrawlResult& crawl = *result.crawl;
-      entry["engine_requests"] = crawl.EngineRequestCount();
-      entry["native_requests"] = crawl.NativeRequestCount();
-      entry["native_ratio"] = crawl.NativeRatio();
-      entry["engine_request_bytes"] =
-          crawl.engine_index->request_bytes_total();
-      entry["native_request_bytes"] =
-          crawl.native_index->request_bytes_total();
-      entry["incognito_effective"] = crawl.incognito_effective;
-      entry["visits"] = static_cast<uint64_t>(crawl.visits.size());
-      uint64_t ok = 0;
-      for (const auto& visit : crawl.visits) ok += visit.ok ? 1 : 0;
-      entry["visits_ok"] = ok;
-      util::JsonArray hosts;
-      for (auto& host : crawl.native_index->SortedHosts()) {
-        hosts.emplace_back(std::move(host));
-      }
-      entry["native_hosts"] = std::move(hosts);
-      PiiReport pii_report = PiiScanner(job_profile).Scan(*crawl.native_index);
-      util::JsonArray pii;
-      size_t pii_count = 0;
-      for (size_t i = 0; i < kPiiFieldCount; ++i) {
-        if (pii_report.leaked[i]) {
-          ++pii_count;
-          pii.emplace_back(
-              std::string(PiiFieldName(static_cast<PiiField>(i))));
-        }
-      }
-      entry["pii_fields"] = std::move(pii);
-      entry["findings"] =
-          FindingsJson(pii_report, *crawl.native_flows, &crawl.visits,
-                       job_index, result.attempts);
-      if (population) {
-        PopulationAggregate& agg = aggregate_for(result);
-        double w = result.job.cohort.weight;
-        agg.weight += w;
-        agg.native_requests += w * static_cast<double>(
-                                       crawl.NativeRequestCount());
-        agg.native_ratio += w * crawl.NativeRatio();
-        agg.pii_fields += w * static_cast<double>(pii_count);
-        for (size_t i = 0; i < kPiiFieldCount; ++i) {
-          if (pii_report.leaked[i]) {
-            agg.pii_union.insert(
-                std::string(PiiFieldName(static_cast<PiiField>(i))));
-          }
-        }
-        ++agg.cohorts;
-      }
-    } else if (result.idle.has_value()) {
-      const core::IdleResult& idle = *result.idle;
-      entry["native_requests"] =
-          static_cast<uint64_t>(idle.native_flows->size());
-      entry["native_request_bytes"] =
-          idle.native_index->request_bytes_total();
-      util::JsonArray buckets;
-      for (uint64_t count : idle.cumulative_by_bucket) {
-        buckets.emplace_back(count);
-      }
-      entry["cumulative_by_bucket"] = std::move(buckets);
-      PiiReport pii_report = PiiScanner(job_profile).Scan(*idle.native_index);
-      util::JsonArray pii;
-      size_t pii_count = 0;
-      for (size_t i = 0; i < kPiiFieldCount; ++i) {
-        if (pii_report.leaked[i]) {
-          ++pii_count;
-          pii.emplace_back(
-              std::string(PiiFieldName(static_cast<PiiField>(i))));
-        }
-      }
-      entry["pii_fields"] = std::move(pii);
-      entry["findings"] = FindingsJson(pii_report, *idle.native_flows,
-                                       nullptr, job_index, result.attempts);
-      if (population) {
-        PopulationAggregate& agg = aggregate_for(result);
-        double w = result.job.cohort.weight;
-        agg.weight += w;
-        agg.native_requests +=
-            w * static_cast<double>(idle.native_flows->size());
-        agg.native_ratio += w * (idle.native_flows->size() == 0 ? 0.0 : 1.0);
-        agg.pii_fields += w * static_cast<double>(pii_count);
-        for (size_t i = 0; i < kPiiFieldCount; ++i) {
-          if (pii_report.leaked[i]) {
-            agg.pii_union.insert(
-                std::string(PiiFieldName(static_cast<PiiField>(i))));
-          }
-        }
-        ++agg.cohorts;
-      }
+    if (result.capture() != nullptr) {
+      CaptureJson(result, job_index, entry,
+                  population ? &aggregate_for(result) : nullptr);
     }
     entries.push_back(util::Json(std::move(entry)));
   }
@@ -469,17 +440,14 @@ const FlowIndex& EmptyFlowIndex() {
 // result holds neither a crawl nor idle traffic (quarantined job).
 std::optional<UidSmugglingReport> SmugglingFor(
     const core::FleetJobResult& result) {
-  if (result.crawl.has_value()) {
-    const core::CrawlResult& crawl = *result.crawl;
-    return AnalyzeUidSmuggling(*crawl.engine_flows, *crawl.engine_index,
-                               *crawl.native_flows, *crawl.native_index);
-  }
-  if (result.idle.has_value()) {
-    const core::IdleResult& idle = *result.idle;
-    return AnalyzeUidSmuggling(EmptyFlowStore(), EmptyFlowIndex(),
-                               *idle.native_flows, *idle.native_index);
-  }
-  return std::nullopt;
+  const core::CaptureResult* capture = result.capture();
+  if (capture == nullptr) return std::nullopt;
+  const core::CrawlResult* crawl =
+      result.crawl.has_value() ? &*result.crawl : nullptr;
+  return AnalyzeUidSmuggling(
+      crawl != nullptr ? *crawl->engine_flows : EmptyFlowStore(),
+      crawl != nullptr ? *crawl->engine_index : EmptyFlowIndex(),
+      *capture->native_flows, *capture->native_index);
 }
 
 util::JsonObject SightingJson(const UidSighting& sighting,
@@ -550,8 +518,7 @@ std::string UidSmugglingReportJson(
     }
     entry["values_examined"] = smuggling->values_examined;
     entry["flows_with_chains"] = smuggling->flows_with_chains;
-    const std::vector<core::VisitRecord>* visits =
-        result.crawl.has_value() ? &result.crawl->visits : nullptr;
+    const std::vector<core::VisitRecord>* visits = VisitsOf(result);
     util::JsonArray findings;
     for (const UidSmugglingFinding& finding : smuggling->findings) {
       util::JsonObject finding_json;
@@ -685,13 +652,9 @@ std::string WindowReportJson(std::string_view browser, const FlowIndex& index,
   }
   root["by_time_bucket"] = std::move(buckets);
 
-  PiiScanner scanner(profile);
-  PiiReport pii_report = scanner.Scan(index);
   util::JsonArray pii;
-  for (size_t i = 0; i < kPiiFieldCount; ++i) {
-    if (pii_report.leaked[i]) {
-      pii.emplace_back(std::string(PiiFieldName(static_cast<PiiField>(i))));
-    }
+  for (std::string& field : PiiFieldNames(PiiScanner(profile).Scan(index))) {
+    pii.emplace_back(std::move(field));
   }
   root["pii_fields"] = std::move(pii);
   return util::Json(std::move(root)).Dump();

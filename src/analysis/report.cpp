@@ -79,21 +79,19 @@ std::string FleetSummaryTable(
   TextTable table(
       {"Browser", "Campaign", "Engine", "Native", "Ratio", "Native bytes"});
   for (const auto& result : results) {
-    if (result.crawl.has_value()) {
-      const core::CrawlResult& crawl = *result.crawl;
-      table.AddRow({result.job.spec.name,
-                    std::string(core::CampaignKindName(result.job.kind)),
-                    std::to_string(crawl.EngineRequestCount()),
-                    std::to_string(crawl.NativeRequestCount()),
-                    Ratio(crawl.NativeRatio()),
-                    Bytes(crawl.native_index->request_bytes_total())});
-    } else if (result.idle.has_value()) {
-      const core::IdleResult& idle = *result.idle;
-      table.AddRow({result.job.spec.name,
-                    std::string(core::CampaignKindName(result.job.kind)),
-                    "0", std::to_string(idle.native_flows->size()), "-",
-                    Bytes(idle.native_index->request_bytes_total())});
-    }
+    const core::CaptureResult* capture = result.capture();
+    if (capture == nullptr) continue;
+    // Idle runs have no engine side, so no engine count or ratio.
+    const core::CrawlResult* crawl =
+        result.crawl.has_value() ? &*result.crawl : nullptr;
+    table.AddRow({result.job.spec.name,
+                  std::string(core::CampaignKindName(result.job.kind)),
+                  crawl != nullptr
+                      ? std::to_string(crawl->EngineRequestCount())
+                      : "0",
+                  std::to_string(capture->native_flows->size()),
+                  crawl != nullptr ? Ratio(crawl->NativeRatio()) : "-",
+                  Bytes(capture->native_index->request_bytes_total())});
   }
   std::string out = table.Render();
   if (stats != nullptr && stats->workers > 0) {

@@ -1,6 +1,8 @@
 #include "core/campaign.h"
 
 #include <cmath>
+#include <optional>
+#include <string_view>
 
 #include "analysis/flow_index.h"
 #include "browser/cdp.h"
@@ -66,7 +68,149 @@ std::string FaultCauseSince(const chaos::Injector* injector,
   return std::string(chaos::FaultKindName(events[events_before].kind));
 }
 
+// How a capture session treats the engine (tainted) side.
+enum class EngineCapture { kNone, kCompact, kFull };
+
+// The capture every campaign shares (Fig. 1); only the driver — site
+// visits or idle ticks — differs between a crawl, an idle run and a
+// window. The session prepares the browser and points the taint addon
+// at budgeted StreamBuffers: each completed flow is pushed into one,
+// which keeps the live ring, updates the incremental index, and
+// spills/sheds under memory pressure. Without an engine buffer the
+// engine sink stays detached (tainted flows are counted, not stored).
+class CaptureSession {
+ public:
+  CaptureSession(Framework& framework, const browser::BrowserSpec& spec,
+                 bool factory_reset, const StreamOptions& stream,
+                 EngineCapture engine)
+      : framework_(framework),
+        browser_(spec.name),
+        runtime_(framework.PrepareBrowser(spec, factory_reset)),
+        // Provenance tags: every flow stored below gets a uid of
+        // (tag << 32) | ordinal, resolvable across the whole fleet run.
+        engine_tag_(proxy::MakeProvenanceTag(framework.options().seed,
+                                             /*role=*/0)),
+        native_tag_(proxy::MakeProvenanceTag(framework.options().seed,
+                                             /*role=*/1)) {
+    StreamBuffer::Config config;
+    config.seed = framework.options().seed;
+    config.stream = stream;
+    config.chaos = framework.chaos();
+    config.journal = framework.journal();
+    config.clock = &framework.clock();
+    if (engine != EngineCapture::kNone) {
+      config.compact = engine == EngineCapture::kCompact;
+      config.provenance_tag = engine_tag_;
+      config.role = "engine";
+      engine_.emplace(config);
+    }
+    config.compact = false;
+    config.provenance_tag = native_tag_;
+    config.role = "native";
+    native_.emplace(config);
+    framework.taint_addon().SetSinks(engine_ ? &*engine_ : nullptr,
+                                     &*native_);
+    fault_flows_before_ = framework.taint_addon().fault_injected_flows();
+  }
+
+  browser::BrowserRuntime& runtime() { return runtime_; }
+  uint32_t engine_tag() const { return engine_tag_; }
+  uint32_t native_tag() const { return native_tag_; }
+  StreamBuffer& engine() { return *engine_; }
+  StreamBuffer& native() { return *native_; }
+
+  // A "campaign" journal event stamped now and naming the browser;
+  // nullopt when the job keeps no journal.
+  std::optional<obs::Journal::EventRef> Event(std::string_view kind) {
+    obs::Journal* journal = framework_.journal();
+    if (journal == nullptr) return std::nullopt;
+    obs::Journal::EventRef event =
+        journal->Emit(framework_.clock().Now().millis, "campaign", kind);
+    event.Str("browser", browser_);
+    return event;
+  }
+
+  // Watchdog: a wedged job (chaos timeouts and retries can stretch the
+  // simulated timeline arbitrarily) is cancelled once `elapsed` reaches
+  // `deadline` (0 = no watchdog) and routed through the fleet's
+  // retry/quarantine machinery. `progress` says how far the run got.
+  bool WatchdogFired(util::Duration deadline, util::Duration elapsed,
+                     std::string_view progress_key, int64_t progress) {
+    if (deadline.millis <= 0 || elapsed < deadline) return false;
+    watchdog_cancelled_ = true;
+    static obs::Counter& watchdog_fires =
+        obs::MetricsRegistry::Default().GetCounter(
+            "panoptes_ingest_watchdog_cancels_total",
+            "Campaigns cancelled by the per-job watchdog deadline");
+    watchdog_fires.Inc();
+    if (auto event = Event("watchdog_cancel")) {
+      event->Num(progress_key, progress)
+          .Num("deadline_millis", deadline.millis);
+    }
+    return true;
+  }
+
+  // Ends the capture: detaches both sinks and stamps `result` with the
+  // accounting every campaign reports.
+  template <typename Result>
+  void Stop(Result* result) {
+    result->fault_injected_flows =
+        framework_.taint_addon().fault_injected_flows() - fault_flows_before_;
+    result->watchdog_cancelled = watchdog_cancelled_;
+    framework_.taint_addon().SetSinks(nullptr, nullptr);
+  }
+
+ private:
+  Framework& framework_;
+  std::string_view browser_;
+  browser::BrowserRuntime& runtime_;
+  const uint32_t engine_tag_;
+  const uint32_t native_tag_;
+  std::optional<StreamBuffer> engine_;
+  std::optional<StreamBuffer> native_;
+  uint64_t fault_flows_before_ = 0;
+  bool watchdog_cancelled_ = false;
+};
+
+// Drains a stopped buffer: spill segments are read back and folded, with
+// the live remainder, into one store — byte-identical to an unbounded
+// batch capture — and the incremental index rides along (rebuilt from
+// the salvaged prefix if a segment was corrupt). The store outlives the
+// job's framework, so it is cut loose from its injector and journal.
+void Drain(StreamBuffer& buffer, IngestStats* ingest,
+           std::unique_ptr<proxy::FlowStore>* flows,
+           std::shared_ptr<const analysis::FlowIndex>* index) {
+  auto out = buffer.Materialize();
+  ingest->Accumulate(buffer.stats());
+  *flows = std::move(out.store);
+  (*flows)->SetChaos(nullptr);
+  (*flows)->SetJournal(nullptr);
+  *index = std::make_shared<const analysis::FlowIndex>(std::move(out.index));
+}
+
 }  // namespace
+
+double CaptureResult::ShareToHost(std::string_view host) const {
+  if (native_flows->empty()) return 0;
+  const auto* postings = native_index->FlowsToHost(host);
+  const size_t to_host = postings != nullptr ? postings->size() : 0;
+  return static_cast<double>(to_host) /
+         static_cast<double>(native_flows->size());
+}
+
+double CaptureResult::ShareToDomain(std::string_view domain) const {
+  if (native_flows->empty()) return 0;
+  size_t to_domain = 0;
+  // Registrable domains are precomputed per distinct host; summing
+  // postings replaces a per-flow RegistrableDomain walk.
+  for (uint32_t id = 0; id < native_index->hosts().size(); ++id) {
+    if (native_index->host(id).domain == domain) {
+      to_domain += native_index->by_host()[id].size();
+    }
+  }
+  return static_cast<double>(to_domain) /
+         static_cast<double>(native_flows->size());
+}
 
 double CrawlResult::NativeRatio() const {
   double engine = static_cast<double>(engine_flows->size());
@@ -93,47 +237,24 @@ CrawlResult RunCrawl(Framework& framework, const browser::BrowserSpec& spec,
   result.browser = spec.name;
   result.incognito_requested = options.incognito;
   result.incognito_effective = options.incognito && spec.has_incognito;
-  // Provenance tags: every flow stored below gets a uid of
-  // (tag << 32) | ordinal, resolvable across the whole fleet run.
-  const uint32_t engine_tag =
-      proxy::MakeProvenanceTag(framework.options().seed, /*role=*/0);
-  const uint32_t native_tag =
-      proxy::MakeProvenanceTag(framework.options().seed, /*role=*/1);
 
-  auto& runtime = framework.PrepareBrowser(spec, options.factory_reset);
+  CaptureSession session(framework, spec, options.factory_reset,
+                         options.stream,
+                         options.compact_engine_store
+                             ? EngineCapture::kCompact
+                             : EngineCapture::kFull);
   framework.netstack().ResetStats();
   chaos::Injector* injector = framework.chaos();
   obs::Journal* journal = framework.journal();
+  StreamBuffer& engine_buffer = session.engine();
+  StreamBuffer& native_buffer = session.native();
 
-  // Capture is push-based: the taint addon pushes each completed flow
-  // into a budgeted StreamBuffer, which keeps the live ring, updates
-  // the incremental index, and spills/sheds under memory pressure.
-  StreamBuffer::Config engine_config;
-  engine_config.compact = options.compact_engine_store;
-  engine_config.provenance_tag = engine_tag;
-  engine_config.seed = framework.options().seed;
-  engine_config.stream = options.stream;
-  engine_config.chaos = injector;
-  engine_config.journal = journal;
-  engine_config.clock = &framework.clock();
-  engine_config.role = "engine";
-  StreamBuffer engine_buffer(engine_config);
-  StreamBuffer::Config native_config = engine_config;
-  native_config.compact = false;
-  native_config.provenance_tag = native_tag;
-  native_config.role = "native";
-  StreamBuffer native_buffer(native_config);
-  framework.taint_addon().SetSinks(&engine_buffer, &native_buffer);
-
-  if (journal != nullptr) {
-    journal->Emit(framework.clock().Now().millis, "campaign", "crawl_begin")
-        .Str("browser", spec.name)
-        .Num("sites", static_cast<uint64_t>(sites.size()))
-        .Num("engine_tag", static_cast<uint64_t>(engine_tag))
-        .Num("native_tag", static_cast<uint64_t>(native_tag))
+  if (auto event = session.Event("crawl_begin")) {
+    event->Num("sites", static_cast<uint64_t>(sites.size()))
+        .Num("engine_tag", static_cast<uint64_t>(session.engine_tag()))
+        .Num("native_tag", static_cast<uint64_t>(session.native_tag()))
         .BoolF("incognito", options.incognito);
   }
-  uint64_t fault_flows_before = framework.taint_addon().fault_injected_flows();
   // Deterministic jitter stream for retry backoff: derived from the
   // framework seed, consumed in visit order.
   util::Rng backoff_rng(framework.options().seed ^ 0xBAC0FFull);
@@ -141,32 +262,17 @@ CrawlResult RunCrawl(Framework& framework, const browser::BrowserSpec& spec,
   // Navigation is driven through CDP (Page.navigate) or, for browsers
   // without a CDP endpoint, a Frida WebView hook — never the address
   // bar, so autocomplete cannot pollute the traces (§2.1).
-  auto driver = browser::MakeDriver(&runtime);
+  auto driver = browser::MakeDriver(&session.runtime());
   driver->Attach();
 
   const util::SimTime campaign_start = framework.clock().Now();
-  runtime.Startup();
+  session.runtime().Startup();
 
   for (const web::Site* site : sites) {
-    // Watchdog: a wedged job (chaos timeouts and retries can stretch
-    // the simulated timeline arbitrarily) is cancelled at its deadline
-    // and routed through the fleet's retry/quarantine machinery.
-    if (options.watchdog_deadline.millis > 0 &&
-        framework.clock().Now() - campaign_start >=
-            options.watchdog_deadline) {
-      result.watchdog_cancelled = true;
-      static obs::Counter& watchdog_fires =
-          obs::MetricsRegistry::Default().GetCounter(
-              "panoptes_ingest_watchdog_cancels_total",
-              "Campaigns cancelled by the per-job watchdog deadline");
-      watchdog_fires.Inc();
-      if (journal != nullptr) {
-        journal->Emit(framework.clock().Now().millis, "campaign",
-                      "watchdog_cancel")
-            .Str("browser", spec.name)
-            .Num("visits_done", static_cast<uint64_t>(result.visits.size()))
-            .Num("deadline_millis", options.watchdog_deadline.millis);
-      }
+    if (session.WatchdogFired(options.watchdog_deadline,
+                              framework.clock().Now() - campaign_start,
+                              "visits_done",
+                              static_cast<int64_t>(result.visits.size()))) {
       break;
     }
     obs::ScopedSpan visit_span("campaign.visit", "campaign");
@@ -176,8 +282,8 @@ CrawlResult RunCrawl(Framework& framework, const browser::BrowserSpec& spec,
     VisitRecord record;
     record.hostname = site->hostname;
     record.category = site->category;
-    record.engine_tag = engine_tag;
-    record.native_tag = native_tag;
+    record.engine_tag = session.engine_tag();
+    record.native_tag = session.native_tag();
     if (journal != nullptr) {
       journal->Emit(framework.clock().Now().millis, "campaign", "visit_begin")
           .Str("host", site->hostname)
@@ -275,28 +381,15 @@ CrawlResult RunCrawl(Framework& framework, const browser::BrowserSpec& spec,
   }
 
   result.stack_stats = framework.netstack().stats();
-  result.fault_injected_flows =
-      framework.taint_addon().fault_injected_flows() - fault_flows_before;
-  framework.taint_addon().SetSinks(nullptr, nullptr);
-
-  // Drain the buffers: spill segments are read back and folded, with
-  // the live remainder, into one store per stream — byte-identical to
-  // an unbounded batch capture — and the incremental index rides along
-  // (rebuilt from the salvaged prefix if a segment was corrupt).
-  auto engine_out = engine_buffer.Materialize();
-  auto native_out = native_buffer.Materialize();
-  result.ingest.Accumulate(engine_buffer.stats());
-  result.ingest.Accumulate(native_buffer.stats());
-  result.engine_flows = std::move(engine_out.store);
-  result.native_flows = std::move(native_out.store);
-  result.engine_flows->SetChaos(nullptr);
-  result.native_flows->SetChaos(nullptr);
-  result.engine_flows->SetJournal(nullptr);
-  result.native_flows->SetJournal(nullptr);
-  if (journal != nullptr) {
-    journal->Emit(framework.clock().Now().millis, "campaign", "crawl_end")
-        .Str("browser", spec.name)
-        .Num("engine_flows", static_cast<uint64_t>(result.engine_flows->size()))
+  session.Stop(&result);
+  Drain(engine_buffer, &result.ingest, &result.engine_flows,
+        &result.engine_index);
+  Drain(native_buffer, &result.ingest, &result.native_flows,
+        &result.native_index);
+  if (auto event = session.Event("crawl_end")) {
+    event
+        ->Num("engine_flows",
+              static_cast<uint64_t>(result.engine_flows->size()))
         .Num("native_flows",
              static_cast<uint64_t>(result.native_flows->size()));
   }
@@ -305,38 +398,11 @@ CrawlResult RunCrawl(Framework& framework, const browser::BrowserSpec& spec,
   metrics.engine_flows_total.Inc(result.engine_flows->size());
   metrics.native_flows_total.Inc(result.native_flows->size());
 
-  result.engine_index = std::make_shared<const analysis::FlowIndex>(
-      std::move(engine_out.index));
-  result.native_index = std::make_shared<const analysis::FlowIndex>(
-      std::move(native_out.index));
-
   PANOPTES_LOG(kInfo, "crawl")
       << spec.name << ": " << result.visits.size() << " visits, "
       << result.engine_flows->size() << " engine / "
       << result.native_flows->size() << " native flows";
   return result;
-}
-
-double IdleResult::ShareToHost(std::string_view host) const {
-  if (native_flows->empty()) return 0;
-  const auto* postings = native_index->FlowsToHost(host);
-  const size_t to_host = postings != nullptr ? postings->size() : 0;
-  return static_cast<double>(to_host) /
-         static_cast<double>(native_flows->size());
-}
-
-double IdleResult::ShareToDomain(std::string_view domain) const {
-  if (native_flows->empty()) return 0;
-  size_t to_domain = 0;
-  // Registrable domains are precomputed per distinct host; summing
-  // postings replaces a per-flow RegistrableDomain walk.
-  for (uint32_t id = 0; id < native_index->hosts().size(); ++id) {
-    if (native_index->host(id).domain == domain) {
-      to_domain += native_index->by_host()[id].size();
-    }
-  }
-  return static_cast<double>(to_domain) /
-         static_cast<double>(native_flows->size());
 }
 
 IdleResult RunIdle(Framework& framework, const browser::BrowserSpec& spec,
@@ -348,89 +414,50 @@ IdleResult RunIdle(Framework& framework, const browser::BrowserSpec& spec,
   IdleResult result;
   result.browser = spec.name;
   result.bucket = options.bucket;
-  const uint32_t native_tag =
-      proxy::MakeProvenanceTag(framework.options().seed, /*role=*/1);
 
-  auto& runtime = framework.PrepareBrowser(spec, options.factory_reset);
-  obs::Journal* journal = framework.journal();
-
-  StreamBuffer::Config native_config;
-  native_config.provenance_tag = native_tag;
-  native_config.seed = framework.options().seed;
-  native_config.stream = options.stream;
-  native_config.chaos = framework.chaos();
-  native_config.journal = journal;
-  native_config.clock = &framework.clock();
-  native_config.role = "native";
-  StreamBuffer native_buffer(native_config);
   // Idle runs only need the native database.
-  framework.taint_addon().SetSinks(nullptr, &native_buffer);
-
-  if (journal != nullptr) {
-    journal->Emit(framework.clock().Now().millis, "campaign", "idle_begin")
-        .Str("browser", spec.name)
-        .Num("native_tag", static_cast<uint64_t>(native_tag))
+  CaptureSession session(framework, spec, options.factory_reset,
+                         options.stream, EngineCapture::kNone);
+  if (auto event = session.Event("idle_begin")) {
+    event->Num("native_tag", static_cast<uint64_t>(session.native_tag()))
         .Num("duration_millis", options.duration.millis);
   }
-  uint64_t fault_flows_before = framework.taint_addon().fault_injected_flows();
 
   util::SimTime start = framework.clock().Now();
-  runtime.Startup();  // launch traffic is part of the idle timeline
+  session.runtime().Startup();  // launch traffic is part of the idle timeline
 
   util::Duration elapsed{0};
   util::Duration next_bucket = options.bucket;
   while (elapsed < options.duration) {
-    if (options.watchdog_deadline.millis > 0 &&
-        elapsed >= options.watchdog_deadline) {
-      result.watchdog_cancelled = true;
-      static obs::Counter& watchdog_fires =
-          obs::MetricsRegistry::Default().GetCounter(
-              "panoptes_ingest_watchdog_cancels_total",
-              "Campaigns cancelled by the per-job watchdog deadline");
-      watchdog_fires.Inc();
-      if (journal != nullptr) {
-        journal->Emit(framework.clock().Now().millis, "campaign",
-                      "watchdog_cancel")
-            .Str("browser", spec.name)
-            .Num("elapsed_millis", elapsed.millis)
-            .Num("deadline_millis", options.watchdog_deadline.millis);
-      }
+    if (session.WatchdogFired(options.watchdog_deadline, elapsed,
+                              "elapsed_millis", elapsed.millis)) {
       break;
     }
     obs::ScopedSpan tick_span("campaign.idle_tick", "campaign");
     metrics.idle_ticks_total.Inc();
     framework.clock().Advance(options.tick);
     elapsed = framework.clock().Now() - start;
-    runtime.IdleTick(elapsed);
+    session.runtime().IdleTick(elapsed);
     while (elapsed >= next_bucket && next_bucket <= options.duration) {
-      result.cumulative_by_bucket.push_back(native_buffer.FlowCount());
+      result.cumulative_by_bucket.push_back(session.native().FlowCount());
       next_bucket = next_bucket + options.bucket;
     }
   }
   while (result.cumulative_by_bucket.size() <
          static_cast<size_t>(options.duration.millis /
                              options.bucket.millis)) {
-    result.cumulative_by_bucket.push_back(native_buffer.FlowCount());
+    result.cumulative_by_bucket.push_back(session.native().FlowCount());
   }
 
-  result.fault_injected_flows =
-      framework.taint_addon().fault_injected_flows() - fault_flows_before;
-  framework.taint_addon().SetSinks(nullptr, nullptr);
-  auto native_out = native_buffer.Materialize();
-  result.ingest = native_buffer.stats();
-  result.native_flows = std::move(native_out.store);
-  result.native_flows->SetChaos(nullptr);
-  result.native_flows->SetJournal(nullptr);
-  if (journal != nullptr) {
-    journal->Emit(framework.clock().Now().millis, "campaign", "idle_end")
-        .Str("browser", spec.name)
-        .Num("native_flows",
-             static_cast<uint64_t>(result.native_flows->size()));
+  session.Stop(&result);
+  Drain(session.native(), &result.ingest, &result.native_flows,
+        &result.native_index);
+  if (auto event = session.Event("idle_end")) {
+    event->Num("native_flows",
+               static_cast<uint64_t>(result.native_flows->size()));
   }
   framework.TeardownBrowser();
   metrics.native_flows_total.Inc(result.native_flows->size());
-  result.native_index = std::make_shared<const analysis::FlowIndex>(
-      std::move(native_out.index));
   return result;
 }
 
@@ -442,72 +469,38 @@ WindowResult RunWindow(Framework& framework, const browser::BrowserSpec& spec,
 
   WindowResult result;
   result.browser = spec.name;
-  const uint32_t native_tag =
-      proxy::MakeProvenanceTag(framework.options().seed, /*role=*/1);
 
-  auto& runtime = framework.PrepareBrowser(spec, /*factory_reset=*/true);
-  obs::Journal* journal = framework.journal();
-
-  StreamBuffer::Config native_config;
-  native_config.provenance_tag = native_tag;
-  native_config.seed = framework.options().seed;
-  native_config.stream = options.stream;
-  native_config.chaos = framework.chaos();
-  native_config.journal = journal;
-  native_config.clock = &framework.clock();
-  native_config.role = "native";
-  StreamBuffer native_buffer(native_config);
-  framework.taint_addon().SetSinks(nullptr, &native_buffer);
-
-  if (journal != nullptr) {
-    journal->Emit(framework.clock().Now().millis, "campaign", "window_begin")
-        .Str("browser", spec.name)
-        .Num("native_tag", static_cast<uint64_t>(native_tag))
+  CaptureSession session(framework, spec, /*factory_reset=*/true,
+                         options.stream, EngineCapture::kNone);
+  if (auto event = session.Event("window_begin")) {
+    event->Num("native_tag", static_cast<uint64_t>(session.native_tag()))
         .Num("window_millis", options.window.millis);
   }
-  uint64_t fault_flows_before = framework.taint_addon().fault_injected_flows();
 
   util::SimTime start = framework.clock().Now();
-  runtime.Startup();
+  session.runtime().Startup();
 
   util::Duration elapsed{0};
   while (elapsed < options.window) {
-    if (options.watchdog_deadline.millis > 0 &&
-        elapsed >= options.watchdog_deadline) {
-      result.watchdog_cancelled = true;
-      static obs::Counter& watchdog_fires =
-          obs::MetricsRegistry::Default().GetCounter(
-              "panoptes_ingest_watchdog_cancels_total",
-              "Campaigns cancelled by the per-job watchdog deadline");
-      watchdog_fires.Inc();
-      if (journal != nullptr) {
-        journal->Emit(framework.clock().Now().millis, "campaign",
-                      "watchdog_cancel")
-            .Str("browser", spec.name)
-            .Num("elapsed_millis", elapsed.millis)
-            .Num("deadline_millis", options.watchdog_deadline.millis);
-      }
+    if (session.WatchdogFired(options.watchdog_deadline, elapsed,
+                              "elapsed_millis", elapsed.millis)) {
       break;
     }
     metrics.idle_ticks_total.Inc();
     framework.clock().Advance(options.tick);
     elapsed = framework.clock().Now() - start;
-    runtime.IdleTick(elapsed);
+    session.runtime().IdleTick(elapsed);
   }
 
-  result.fault_injected_flows =
-      framework.taint_addon().fault_injected_flows() - fault_flows_before;
-  framework.taint_addon().SetSinks(nullptr, nullptr);
+  session.Stop(&result);
   // Rolling-window contract: no terminal batch pass. The report is
   // answered from the live incremental index; spilled flows stay on
   // disk and are discarded with the buffer.
-  result.native_flows = native_buffer.FlowCount();
-  result.ingest = native_buffer.stats();
-  result.native_index = native_buffer.TakeIndex();
-  if (journal != nullptr) {
-    journal->Emit(framework.clock().Now().millis, "campaign", "window_end")
-        .Str("browser", spec.name)
-        .Num("native_flows", result.native_flows)
+  result.native_flows = session.native().FlowCount();
+  result.ingest = session.native().stats();
+  result.native_index = session.native().TakeIndex();
+  if (auto event = session.Event("window_end")) {
+    event->Num("native_flows", result.native_flows)
         .Num("flows_shed", result.ingest.flows_shed);
   }
   framework.TeardownBrowser();

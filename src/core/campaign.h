@@ -11,6 +11,7 @@
 #include <array>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/framework.h"
@@ -80,29 +81,42 @@ struct VisitRecord {
   uint32_t native_flow_end = 0;
 };
 
-struct CrawlResult {
+// The capture every campaign shares (Fig. 1): one browser's native
+// (untainted) flow database with its index, plus the accounting of the
+// capture that filled it. Crawls add the engine side and their visits;
+// idle runs add the request timeline.
+struct CaptureResult {
   std::string browser;
-  bool incognito_requested = false;
-  // True only if the browser actually has an incognito mode.
-  bool incognito_effective = false;
-  std::unique_ptr<proxy::FlowStore> engine_flows;  // compact
   std::unique_ptr<proxy::FlowStore> native_flows;  // full
-  // Columnar index over each store, built once at capture end (or
+  // Columnar index over the store, built once at capture end (or
   // restored from the job snapshot, or merged from shard indexes).
   // Invariant: never null, and flow_count() equals its store's size() —
   // analyses consume (store, index) pairs and have no store-only path.
-  // Code assembling a result by hand builds them (FlowIndex::Build).
+  // Code assembling a result by hand builds it (FlowIndex::Build).
   // shared_ptr: shard merges and cached results alias the same index.
-  std::shared_ptr<const analysis::FlowIndex> engine_index;
   std::shared_ptr<const analysis::FlowIndex> native_index;
-  std::vector<VisitRecord> visits;
-  device::NetworkStackStats stack_stats;
   // Chaos-synthesized flows observed (and excluded from the stores).
   uint64_t fault_injected_flows = 0;
-  // Streaming ingest accounting (engine + native buffers summed).
+  // Streaming ingest accounting (every buffer of the capture summed).
   IngestStats ingest;
-  // True when the campaign watchdog cancelled the run mid-crawl.
+  // True when the campaign watchdog cancelled the run.
   bool watchdog_cancelled = false;
+
+  // Fraction of native requests that went to `host` (§3.5 shares).
+  double ShareToHost(std::string_view host) const;
+  double ShareToDomain(std::string_view domain) const;
+};
+
+struct CrawlResult : CaptureResult {
+  bool incognito_requested = false;
+  // True only if the browser actually has an incognito mode.
+  bool incognito_effective = false;
+  // The engine (tainted) store — compact unless compact_engine_store is
+  // off — and its index, under the same invariant as native_index.
+  std::unique_ptr<proxy::FlowStore> engine_flows;
+  std::shared_ptr<const analysis::FlowIndex> engine_index;
+  std::vector<VisitRecord> visits;
+  device::NetworkStackStats stack_stats;
 
   uint64_t EngineRequestCount() const { return engine_flows->size(); }
   uint64_t NativeRequestCount() const { return native_flows->size(); }
@@ -135,22 +149,10 @@ struct IdleOptions {
   util::Duration watchdog_deadline{0};
 };
 
-struct IdleResult {
-  std::string browser;
-  std::unique_ptr<proxy::FlowStore> native_flows;
-  // Columnar index over the store; same invariant as CrawlResult's.
-  std::shared_ptr<const analysis::FlowIndex> native_index;
-  // Chaos-synthesized flows observed (and excluded from the store).
-  uint64_t fault_injected_flows = 0;
-  IngestStats ingest;
-  bool watchdog_cancelled = false;
+struct IdleResult : CaptureResult {
   // Cumulative native request count at the end of each bucket.
   std::vector<uint64_t> cumulative_by_bucket;
   util::Duration bucket;
-
-  // Fraction of native requests that went to `host` (§3.5 shares).
-  double ShareToHost(std::string_view host) const;
-  double ShareToDomain(std::string_view domain) const;
 };
 
 IdleResult RunIdle(Framework& framework, const browser::BrowserSpec& spec,

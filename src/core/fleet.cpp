@@ -86,10 +86,8 @@ bool JobFailed(const FleetJobResult& result) {
   // A watchdog-cancelled campaign is wedged, not merely degraded: its
   // capture is incomplete by construction, so it takes the same
   // retry/quarantine path as a fully-dead job.
-  if (result.crawl.has_value() && result.crawl->watchdog_cancelled) {
-    return true;
-  }
-  if (result.idle.has_value() && result.idle->watchdog_cancelled) return true;
+  const CaptureResult* capture = result.capture();
+  if (capture != nullptr && capture->watchdog_cancelled) return true;
   if (!result.crawl.has_value()) return false;
   const auto& visits = result.crawl->visits;
   if (visits.empty()) return false;
@@ -175,24 +173,8 @@ std::vector<FleetJob> FleetExecutor::PlanCampaign(
     const std::vector<browser::BrowserSpec>& browsers,
     const std::vector<CampaignKind>& kinds, int shard_count,
     const CrawlOptions& crawl, const IdleOptions& idle) {
-  if (shard_count < 1) shard_count = 1;
-  std::vector<FleetJob> jobs;
-  for (const auto& spec : browsers) {
-    for (CampaignKind kind : kinds) {
-      int shards = kind == CampaignKind::kIdle ? 1 : shard_count;
-      for (int shard = 0; shard < shards; ++shard) {
-        FleetJob job;
-        job.spec = spec;
-        job.kind = kind;
-        job.shard = shard;
-        job.shard_count = shards;
-        job.crawl = crawl;
-        job.idle = idle;
-        jobs.push_back(std::move(job));
-      }
-    }
-  }
-  return jobs;
+  return PlanCampaign(browsers, {device::DeviceCohort{}}, kinds, shard_count,
+                      crawl, idle);
 }
 
 std::vector<FleetJob> FleetExecutor::PlanCampaign(
@@ -201,7 +183,8 @@ std::vector<FleetJob> FleetExecutor::PlanCampaign(
     const std::vector<CampaignKind>& kinds, int shard_count,
     const CrawlOptions& crawl, const IdleOptions& idle) {
   if (cohorts.empty()) {
-    return PlanCampaign(browsers, kinds, shard_count, crawl, idle);
+    return PlanCampaign(browsers, {device::DeviceCohort{}}, kinds, shard_count,
+                        crawl, idle);
   }
   if (shard_count < 1) shard_count = 1;
   std::vector<FleetJob> jobs;
@@ -277,7 +260,6 @@ FleetJobResult FleetExecutor::ExecuteJob(const FleetJob& job, int attempt,
       idle.watchdog_deadline = options_.watchdog_deadline;
     }
     out.idle = RunIdle(framework, job.spec, idle);
-    out.flow_writes_dropped = out.idle->native_flows->dropped_writes();
   } else {
     CrawlOptions crawl = job.crawl;
     crawl.incognito = job.kind == CampaignKind::kIncognitoCrawl;
@@ -291,9 +273,9 @@ FleetJobResult FleetExecutor::ExecuteJob(const FleetJob& job, int attempt,
     shard_sites.reserve(end - begin);
     for (size_t i = begin; i < end; ++i) shard_sites.push_back(&sites[i]);
     out.crawl = RunCrawl(framework, job.spec, shard_sites, crawl);
-    out.flow_writes_dropped = out.crawl->engine_flows->dropped_writes() +
-                              out.crawl->native_flows->dropped_writes();
+    out.flow_writes_dropped = out.crawl->engine_flows->dropped_writes();
   }
+  out.flow_writes_dropped += out.capture()->native_flows->dropped_writes();
 
   // Copy the fault timeline out while the framework (which owns the
   // injector) is still alive.

@@ -85,6 +85,7 @@ struct FleetJob {
 struct FleetJobResult {
   FleetJob job;
   uint64_t seed = 0;  // the derived per-job seed, for provenance
+  // Exactly one is set for an executed or replayed job, by job.kind.
   std::optional<CrawlResult> crawl;
   std::optional<IdleResult> idle;
   // Self-healing accounting (run manifest): executions this job took
@@ -103,6 +104,14 @@ struct FleetJobResult {
   // cache_hit event. Merged in plan order by MergeJournal, so the
   // merged journal is byte-identical at any worker count.
   obs::Journal journal;
+
+  // The capture both campaign kinds share: whichever of crawl / idle is
+  // set, or null when neither is.
+  const CaptureResult* capture() const {
+    if (crawl.has_value()) return &*crawl;
+    if (idle.has_value()) return &*idle;
+    return nullptr;
+  }
 };
 
 struct FleetOptions {
@@ -189,18 +198,16 @@ class FleetExecutor {
   std::vector<FleetJobResult> RunSerial(const std::vector<FleetJob>& jobs,
                                         FleetRunStats* stats = nullptr) const;
 
-  // Expands browsers × kinds × shards into the canonical job list:
-  // browsers in the given (Table 1) order, kinds in the given order,
-  // shards ascending. Idle kinds always get a single shard.
+  // Expands browsers × cohorts × kinds × shards into the canonical job
+  // list: browsers in the given (Table 1) order, cohorts in population
+  // (index) order nested inside each browser, kinds in the given order,
+  // shards ascending. Idle kinds always get a single shard. An empty
+  // cohort list plans the single default (paper testbed) cohort, as
+  // does the overload without cohorts.
   static std::vector<FleetJob> PlanCampaign(
       const std::vector<browser::BrowserSpec>& browsers,
       const std::vector<CampaignKind>& kinds, int shard_count,
       const CrawlOptions& crawl = {}, const IdleOptions& idle = {});
-
-  // Population form: browsers × cohorts × kinds × shards, cohorts in
-  // population (index) order nested inside each browser. An empty
-  // cohort list plans the single default (paper testbed) cohort,
-  // byte-identical to the overload above.
   static std::vector<FleetJob> PlanCampaign(
       const std::vector<browser::BrowserSpec>& browsers,
       const std::vector<device::DeviceCohort>& cohorts,

@@ -272,9 +272,9 @@ std::optional<FleetJobResult> ResultCache::Load(const FleetJob& job,
     return std::nullopt;
   };
 
+  // snapshot::Read rejects any schema but the current one.
   auto header = snapshot::PeekHeader(bytes);
-  if (!header.has_value() || header->schema != snapshot::kSchemaVersion ||
-      header->fingerprint != fingerprint) {
+  if (!header.has_value() || header->fingerprint != fingerprint) {
     return invalidate();
   }
   FleetJobResult result;

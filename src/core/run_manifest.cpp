@@ -63,10 +63,12 @@ RunManifest BuildRunManifest(const FleetOptions& options,
     job.flow_writes_dropped = result.flow_writes_dropped;
     job.cache_hit = result.cache_hit;
     if (job.cache_hit) ++manifest.cache_hits;
+    if (const CaptureResult* capture = result.capture()) {
+      job.fault_injected_flows = capture->fault_injected_flows;
+      job.ingest = capture->ingest;
+      job.watchdog_cancelled = capture->watchdog_cancelled;
+    }
     if (result.crawl.has_value()) {
-      job.fault_injected_flows = result.crawl->fault_injected_flows;
-      job.ingest = result.crawl->ingest;
-      job.watchdog_cancelled = result.crawl->watchdog_cancelled;
       for (const auto& visit : result.crawl->visits) {
         if (visit.attempts <= 1 && visit.ok) continue;
         job.visit_retries += static_cast<uint64_t>(visit.attempts - 1);
@@ -84,10 +86,6 @@ RunManifest BuildRunManifest(const FleetOptions& options,
         degraded.backoff_millis = visit.backoff_millis;
         manifest.degraded_visits.push_back(std::move(degraded));
       }
-    } else if (result.idle.has_value()) {
-      job.fault_injected_flows = result.idle->fault_injected_flows;
-      job.ingest = result.idle->ingest;
-      job.watchdog_cancelled = result.idle->watchdog_cancelled;
     }
 
     manifest.total_faults += job.faults_injected;

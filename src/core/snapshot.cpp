@@ -1,5 +1,6 @@
 #include "core/snapshot.h"
 
+#include <stdexcept>
 #include <utility>
 
 #include "analysis/flow_index.h"
@@ -113,35 +114,48 @@ void ReadVisit(util::BinReader& in, VisitRecord* visit) {
   visit->native_flow_end = in.U32();
 }
 
-void WriteCrawl(const CrawlResult& crawl, util::BinWriter& out) {
-  out.Str(crawl.browser);
+// The part every campaign shares (CaptureResult).
+void WriteCapture(const CaptureResult& capture, util::BinWriter& out) {
+  out.Str(capture.browser);
+  capture.native_flows->SerializeTo(out);
+  WriteIndex(*capture.native_index, out);
+  out.U64(capture.fault_injected_flows);
+  WriteIngest(capture.ingest, out);
+  out.Bool(capture.watchdog_cancelled);
+}
+
+bool ReadCapture(util::BinReader& in, CaptureResult* capture) {
+  capture->browser = in.Str();
+  capture->native_flows = proxy::FlowStore::Deserialize(in);
+  if (capture->native_flows == nullptr) return false;
+  if (!ReadIndex(in, *capture->native_flows, &capture->native_index)) {
+    return false;
+  }
+  capture->fault_injected_flows = in.U64();
+  ReadIngest(in, &capture->ingest);
+  capture->watchdog_cancelled = in.Bool();
+  return in.ok();
+}
+
+// Kind-specific tails, after the shared capture.
+void WriteCrawlTail(const CrawlResult& crawl, util::BinWriter& out) {
   out.Bool(crawl.incognito_requested);
   out.Bool(crawl.incognito_effective);
   crawl.engine_flows->SerializeTo(out);
   WriteIndex(*crawl.engine_index, out);
-  crawl.native_flows->SerializeTo(out);
-  WriteIndex(*crawl.native_index, out);
   out.U32(static_cast<uint32_t>(crawl.visits.size()));
   for (const auto& visit : crawl.visits) WriteVisit(visit, out);
   WriteStackStats(crawl.stack_stats, out);
-  out.U64(crawl.fault_injected_flows);
-  WriteIngest(crawl.ingest, out);
-  out.Bool(crawl.watchdog_cancelled);
 }
 
-bool ReadCrawl(util::BinReader& in, CrawlResult* crawl) {
-  crawl->browser = in.Str();
+bool ReadCrawlTail(util::BinReader& in, CrawlResult* crawl) {
   crawl->incognito_requested = in.Bool();
   crawl->incognito_effective = in.Bool();
   crawl->engine_flows = proxy::FlowStore::Deserialize(in);
   if (crawl->engine_flows == nullptr) return false;
   if (!ReadIndex(in, *crawl->engine_flows, &crawl->engine_index)) return false;
-  crawl->native_flows = proxy::FlowStore::Deserialize(in);
-  if (crawl->native_flows == nullptr) return false;
-  if (!ReadIndex(in, *crawl->native_flows, &crawl->native_index)) return false;
   uint32_t visit_count = in.U32();
   if (!in.ok() || visit_count > in.remaining()) return false;
-  crawl->visits.clear();
   crawl->visits.reserve(visit_count);
   for (uint32_t i = 0; i < visit_count; ++i) {
     VisitRecord visit;
@@ -149,40 +163,23 @@ bool ReadCrawl(util::BinReader& in, CrawlResult* crawl) {
     crawl->visits.push_back(std::move(visit));
   }
   ReadStackStats(in, &crawl->stack_stats);
-  crawl->fault_injected_flows = in.U64();
-  ReadIngest(in, &crawl->ingest);
-  crawl->watchdog_cancelled = in.Bool();
   return in.ok();
 }
 
-void WriteIdle(const IdleResult& idle, util::BinWriter& out) {
-  out.Str(idle.browser);
-  idle.native_flows->SerializeTo(out);
-  WriteIndex(*idle.native_index, out);
-  out.U64(idle.fault_injected_flows);
+void WriteIdleTail(const IdleResult& idle, util::BinWriter& out) {
   out.U32(static_cast<uint32_t>(idle.cumulative_by_bucket.size()));
   for (uint64_t value : idle.cumulative_by_bucket) out.U64(value);
   out.I64(idle.bucket.millis);
-  WriteIngest(idle.ingest, out);
-  out.Bool(idle.watchdog_cancelled);
 }
 
-bool ReadIdle(util::BinReader& in, IdleResult* idle) {
-  idle->browser = in.Str();
-  idle->native_flows = proxy::FlowStore::Deserialize(in);
-  if (idle->native_flows == nullptr) return false;
-  if (!ReadIndex(in, *idle->native_flows, &idle->native_index)) return false;
-  idle->fault_injected_flows = in.U64();
+bool ReadIdleTail(util::BinReader& in, IdleResult* idle) {
   uint32_t bucket_count = in.U32();
   if (!in.ok() || bucket_count > in.remaining() / 8) return false;
-  idle->cumulative_by_bucket.clear();
   idle->cumulative_by_bucket.reserve(bucket_count);
   for (uint32_t i = 0; i < bucket_count; ++i) {
     idle->cumulative_by_bucket.push_back(in.U64());
   }
   idle->bucket.millis = in.I64();
-  ReadIngest(in, &idle->ingest);
-  idle->watchdog_cancelled = in.Bool();
   return in.ok();
 }
 
@@ -275,20 +272,49 @@ void ReadCohort(util::BinReader& in, device::DeviceCohort* cohort) {
   ReadProfile(in, &cohort->profile);
 }
 
-// Payload from `seed` onward (everything after the job identity).
+// Decodes the header and the job identity that follows it into `job`
+// (its spec carries only the browser name), leaving `in` at the
+// payload. False unless the schema is readable, the kind names a
+// campaign and the shard lies inside its shard count.
+bool ReadJob(std::string_view bytes, util::BinReader& in, FleetJob* job) {
+  auto header = PeekHeader(bytes);
+  if (!header.has_value() || header->schema < kMinReadableSchema ||
+      header->schema > kSchemaVersion) {
+    return false;
+  }
+  for (size_t i = 0; i < kMagic.size(); ++i) in.U8();
+  in.U32();
+  in.U64();
+
+  job->spec.name = in.Str();
+  const uint8_t kind = in.U8();
+  job->shard = static_cast<int>(in.U32());
+  job->shard_count = static_cast<int>(in.U32());
+  ReadCohort(in, &job->cohort);
+  // kIdle is the last CampaignKind.
+  if (!in.ok() || kind > static_cast<uint8_t>(CampaignKind::kIdle) ||
+      job->shard < 0 || job->shard_count <= 0 ||
+      job->shard >= job->shard_count) {
+    return false;
+  }
+  job->kind = static_cast<CampaignKind>(kind);
+  return true;
+}
+
+// Payload from `seed` onward (everything after the job identity). The
+// job's kind, already in `result`, says which tail follows the capture.
 bool ReadPayload(util::BinReader& in, FleetJobResult* result) {
   result->seed = in.U64();
   result->attempts = static_cast<int>(in.I64());
   result->quarantined = in.Bool();
   if (!ReadFaults(in, &result->faults)) return false;
   result->flow_writes_dropped = in.U64();
-  if (in.Bool()) {
-    result->crawl.emplace();
-    if (!ReadCrawl(in, &*result->crawl)) return false;
-  }
-  if (in.Bool()) {
-    result->idle.emplace();
-    if (!ReadIdle(in, &*result->idle)) return false;
+  if (result->job.kind == CampaignKind::kIdle) {
+    IdleResult& idle = result->idle.emplace();
+    if (!ReadCapture(in, &idle) || !ReadIdleTail(in, &idle)) return false;
+  } else {
+    CrawlResult& crawl = result->crawl.emplace();
+    if (!ReadCapture(in, &crawl) || !ReadCrawlTail(in, &crawl)) return false;
   }
   // Trailing garbage is corruption too — the snapshot is the whole file.
   return in.ok() && in.AtEnd();
@@ -318,10 +344,18 @@ std::string Write(const FleetJobResult& result, uint64_t fingerprint) {
   out.Bool(result.quarantined);
   WriteFaults(result.faults, out);
   out.U64(result.flow_writes_dropped);
-  out.Bool(result.crawl.has_value());
-  if (result.crawl.has_value()) WriteCrawl(*result.crawl, out);
-  out.Bool(result.idle.has_value());
-  if (result.idle.has_value()) WriteIdle(*result.idle, out);
+  // v8: the shared capture, then the tail of the job's kind.
+  const bool idle = result.job.kind == CampaignKind::kIdle;
+  if (result.idle.has_value() != idle || result.crawl.has_value() == idle) {
+    throw std::invalid_argument(
+        "snapshot::Write: the result must hold exactly its kind's side");
+  }
+  WriteCapture(*result.capture(), out);
+  if (idle) {
+    WriteIdleTail(*result.idle, out);
+  } else {
+    WriteCrawlTail(*result.crawl, out);
+  }
   return out.Take();
 }
 
@@ -339,25 +373,13 @@ std::optional<Header> PeekHeader(std::string_view bytes) {
 
 bool Read(std::string_view bytes, const FleetJob& job,
           FleetJobResult* result) {
-  auto header = PeekHeader(bytes);
-  if (!header.has_value() || header->schema < kMinReadableSchema ||
-      header->schema > kSchemaVersion) {
-    return false;
-  }
   util::BinReader in(bytes);
-  for (size_t i = 0; i < kMagic.size(); ++i) in.U8();
-  in.U32();
-  in.U64();
-
-  std::string browser = in.Str();
-  auto kind = static_cast<CampaignKind>(in.U8());
-  int shard = static_cast<int>(in.U32());
-  int shard_count = static_cast<int>(in.U32());
-  device::DeviceCohort cohort;
-  ReadCohort(in, &cohort);
-  if (!in.ok() || browser != job.spec.name || kind != job.kind ||
-      shard != job.shard || shard_count != job.shard_count ||
-      cohort.id != job.cohort.id || cohort.index != job.cohort.index) {
+  FleetJob stored;
+  if (!ReadJob(bytes, in, &stored) || stored.spec.name != job.spec.name ||
+      stored.kind != job.kind || stored.shard != job.shard ||
+      stored.shard_count != job.shard_count ||
+      stored.cohort.id != job.cohort.id ||
+      stored.cohort.index != job.cohort.index) {
     return false;
   }
 
@@ -367,37 +389,16 @@ bool Read(std::string_view bytes, const FleetJob& job,
 }
 
 bool ReadAny(std::string_view bytes, FleetJobResult* result) {
-  auto header = PeekHeader(bytes);
-  if (!header.has_value() || header->schema < kMinReadableSchema ||
-      header->schema > kSchemaVersion) {
-    return false;
-  }
   util::BinReader in(bytes);
-  for (size_t i = 0; i < kMagic.size(); ++i) in.U8();
-  in.U32();
-  in.U64();
-
-  std::string browser = in.Str();
-  auto kind = static_cast<CampaignKind>(in.U8());
-  int shard = static_cast<int>(in.U32());
-  int shard_count = static_cast<int>(in.U32());
-  device::DeviceCohort cohort;
-  ReadCohort(in, &cohort);
-  if (!in.ok() || shard < 0 || shard_count <= 0 || shard >= shard_count) {
-    return false;
+  FleetJob stored;
+  if (!ReadJob(bytes, in, &stored)) return false;
+  if (const browser::BrowserSpec* spec = browser::FindSpec(stored.spec.name);
+      spec != nullptr) {
+    stored.spec = *spec;
   }
 
   *result = FleetJobResult();
-  if (const browser::BrowserSpec* spec = browser::FindSpec(browser);
-      spec != nullptr) {
-    result->job.spec = *spec;
-  } else {
-    result->job.spec.name = browser;
-  }
-  result->job.kind = kind;
-  result->job.shard = shard;
-  result->job.shard_count = shard_count;
-  result->job.cohort = std::move(cohort);
+  result->job = std::move(stored);
   return ReadPayload(in, result);
 }
 

@@ -54,19 +54,26 @@ inline constexpr std::string_view kMagic = "PANOSNAP";
 // apart. A v5 snapshot replayed as v6 would silently claim the paper
 // testbed for a cohort job, so kMinReadableSchema rises with it.
 // v7: redirect-chain provenance — flow stores serialize in the v5
-// record format (per-record redirect_of uid + hop index). The store
-// decoder still reads the v4 record tag, so kMinReadableSchema stays
-// at 6: a v6 snapshot replays with chain fields zeroed, which is
-// exactly what its run observed (no redirect scenarios existed).
+// record format (per-record redirect_of uid + hop index).
+// v8: one capture payload — the part crawl and idle results share
+// (CaptureResult: browser, native store + index, fault-injected flows,
+// ingest, watchdog flag) is encoded once, and the job's campaign kind
+// alone says which tail follows (crawl: incognito flags, engine store +
+// index, visits, stack stats; idle: request buckets). The two
+// crawl/idle presence flags are gone, so v7 payloads no longer parse:
+// kMinReadableSchema rises to 8, v7 snapshots re-execute, and the
+// store decoder reads only the v5 record tag.
 // Every store is followed by its FlowIndex behind a presence byte that
 // writers always set; readers reject a 0 or an index whose flow count
 // differs from its store's, so a restored result always satisfies the
-// CrawlResult/IdleResult index invariant.
-inline constexpr uint32_t kSchemaVersion = 7;
-inline constexpr uint32_t kMinReadableSchema = 6;
+// CaptureResult index invariant.
+inline constexpr uint32_t kSchemaVersion = 8;
+inline constexpr uint32_t kMinReadableSchema = kSchemaVersion;
 
 // Serializes `result` (with `fingerprint` in the header) to the full
-// file image.
+// file image. Throws std::invalid_argument unless the result holds
+// exactly the side its job's kind implies (crawl kinds: `crawl`; idle:
+// `idle`).
 std::string Write(const FleetJobResult& result, uint64_t fingerprint);
 
 struct Header {
@@ -90,7 +97,8 @@ bool Read(std::string_view bytes, const FleetJob& job, FleetJobResult* result);
 // by name from the built-in profile set; an unknown name keeps a
 // default spec with just the name filled in). Used by `panoptes_cli
 // explain`, which walks cache directories without a plan. Same
-// structural validation as Read otherwise.
+// structural validation as Read otherwise: an out-of-range campaign kind
+// or shard is rejected, like any other corruption.
 bool ReadAny(std::string_view bytes, FleetJobResult* result);
 
 }  // namespace panoptes::core::snapshot

@@ -22,10 +22,6 @@ class TaintFilterAddon : public proxy::Addon {
   // A plain FlowStore is the unbounded sink; a core::StreamBuffer is
   // the budgeted one — the addon pushes either way.
   void SetSinks(proxy::FlowSink* engine_sink, proxy::FlowSink* native_sink);
-  void SetStores(proxy::FlowStore* engine_store,
-                 proxy::FlowStore* native_store) {
-    SetSinks(engine_store, native_store);
-  }
 
   void OnRequest(proxy::Flow& flow, net::HttpRequest& request) override;
   void OnFlowComplete(const proxy::Flow& flow) override;

@@ -14,18 +14,14 @@ namespace panoptes::proxy {
 
 namespace {
 
-// First byte of a v4 store: records carry the per-record provenance
-// uid. Readers still accept it (records decode with "no chain") because
-// schema-6 snapshots, which `explain` still reads, hold v4 stores.
-// Older store encodings (v2's per-flow layout, v3's 0xF3) only ever
-// appeared in snapshots the readers reject, so they are not decoded.
-constexpr uint8_t kV4Tag = 0xF4;
 // First byte of a relocatable arena image (DumpRelocatable). Spill
 // segments only — never a portable snapshot tag.
 constexpr uint8_t kRelocTag = 0xF5;
-// v5 appends redirect-chain provenance (redirect_of uid, hop index)
-// to each record. Writers always emit v5. 0xF5 is the reloc tag, so v5
-// takes the next free byte.
+// First byte of a portable store: v5 records carry the provenance uid
+// and redirect-chain provenance (redirect_of uid, hop index). 0xF5 is
+// the reloc tag, so v5 took the next free byte. Older store encodings
+// (v4's 0xF4 and before) only ever appeared in snapshots the readers
+// reject, so they are not decoded.
 constexpr uint8_t kV5Tag = 0xF6;
 
 // Bound on the chain-tails map. Tokens are minted monotonically per
@@ -265,11 +261,11 @@ void FlowStore::SerializeTo(util::BinWriter& out) const {
 
 std::unique_ptr<FlowStore> FlowStore::Deserialize(util::BinReader& in) {
   uint8_t tag = in.U8();
-  if (!in.ok() || (tag != kV4Tag && tag != kV5Tag)) return nullptr;
+  if (!in.ok() || tag != kV5Tag) return nullptr;
 
   auto store = std::make_unique<FlowStore>(in.Bool());
   store->dropped_writes_ = in.U64();
-  if (!store->AppendRecords(tag, in)) return nullptr;
+  if (!store->AppendRecords(in)) return nullptr;
   return store;
 }
 
@@ -463,8 +459,7 @@ bool FlowStore::AppendRelocatable(util::BinReader& in) {
   return true;
 }
 
-bool FlowStore::AppendRecords(uint8_t tag, util::BinReader& in) {
-  const bool has_chain = tag == kV5Tag;
+bool FlowStore::AppendRecords(util::BinReader& in) {
   const size_t mark = recs_.size();
   // On any failure the record vector is rewound to `mark`, so the
   // store holds either every record of the stream or none of them.
@@ -549,10 +544,8 @@ bool FlowStore::AppendRecords(uint8_t tag, util::BinReader& in) {
     if (blocked_id >= labels.size()) return fail();
     rec.blocked_by = labels[blocked_id];
     rec.fault_injected = in.Bool();
-    if (has_chain) {
-      rec.redirect_of = in.U64();
-      rec.redirect_hop = in.U32();
-    }
+    rec.redirect_of = in.U64();
+    rec.redirect_hop = in.U32();
     rec.host_id = InternHost(rec.url.host());
     // Straight into the vector: restored flows must not bump the
     // stored-flows counter (they were counted at first capture).

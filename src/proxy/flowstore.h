@@ -158,15 +158,15 @@ class FlowStore : public FlowSink {
   }
 
   // Binary round trip for the job-snapshot format (store format v5:
-  // v4's records, each with its provenance uid, plus the per-record
-  // redirect-chain provenance: redirect_of uid and hop index).
+  // records each carry their provenance uid and redirect-chain
+  // provenance: redirect_of uid and hop index).
   // Writes the compaction flag, the dropped-write count, the interned
   // name/label pools actually referenced by live flows (in first-
   // reference order, so a store that was truncated serializes exactly
   // like one that never held the discarded flows) and one payload blob
-  // plus fixed-width records. Deserialize recognizes the v5/v4 tag
-  // bytes and reconstructs views over a single blob copy; any other
-  // leading byte (older formats included) is rejected. Returns nullptr
+  // plus fixed-width records. Deserialize recognizes the v5 tag byte
+  // and reconstructs views over a single blob copy; any other leading
+  // byte (older formats included) is rejected. Returns nullptr
   // on truncation or corruption. Restored flows never re-enter the
   // stored-flows metric (they were counted at first capture, in the
   // run that produced the snapshot).
@@ -234,9 +234,9 @@ class FlowStore : public FlowSink {
   // Cross-store Append of one record (payload bytes re-arena'd here).
   void StoreRec(const FlowView& rec);
 
-  // The v4/v5 record-stream reader behind Deserialize: appends into
-  // this store, all-or-nothing.
-  bool AppendRecords(uint8_t tag, util::BinReader& in);
+  // The v5 record-stream reader behind Deserialize: appends into this
+  // store, all-or-nothing.
+  bool AppendRecords(util::BinReader& in);
 
   uint32_t InternHost(std::string_view host);
   std::string_view InternLabel(std::string_view label);

@@ -108,11 +108,11 @@ TEST(RefererLeakage, RealCrawlShowsTheEngineChannel) {
   proxy::FlowStore engine_store, native_store;
   auto& runtime =
       framework.PrepareBrowser(*browser::FindSpec("Chrome"));
-  framework.taint_addon().SetStores(&engine_store, &native_store);
+  framework.taint_addon().SetSinks(&engine_store, &native_store);
   for (const auto& site : framework.catalog().sites()) {
     runtime.Navigate(site.landing_url);
   }
-  framework.taint_addon().SetStores(nullptr, nullptr);
+  framework.taint_addon().SetSinks(nullptr, nullptr);
   framework.TeardownBrowser();
 
   auto report =

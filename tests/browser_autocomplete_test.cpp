@@ -23,7 +23,7 @@ class AutocompleteTest : public ::testing::Test {
 TEST_F(AutocompleteTest, TypingFiresOneQueryPerKeystroke) {
   proxy::FlowStore native_store;
   auto& runtime = framework_->PrepareBrowser(*FindSpec("Yandex"));
-  framework_->taint_addon().SetStores(nullptr, &native_store);
+  framework_->taint_addon().SetSinks(nullptr, &native_store);
 
   int fired = runtime.TypeInAddressBar("example.org");
   EXPECT_EQ(fired, static_cast<int>(std::string("example.org").size()) - 2);
@@ -38,7 +38,7 @@ TEST_F(AutocompleteTest, TypingFiresOneQueryPerKeystroke) {
     }
   }
   EXPECT_EQ(with_q, static_cast<size_t>(fired));
-  framework_->taint_addon().SetStores(nullptr, nullptr);
+  framework_->taint_addon().SetSinks(nullptr, nullptr);
 }
 
 TEST_F(AutocompleteTest, ShortInputFiresNothing) {

@@ -140,7 +140,7 @@ TEST_F(RuntimeTest, NavigateLoadsPageAndTaintsEngineTraffic) {
   proxy::FlowStore engine_store, native_store;
   auto& runtime =
       framework_->PrepareBrowser(*FindSpec("Chrome"));
-  framework_->taint_addon().SetStores(&engine_store, &native_store);
+  framework_->taint_addon().SetSinks(&engine_store, &native_store);
 
   const auto& site = framework_->catalog().sites().front();
   auto outcome = runtime.Navigate(site.landing_url);
@@ -153,7 +153,7 @@ TEST_F(RuntimeTest, NavigateLoadsPageAndTaintsEngineTraffic) {
     EXPECT_EQ(flow.origin, proxy::TrafficOrigin::kEngine);
     EXPECT_FALSE(flow.taint.empty());
   }
-  framework_->taint_addon().SetStores(nullptr, nullptr);
+  framework_->taint_addon().SetSinks(nullptr, nullptr);
 }
 
 TEST_F(RuntimeTest, IncognitoUnsupportedForYandexAndQq) {
@@ -211,22 +211,22 @@ TEST_F(RuntimeTest, CocCocBlocksAdEmbedsInEngine) {
 TEST_F(RuntimeTest, StartupFiresStartupPlan) {
   proxy::FlowStore native_store;
   auto& runtime = framework_->PrepareBrowser(*FindSpec("Opera"));
-  framework_->taint_addon().SetStores(nullptr, &native_store);
+  framework_->taint_addon().SetSinks(nullptr, &native_store);
   runtime.Startup();
   // Opera's startup plan touches its first-party estate.
   EXPECT_GE(native_store.size(), 5u);
-  framework_->taint_addon().SetStores(nullptr, nullptr);
+  framework_->taint_addon().SetSinks(nullptr, nullptr);
 }
 
 TEST_F(RuntimeTest, PinnedHostsAreLostToCapture) {
   proxy::FlowStore native_store;
   auto& runtime = framework_->PrepareBrowser(*FindSpec("Brave"));
-  framework_->taint_addon().SetStores(nullptr, &native_store);
+  framework_->taint_addon().SetSinks(nullptr, &native_store);
   runtime.Startup();  // go-updater.brave.com is pinned
   EXPECT_TRUE(native_store.ToHost("go-updater.brave.com").empty());
   EXPECT_FALSE(native_store.ToHost("variations.brave.com").empty());
   EXPECT_GT(framework_->netstack().stats().pin_failures, 0u);
-  framework_->taint_addon().SetStores(nullptr, nullptr);
+  framework_->taint_addon().SetSinks(nullptr, nullptr);
 }
 
 }  // namespace

@@ -7,6 +7,8 @@
 #include <filesystem>
 #include <fstream>
 #include <initializer_list>
+#include <iterator>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -162,6 +164,95 @@ TEST(Snapshot, RejectsAnIndexOfTheWrongStore) {
                                     result.job, &restored));
 }
 
+// Header layout: magic, u32 schema, u64 fingerprint, then the job
+// identity (length-prefixed browser name, campaign-kind byte, ...).
+constexpr size_t kSchemaAt = core::snapshot::kMagic.size();
+
+size_t KindAt(const core::FleetJobResult& result) {
+  return kSchemaAt + 4 + 8 + 4 + result.job.spec.name.size();
+}
+
+std::string WithSchema(std::string bytes, uint32_t schema) {
+  for (size_t i = 0; i < 4; ++i) {
+    bytes[kSchemaAt + i] = static_cast<char>((schema >> (8 * i)) & 0xFF);
+  }
+  return bytes;
+}
+
+core::FleetJobResult& FirstIdle(std::vector<core::FleetJobResult>& results) {
+  for (auto& result : results) {
+    if (result.idle.has_value()) return result;
+  }
+  ADD_FAILURE() << "plan has no idle job";
+  return results.front();
+}
+
+TEST(Snapshot, RejectsTheV7Schema) {
+  core::FleetExecutor executor(SmallFleet());
+  auto results = executor.RunSerial(SmallPlan());
+  for (const core::FleetJobResult* result :
+       {&FirstCrawl(results), &FirstIdle(results)}) {
+    const std::string bytes = core::snapshot::Write(*result, 1);
+    core::FleetJobResult restored;
+    ASSERT_TRUE(core::snapshot::Read(bytes, result->job, &restored));
+    ASSERT_TRUE(core::snapshot::ReadAny(bytes, &restored));
+
+    const std::string v7 = WithSchema(bytes, 7);
+    ASSERT_EQ(core::snapshot::PeekHeader(v7)->schema, 7u);
+    EXPECT_FALSE(core::snapshot::Read(v7, result->job, &restored));
+    EXPECT_FALSE(core::snapshot::ReadAny(v7, &restored));
+  }
+}
+
+TEST(Snapshot, RejectsAnOutOfRangeCampaignKind) {
+  core::FleetExecutor executor(SmallFleet());
+  auto results = executor.RunSerial(SmallPlan());
+  const core::FleetJobResult& result = FirstIdle(results);
+  const std::string bytes = core::snapshot::Write(result, 1);
+  ASSERT_EQ(static_cast<uint8_t>(bytes[KindAt(result)]),
+            static_cast<uint8_t>(core::CampaignKind::kIdle));
+
+  for (uint8_t kind : {uint8_t{3}, uint8_t{0xFF}}) {
+    std::string mutated = bytes;
+    mutated[KindAt(result)] = static_cast<char>(kind);
+    core::FleetJobResult restored;
+    EXPECT_FALSE(core::snapshot::ReadAny(mutated, &restored)) << int{kind};
+    EXPECT_FALSE(core::snapshot::Read(mutated, result.job, &restored))
+        << int{kind};
+  }
+}
+
+// The kind byte alone decides which tail follows the shared capture, so
+// a header that claims the other kind must not decode its payload.
+TEST(Snapshot, RejectsAPayloadOfTheOtherKind) {
+  core::FleetExecutor executor(SmallFleet());
+  auto results = executor.RunSerial(SmallPlan());
+  for (const core::FleetJobResult* result :
+       {&FirstCrawl(results), &FirstIdle(results)}) {
+    const bool idle = result->idle.has_value();
+    const core::CampaignKind other =
+        idle ? core::CampaignKind::kCrawl : core::CampaignKind::kIdle;
+    std::string mutated = core::snapshot::Write(*result, 1);
+    mutated[KindAt(*result)] = static_cast<char>(other);
+    core::FleetJob job = result->job;
+    job.kind = other;
+
+    core::FleetJobResult restored;
+    EXPECT_FALSE(core::snapshot::ReadAny(mutated, &restored)) << idle;
+    EXPECT_FALSE(core::snapshot::Read(mutated, job, &restored)) << idle;
+
+    // Nor will the writer encode a result whose side contradicts its kind.
+    core::FleetJobResult mislabeled;
+    mislabeled.job = job;
+    if (idle) {
+      mislabeled.idle.emplace();
+    } else {
+      mislabeled.crawl.emplace();
+    }
+    EXPECT_THROW(core::snapshot::Write(mislabeled, 1), std::invalid_argument);
+  }
+}
+
 TEST(ResultCache, WarmRunIsAllHitsAndByteIdentical) {
   fs::path dir = ScratchDir("warm");
   auto jobs = SmallPlan();
@@ -271,6 +362,35 @@ TEST(ResultCache, MissingOrCorruptSnapshotReexecutesJustThatJob) {
   EXPECT_EQ(stats.invalidated, 1u);  // the corrupt file
   EXPECT_EQ(stats.hits, jobs.size() - 2);
   EXPECT_EQ(stats.writes, 2u);  // both repaired
+  EXPECT_EQ(ReportOf(std::move(results)), cold_report);
+}
+
+TEST(ResultCache, V7SnapshotReexecutesThatJob) {
+  fs::path dir = ScratchDir("v7");
+  auto jobs = SmallPlan();
+  core::FleetExecutor cold(SmallFleet(dir));
+  std::string cold_report = ReportOf(cold.Run(jobs));
+
+  // Restamp one snapshot as schema 7: the cache must not replay it.
+  const fs::path path = cold.cache()->PathFor(jobs[0]);
+  std::string bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+  }
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << WithSchema(bytes, 7);
+  }
+
+  core::FleetExecutor warm(SmallFleet(dir));
+  auto results = warm.Run(jobs);
+  auto stats = warm.cache()->Stats();
+  EXPECT_EQ(stats.invalidated, 1u);
+  EXPECT_EQ(stats.hits, jobs.size() - 1);
+  EXPECT_EQ(stats.writes, 1u);
+  EXPECT_FALSE(results[0].cache_hit);
   EXPECT_EQ(ReportOf(std::move(results)), cold_report);
 }
 

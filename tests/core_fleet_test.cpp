@@ -66,6 +66,21 @@ TEST(FleetPlan, CanonicalOrderAndIdleNeverShards) {
   EXPECT_EQ(jobs[3].kind, CampaignKind::kIdle);
   EXPECT_EQ(jobs[3].shard_count, 1);
   EXPECT_EQ(jobs[4].spec.name, "Opera");
+
+  // Both overloads plan the default (paper testbed) cohort when given
+  // no cohorts, job for job.
+  auto cohort_form = FleetExecutor::PlanCampaign(
+      Browsers({"Yandex", "Opera"}), {},
+      {CampaignKind::kCrawl, CampaignKind::kIdle}, 3);
+  ASSERT_EQ(cohort_form.size(), jobs.size());
+  for (size_t i = 0; i < jobs.size(); ++i) {
+    EXPECT_TRUE(jobs[i].cohort.IsDefault()) << i;
+    EXPECT_EQ(cohort_form[i].spec.name, jobs[i].spec.name) << i;
+    EXPECT_EQ(cohort_form[i].kind, jobs[i].kind) << i;
+    EXPECT_EQ(cohort_form[i].shard, jobs[i].shard) << i;
+    EXPECT_EQ(cohort_form[i].shard_count, jobs[i].shard_count) << i;
+    EXPECT_TRUE(cohort_form[i].cohort.IsDefault()) << i;
+  }
 }
 
 // The acceptance-criteria test: fleet(jobs=4) vs the serial loop,

@@ -35,6 +35,7 @@
 #include "core/stream_buffer.h"
 #include "obs/journal.h"
 #include "util/binio.h"
+#include "web/world.h"
 
 namespace panoptes::core {
 namespace {
@@ -492,6 +493,43 @@ TEST(Window, BudgetedWindowMatchesUnboundedIndex) {
   EXPECT_EQ(analysis::WindowReportJson(spec->name, r1.native_index, profile),
             analysis::WindowReportJson(spec->name, r2.native_index, profile));
   EXPECT_GT(r1.native_flows, 0u);
+}
+
+// `fleet --window` builds the generated web once and hands it to every
+// browser's framework; each browser's report and journal must match a
+// run on a framework that generates its own.
+TEST(Window, SharedWorldMatchesPrivateWorld) {
+  FrameworkOptions fw;
+  fw.catalog.popular_count = 4;
+  fw.catalog.sensitive_count = 2;
+  fw.catalog_seed = 20231024;
+  const auto world = web::World::Build(fw.CatalogSeed(), fw.catalog);
+  WindowOptions options;
+  options.window = util::Duration::Minutes(2);
+  const auto profile = device::DeviceProfile::PaperTestbed();
+
+  for (const char* name : {"Yandex", "Opera"}) {
+    SCOPED_TRACE(name);
+    const auto* spec = browser::FindSpec(name);
+    ASSERT_NE(spec, nullptr);
+    FrameworkOptions job_fw = fw;
+    job_fw.seed = DeriveJobSeed(20231024, name, CampaignKind::kIdle, 0);
+
+    obs::Journal private_journal;
+    job_fw.journal = &private_journal;
+    Framework private_world(job_fw);
+    WindowResult own = RunWindow(private_world, *spec, options);
+
+    obs::Journal shared_journal;
+    job_fw.journal = &shared_journal;
+    Framework shared_world(job_fw, world);
+    WindowResult shared = RunWindow(shared_world, *spec, options);
+
+    EXPECT_GT(own.native_flows, 0u);
+    EXPECT_EQ(analysis::WindowReportJson(name, own.native_index, profile),
+              analysis::WindowReportJson(name, shared.native_index, profile));
+    EXPECT_EQ(private_journal.Jsonl(), shared_journal.Jsonl());
+  }
 }
 
 TEST(SnapshotV5, IngestAndWatchdogRoundTrip) {

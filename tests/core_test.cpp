@@ -17,7 +17,7 @@ proxy::Flow MakeFlow() {
 TEST(TaintAddon, ClassifiesAndStrips) {
   TaintFilterAddon addon;
   proxy::FlowStore engine_store, native_store;
-  addon.SetStores(&engine_store, &native_store);
+  addon.SetSinks(&engine_store, &native_store);
 
   // Tainted request → engine, header stripped.
   proxy::Flow tainted_flow = MakeFlow();

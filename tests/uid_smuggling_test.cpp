@@ -82,10 +82,12 @@ TEST(FlowStoreRedirect, V5RoundTripPreservesChainProvenance) {
   }
 }
 
-TEST(FlowStoreRedirect, V4StreamStillReadable) {
+TEST(FlowStoreRedirect, V4StreamIsRejected) {
   // A one-record v5 stream carries the redirect fields as its final 12
   // bytes (records are emitted last); dropping them and restamping the
-  // tag byte yields exactly what the previous schema wrote.
+  // tag byte yields exactly what the v4 store format wrote. Only
+  // snapshots older than the readable schema ever held v4 stores, so
+  // the decoder rejects the tag instead of reading it.
   proxy::FlowStore store;
   store.SetProvenance(0x9);
   store.Add(ChainFlow("https://legacy.com/x?q=1", 0, 0));
@@ -97,14 +99,11 @@ TEST(FlowStoreRedirect, V4StreamStillReadable) {
   v4[0] = static_cast<char>(0xF4);
 
   util::BinReader in(v4);
-  auto restored = proxy::FlowStore::Deserialize(in);
-  ASSERT_NE(restored, nullptr);
-  ASSERT_EQ(restored->size(), 1u);
-  const proxy::FlowView& back = restored->flows()[0];
-  EXPECT_EQ(back.uid, store.flows()[0].uid);
-  EXPECT_EQ(back.url.Serialize(), store.flows()[0].url.Serialize());
-  EXPECT_EQ(back.redirect_of, 0u);
-  EXPECT_EQ(back.redirect_hop, 0u);
+  EXPECT_EQ(proxy::FlowStore::Deserialize(in), nullptr);
+  // The same bytes under the v5 tag are merely truncated: also rejected.
+  v4[0] = bytes[0];
+  util::BinReader truncated(v4);
+  EXPECT_EQ(proxy::FlowStore::Deserialize(truncated), nullptr);
 }
 
 TEST(FlowStoreRedirect, ChainTailsHandOffAcrossStores) {
