@@ -1,8 +1,8 @@
 #include "core/stream_buffer.h"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
-#include <fstream>
 #include <iterator>
 
 #include "chaos/injector.h"
@@ -11,6 +11,8 @@
 #include "util/binio.h"
 #include "util/strings.h"
 
+#include <fcntl.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 namespace panoptes::core {
@@ -72,6 +74,48 @@ struct IngestMetrics {
     return *metrics;
   }
 };
+
+// Creates `path` holding `parts` back to back: one open and one
+// gathering write. A short write is a failure.
+bool WriteSegmentFile(const std::filesystem::path& path,
+                      std::initializer_list<std::string_view> parts) {
+  const int fd =
+      ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+  if (fd < 0) return false;
+  std::vector<iovec> iov;
+  size_t total = 0;
+  for (std::string_view part : parts) {
+    iov.push_back(iovec{const_cast<char*>(part.data()), part.size()});
+    total += part.size();
+  }
+  ssize_t written;
+  do {
+    written = ::writev(fd, iov.data(), static_cast<int>(iov.size()));
+  } while (written < 0 && errno == EINTR);
+  const bool closed = ::close(fd) == 0;
+  return closed && written == static_cast<ssize_t>(total);
+}
+
+// Reads the file at `path`, which must hold exactly `size` bytes.
+bool ReadSegmentFile(const std::filesystem::path& path, uint64_t size,
+                     std::string& out) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return false;
+  // One byte of headroom tells a file that grew since it was sealed
+  // from one of exactly the sealed length.
+  out.resize(static_cast<size_t>(size) + 1);
+  size_t got = 0;
+  while (got < out.size()) {
+    const ssize_t n = ::read(fd, out.data() + got, out.size() - got);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) break;
+    got += static_cast<size_t>(n);
+  }
+  ::close(fd);
+  if (got != size) return false;
+  out.resize(got);
+  return true;
+}
 
 }  // namespace
 
@@ -239,30 +283,12 @@ void StreamBuffer::SpillLive() {
     // One mkdir -p per stream, not per segment.
     std::filesystem::create_directories(segment.path.parent_path(), ec);
   }
-  std::filesystem::path temp = segment.path;
-  temp += ".tmp" + std::to_string(static_cast<long long>(getpid()));
-  {
-    std::ofstream out(temp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      fail();
-      return;
-    }
-    out.write(header.data().data(),
-              static_cast<std::streamsize>(header.data().size()));
-    out.write(payload.data().data(),
-              static_cast<std::streamsize>(payload.data().size()));
-    out.write(trailer.data().data(),
-              static_cast<std::streamsize>(trailer.data().size()));
-    if (!out) {
-      out.close();
-      std::filesystem::remove(temp, ec);
-      fail();
-      return;
-    }
-  }
-  std::filesystem::rename(temp, segment.path, ec);
-  if (ec) {
-    std::filesystem::remove(temp, ec);
+  // Written in place, with no temp file and rename: only this buffer
+  // reads the segment back, and it checks the length, framing and
+  // digest, so a torn write reads as corrupt like any other damage.
+  if (!WriteSegmentFile(segment.path,
+                        {header.data(), payload.data(), trailer.data()})) {
+    std::filesystem::remove(segment.path, ec);
     fail();
     return;
   }
@@ -299,17 +325,9 @@ bool StreamBuffer::ConsumeSegment(const Segment& segment,
   if (config_.chaos != nullptr && config_.chaos->SpillIoFault(config_.role)) {
     return false;
   }
-  std::ifstream in(segment.path, std::ios::binary);
-  if (!in) return false;
-  // One block read into a pre-sized buffer; a segment that shrank or
-  // grew since it was sealed reads short/long and fails validation
-  // below like any other corruption.
-  std::error_code size_ec;
-  const uintmax_t file_size = std::filesystem::file_size(segment.path, size_ec);
-  if (size_ec || file_size > segment.bytes) return false;
-  std::string bytes(static_cast<size_t>(file_size), '\0');
-  in.read(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  if (static_cast<uintmax_t>(in.gcount()) != file_size) return false;
+  // A segment that shrank or grew since it was sealed is corrupt.
+  std::string bytes;
+  if (!ReadSegmentFile(segment.path, segment.bytes, bytes)) return false;
   util::BinReader reader(bytes);
   if (reader.Raw(kSpillMagic.size()) != kSpillMagic) return false;
   if (reader.U32() != kSpillSchema) return false;

@@ -6,7 +6,7 @@
 // accepted flow into an incremental analysis::FlowIndex (byte-identical
 // to the post-hoc batch build — pinned by differential test), and when
 // the live store crosses the configured memory budget seals it into an
-// atomic PANOSPILL segment on disk and starts a fresh store whose uid
+// PANOSPILL segment on disk and starts a fresh store whose uid
 // ordinals continue where the sealed one stopped. Materialize() re-reads
 // the segments in order and hands back one merged store + index that
 // serialize byte-identically to what an unbounded batch capture would

@@ -46,16 +46,22 @@ std::string HttpRequest::Summary() const {
 size_t HttpResponse::WireSize() const {
   // "HTTP/1.1 200 OK\r\n" + headers + blank line + body.
   return 9 + 4 + StatusReason(status).size() + 2 + headers.WireSize() + 2 +
-         body.size();
+         body.size() + sized_bytes;
 }
 
 HttpResponse HttpResponse::Ok(std::string body,
                               std::string_view content_type) {
+  return Sized(0, content_type, std::move(body));
+}
+
+HttpResponse HttpResponse::Sized(size_t length, std::string_view content_type,
+                                 std::string head) {
   HttpResponse resp;
   resp.status = 200;
   resp.headers.Set("Content-Type", content_type);
-  resp.headers.Set("Content-Length", std::to_string(body.size()));
-  resp.body = std::move(body);
+  resp.headers.Set("Content-Length", std::to_string(head.size() + length));
+  resp.body = std::move(head);
+  resp.sized_bytes = length;
   return resp;
 }
 

@@ -39,12 +39,21 @@ struct HttpRequest {
 struct HttpResponse {
   int status = 200;
   HttpHeaders headers;
+  // The body bytes a client reads.
   std::string body;
+  // Further body bytes that are counted on the wire but never held:
+  // filler nobody reads (subresources, scripts, fonts, ad creatives).
+  // WireSize() and Content-Length include them; FormatResponse writes
+  // them out after `body`.
+  size_t sized_bytes = 0;
 
   size_t WireSize() const;
 
   static HttpResponse Ok(std::string body,
                          std::string_view content_type = "text/html");
+  // A 200 whose body is `head` followed by `length` sized bytes.
+  static HttpResponse Sized(size_t length, std::string_view content_type,
+                            std::string head = {});
   static HttpResponse Json(std::string body);
   static HttpResponse NotFound();
   static HttpResponse Error(int status, std::string_view reason);

@@ -62,6 +62,7 @@ std::string FormatResponse(const HttpResponse& response) {
   }
   out += "\r\n";
   out += response.body;
+  out.append(response.sized_bytes, '.');
   return out;
 }
 

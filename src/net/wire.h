@@ -17,7 +17,9 @@ namespace panoptes::net {
 // The Host header is derived from the URL when not already present.
 std::string FormatRequest(const HttpRequest& request);
 
-// "HTTP/1.1 200 OK\r\n...\r\n\r\n<body>".
+// "HTTP/1.1 200 OK\r\n...\r\n\r\n<body>". A response's sized bytes
+// are rendered as '.' after its body, so parsing the result gives a
+// response of the same length and WireSize() that holds every byte.
 std::string FormatResponse(const HttpResponse& response);
 
 // Parses one complete request. The URL is reassembled from the request

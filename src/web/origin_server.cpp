@@ -1,5 +1,6 @@
 #include "web/origin_server.h"
 
+#include "obs/metrics.h"
 #include "util/json.h"
 #include "util/rng.h"
 
@@ -26,16 +27,18 @@ std::string BounceLocation(const Site& site) {
   return loc.Serialize();
 }
 
-}  // namespace
-
-std::string FillerBody(std::string_view tag, size_t size) {
-  std::string out;
-  out.reserve(size);
-  std::string unit = std::string(tag) + "|";
-  while (out.size() + unit.size() <= size) out += unit;
-  out.append(size - out.size(), '.');
-  return out;
+// Counts the body bytes the generated web's servers allocate: landing
+// HTML, bid heads and error bodies. Sized bytes are never allocated, so
+// they are not counted.
+net::HttpResponse CountMaterialized(net::HttpResponse response) {
+  static obs::Counter& bytes = obs::MetricsRegistry::Default().GetCounter(
+      "panoptes_web_body_bytes_materialized_total",
+      "Response body bytes allocated by the generated web's servers");
+  bytes.Inc(response.body.size());
+  return response;
 }
+
+}  // namespace
 
 OriginServer::OriginServer(std::shared_ptr<const World> world, size_t index)
     : world_(std::move(world)), index_(index) {}
@@ -44,6 +47,11 @@ net::HttpResponse OriginServer::Handle(const net::HttpRequest& request,
                                        const net::ConnectionMeta& meta) {
   (void)meta;
   ++hits_;
+  return CountMaterialized(Respond(request));
+}
+
+net::HttpResponse OriginServer::Respond(
+    const net::HttpRequest& request) const {
   const Site& site = world_->site(index_);
   const std::string& path = request.url.path();
   if (path == site.landing_url.path()) {
@@ -71,9 +79,8 @@ net::HttpResponse OriginServer::Handle(const net::HttpRequest& request,
   }
   for (const auto& resource : site.resources) {
     if (!resource.third_party && resource.url.path() == path) {
-      return net::HttpResponse::Ok(
-          FillerBody(path, resource.body_size),
-          ResourceContentType(resource.type));
+      return net::HttpResponse::Sized(resource.body_size,
+                                      ResourceContentType(resource.type));
     }
   }
   return net::HttpResponse::NotFound();
@@ -86,6 +93,11 @@ net::HttpResponse ThirdPartyServer::Handle(const net::HttpRequest& request,
                                            const net::ConnectionMeta& meta) {
   (void)meta;
   ++hits_;
+  return CountMaterialized(Respond(request));
+}
+
+net::HttpResponse ThirdPartyServer::Respond(
+    const net::HttpRequest& request) const {
   // Bounce-chain hop: drop a tracker cookie and forward the
   // navigation to the next hop, or to the decorated destination when
   // this tracker is the last. Stateless — uid/hops/dest all ride the
@@ -124,9 +136,13 @@ net::HttpResponse ThirdPartyServer::Handle(const net::HttpRequest& request,
       bid["id"] = rng.NextHex(16);
       bid["cur"] = "USD";
       bid["price_cpm"] = rng.NextInRange(10, 450) / 100.0;
-      bid["adm"] = FillerBody("creative", static_cast<size_t>(
-                                              rng.NextInRange(1500, 6000)));
-      return net::HttpResponse::Json(util::Json(std::move(bid)).Dump());
+      // The creative is sized. Filler needs no JSON escaping, so the bid
+      // with an empty `adm` plus the creative's length is exactly as
+      // long as the bid with the creative inlined.
+      bid["adm"] = "";
+      auto creative = static_cast<size_t>(rng.NextInRange(1500, 6000));
+      return net::HttpResponse::Sized(creative, "application/json",
+                                      util::Json(std::move(bid)).Dump());
     }
     case ThirdPartyKind::kAnalytics: {
       net::HttpResponse resp;
@@ -136,15 +152,12 @@ net::HttpResponse ThirdPartyServer::Handle(const net::HttpRequest& request,
     }
     case ThirdPartyKind::kSocial:
     case ThirdPartyKind::kCdn:
-      return net::HttpResponse::Ok(
-          FillerBody(request.url.path(),
-                     static_cast<size_t>(rng.NextInRange(30'000, 150'000))),
+      return net::HttpResponse::Sized(
+          static_cast<size_t>(rng.NextInRange(30'000, 150'000)),
           "application/javascript");
     case ThirdPartyKind::kFont:
-      return net::HttpResponse::Ok(
-          FillerBody(request.url.path(),
-                     static_cast<size_t>(rng.NextInRange(20'000, 80'000))),
-          "font/woff2");
+      return net::HttpResponse::Sized(
+          static_cast<size_t>(rng.NextInRange(20'000, 80'000)), "font/woff2");
   }
   return net::HttpResponse::NotFound();
 }

@@ -14,7 +14,8 @@ namespace panoptes::web {
 
 // Serves one site's landing page and its first-party subresources. The
 // site and its rendered landing HTML are read from the shared, immutable
-// world; only the hit counter belongs to this server.
+// world; only the hit counter belongs to this server. Subresource bodies
+// are sized (net::HttpResponse::Sized): counted on the wire, never held.
 class OriginServer : public net::Server {
  public:
   // Serves site `index` of `world`.
@@ -29,6 +30,8 @@ class OriginServer : public net::Server {
   uint64_t hits() const { return hits_; }
 
  private:
+  net::HttpResponse Respond(const net::HttpRequest& request) const;
+
   std::shared_ptr<const World> world_;
   size_t index_;
   uint64_t hits_ = 0;
@@ -36,7 +39,8 @@ class OriginServer : public net::Server {
 
 // Serves one third-party service's endpoints: bid responses for ad
 // slots, pixels for analytics, script bodies for CDNs/social, font
-// bytes. Body sizes are deterministic per path.
+// bytes. Body sizes are deterministic per path. Scripts, fonts and the
+// bids' ad creatives are sized; only a bid's JSON head is held.
 class ThirdPartyServer : public net::Server {
  public:
   explicit ThirdPartyServer(ThirdPartyService service);
@@ -48,11 +52,10 @@ class ThirdPartyServer : public net::Server {
   uint64_t hits() const { return hits_; }
 
  private:
+  net::HttpResponse Respond(const net::HttpRequest& request) const;
+
   ThirdPartyService service_;
   uint64_t hits_ = 0;
 };
-
-// A body of exactly `size` bytes, deterministic in `tag`.
-std::string FillerBody(std::string_view tag, size_t size);
 
 }  // namespace panoptes::web

@@ -318,10 +318,12 @@ uint64_t WorldHash(const web::World& world) {
   return util::HashString(bytes);
 }
 
+uint64_t CounterValue(std::string_view name) {
+  return obs::MetricsRegistry::Default().GetCounter(name).Value();
+}
+
 uint64_t WorldBuilds() {
-  return obs::MetricsRegistry::Default()
-      .GetCounter("panoptes_fleet_world_builds_total")
-      .Value();
+  return CounterValue("panoptes_fleet_world_builds_total");
 }
 
 TEST(SharedWorld, FleetJobsMatchStandaloneFrameworksByteForByte) {
@@ -421,6 +423,53 @@ TEST(SharedWorld, BuiltOncePerExecutorAndNeverOnAWarmReplay) {
   for (const auto& result : replayed) EXPECT_TRUE(result.cache_hit);
   EXPECT_EQ(WorldBuilds() - start, 1u);
   fs::remove_all(cache);
+}
+
+// The work sized bodies removed, as an exact counter: a fleet's web
+// servers allocate only the landing HTML, the bids' JSON heads and error
+// bodies, never the filler that makes up almost all response bytes.
+TEST(SharedWorld, ServersMaterializeOnlyTheBodiesClientsRead) {
+  auto jobs = FleetExecutor::PlanCampaign(
+      Browsers({"Yandex", "DuckDuckGo"}),
+      {CampaignKind::kCrawl, CampaignKind::kIdle}, 2, CrawlOptions{},
+      ShortIdle());
+  for (int workers : {1, 4}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    uint64_t builds = WorldBuilds();
+    uint64_t materialized =
+        CounterValue("panoptes_web_body_bytes_materialized_total");
+    uint64_t response_bytes =
+        CounterValue("panoptes_proxy_response_bytes_total");
+    FleetExecutor executor(TinyFleet(workers));
+    auto results = executor.Run(jobs);
+    ASSERT_EQ(results.size(), jobs.size());
+    EXPECT_EQ(WorldBuilds() - builds, 1u);
+    materialized =
+        CounterValue("panoptes_web_body_bytes_materialized_total") -
+        materialized;
+    response_bytes =
+        CounterValue("panoptes_proxy_response_bytes_total") - response_bytes;
+
+    // Each crawl job loads its shard's landing pages once.
+    const web::World& world = *executor.world();
+    uint64_t landing_bytes = 0;
+    for (const auto& job : jobs) {
+      if (job.kind != CampaignKind::kCrawl) continue;
+      size_t begin = world.size() * job.shard / job.shard_count;
+      size_t end = world.size() * (job.shard + 1) / job.shard_count;
+      for (size_t i = begin; i < end; ++i) {
+        landing_bytes += world.landing_html(i).size();
+      }
+    }
+    // The rest is bid heads and error bodies: under 2% on top.
+    EXPECT_GE(materialized, landing_bytes);
+    EXPECT_LT(materialized, landing_bytes + landing_bytes / 50);
+    // Nearly all response bytes are sized filler, never allocated.
+    EXPECT_LT(materialized * 20, response_bytes);
+
+    // Exact: a function of the plan, whatever the worker count.
+    EXPECT_EQ(materialized, 730'080u);
+  }
 }
 
 }  // namespace

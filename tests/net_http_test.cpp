@@ -117,6 +117,24 @@ TEST(HttpMessages, ResponseFactories) {
   EXPECT_EQ(err.body, "bad gateway");
 }
 
+TEST(HttpMessages, SizedResponseCountsBytesItDoesNotHold) {
+  auto sized = HttpResponse::Sized(70000, "font/woff2");
+  EXPECT_EQ(sized.status, 200);
+  EXPECT_TRUE(sized.body.empty());
+  EXPECT_EQ(sized.sized_bytes, 70000u);
+  EXPECT_EQ(sized.headers.Get("Content-Type"), "font/woff2");
+  EXPECT_EQ(sized.headers.Get("Content-Length"), "70000");
+  // On the wire it is exactly the response with the bytes held.
+  auto held = HttpResponse::Ok(std::string(70000, '.'), "font/woff2");
+  EXPECT_EQ(sized.WireSize(), held.WireSize());
+
+  auto bid = HttpResponse::Sized(1500, "application/json", "{\"adm\":\"\"}");
+  EXPECT_EQ(bid.body, "{\"adm\":\"\"}");
+  EXPECT_EQ(bid.headers.Get("Content-Length"), "1510");
+  EXPECT_EQ(bid.WireSize(),
+            HttpResponse::Json(std::string(1510, '.')).WireSize());
+}
+
 TEST(HttpMessages, StatusReasons) {
   EXPECT_EQ(StatusReason(200), "OK");
   EXPECT_EQ(StatusReason(204), "No Content");

@@ -65,6 +65,25 @@ TEST(Wire, ResponseRoundTrip) {
   EXPECT_EQ(FormatResponse(*parsed), FormatResponse(response));
 }
 
+TEST(Wire, SizedResponseRoundTripKeepsItsLength) {
+  // A sized response renders its unheld bytes, so the parsed copy holds
+  // the whole body and frames, counts and re-renders identically.
+  for (std::string head : {std::string(), std::string("{\"adm\":\"\"}")}) {
+    auto sized = HttpResponse::Sized(4321, "application/json", head);
+    std::string wire = FormatResponse(sized);
+    EXPECT_EQ(wire.size(), sized.WireSize());
+    auto parsed = ParseResponse(wire);
+    ASSERT_TRUE(parsed.has_value());
+    EXPECT_EQ(parsed->status, 200);
+    EXPECT_EQ(parsed->body.size(), head.size() + 4321);
+    EXPECT_EQ(parsed->body.substr(0, head.size()), head);
+    EXPECT_EQ(parsed->sized_bytes, 0u);
+    EXPECT_EQ(parsed->headers.entries(), sized.headers.entries());
+    EXPECT_EQ(parsed->WireSize(), sized.WireSize());
+    EXPECT_EQ(FormatResponse(*parsed), wire);
+  }
+}
+
 TEST(Wire, ParseRequestRejectsFraming) {
   EXPECT_FALSE(ParseRequest("").has_value());
   EXPECT_FALSE(ParseRequest("GET / HTTP/1.1").has_value());  // no CRLFCRLF

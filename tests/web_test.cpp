@@ -136,7 +136,12 @@ TEST(OriginServer, ServesLandingAndResources) {
     sub.url = resource.url;
     auto response = server.Handle(sub, meta);
     EXPECT_EQ(response.status, 200);
-    EXPECT_EQ(response.body.size(), resource.body_size);
+    // Sized: the whole body is counted on the wire, none of it held.
+    EXPECT_EQ(response.body.size() + response.sized_bytes,
+              resource.body_size);
+    EXPECT_EQ(response.headers.Get("Content-Length"),
+              std::to_string(resource.body_size));
+    EXPECT_GE(response.WireSize(), resource.body_size);
     break;
   }
 
@@ -153,14 +158,13 @@ TEST(ThirdPartyServer, DeterministicBodies) {
   net::ConnectionMeta meta;
   auto a = server.Handle(request, meta);
   auto b = server.Handle(request, meta);
-  EXPECT_EQ(a.body, b.body);
   EXPECT_EQ(a.status, 200);
-}
-
-TEST(FillerBody, ExactSize) {
-  EXPECT_EQ(FillerBody("tag", 1000).size(), 1000u);
-  EXPECT_EQ(FillerBody("tag", 0).size(), 0u);
-  EXPECT_EQ(FillerBody("tag", 3).size(), 3u);
+  EXPECT_EQ(a.body, b.body);  // the bid's JSON head
+  EXPECT_GT(a.sized_bytes, 0u);  // its ad creative
+  EXPECT_EQ(a.sized_bytes, b.sized_bytes);
+  EXPECT_EQ(a.WireSize(), b.WireSize());
+  EXPECT_EQ(a.headers.Get("Content-Length"),
+            std::to_string(a.body.size() + a.sized_bytes));
 }
 
 TEST(EasyList, ParseAndMatch) {
