@@ -18,6 +18,7 @@
 #include "browser/profiles.h"
 #include "core/campaign.h"
 #include "core/framework.h"
+#include "util/hex.h"
 #include "util/json.h"
 
 namespace panoptes::bench {
@@ -48,10 +49,7 @@ class BenchReport {
   // Determinism pins, rendered as fixed-width hex; the gate compares
   // them exactly (tolerance never applies).
   void Checksum(std::string key, uint64_t value) {
-    char buf[19];
-    std::snprintf(buf, sizeof(buf), "0x%016llx",
-                  static_cast<unsigned long long>(value));
-    checksums_[std::move(key)] = std::string(buf);
+    checksums_[std::move(key)] = util::Hex64(value);
   }
   void Checksum(std::string key, std::string value) {
     checksums_[std::move(key)] = std::move(value);

@@ -57,6 +57,7 @@
 #include "device/population.h"
 #include "proxy/har.h"
 #include "util/args.h"
+#include "util/hex.h"
 #include "util/strings.h"
 #include "web/sitelist.h"
 #include "web/world.h"
@@ -179,15 +180,18 @@ int CmdCrawl(const util::Args& args) {
     }
   }
 
-  if (auto har_path = args.Option("har")) {
-    // Both stores concatenated into one capture, like a proxy dump.
-    proxy::FlowStore combined;
-    for (const auto& flow : result.engine_flows->flows()) {
-      combined.Add(flow.Materialize());
-    }
-    for (const auto& flow : result.native_flows->flows()) {
-      combined.Add(flow.Materialize());
-    }
+  const auto har_path = args.Option("har");
+  const auto csv_path = args.Option("csv");
+  if (!har_path && !csv_path) return 0;
+  // Both stores concatenated into one capture, like a proxy dump.
+  proxy::FlowStore combined;
+  for (const auto& flow : result.engine_flows->flows()) {
+    combined.Add(flow.Materialize());
+  }
+  for (const auto& flow : result.native_flows->flows()) {
+    combined.Add(flow.Materialize());
+  }
+  if (har_path) {
     if (!WriteFile(*har_path, proxy::ExportHar(combined, "panoptes_cli"))) {
       std::fprintf(stderr, "cannot write %s\n", har_path->c_str());
       return 1;
@@ -195,14 +199,7 @@ int CmdCrawl(const util::Args& args) {
     std::printf("wrote %zu flows to %s\n", combined.size(),
                 har_path->c_str());
   }
-  if (auto csv_path = args.Option("csv")) {
-    proxy::FlowStore combined;
-    for (const auto& flow : result.engine_flows->flows()) {
-      combined.Add(flow.Materialize());
-    }
-    for (const auto& flow : result.native_flows->flows()) {
-      combined.Add(flow.Materialize());
-    }
+  if (csv_path) {
     if (!WriteFile(*csv_path, analysis::FlowStoreCsv(combined))) {
       std::fprintf(stderr, "cannot write %s\n", csv_path->c_str());
       return 1;
@@ -818,7 +815,7 @@ int CmdExplain(const util::Args& args) {
       for (const auto& flow : side.store->flows()) {
         if (flow.uid != uid) continue;
 
-        std::printf("finding %s\n", obs::FlowIdHex(uid).c_str());
+        std::printf("finding %s\n", util::Hex64(uid).c_str());
         std::printf(
             "  job: browser=%s kind=%s shard=%d/%d seed=0x%016llx "
             "attempts=%d%s\n",
@@ -868,7 +865,7 @@ int CmdExplain(const util::Args& args) {
             return 1;
           }
           const std::string needle =
-              "\"" + obs::FlowIdHex(uid) + "\"";
+              "\"" + util::Hex64(uid) + "\"";
           std::string line;
           size_t matches = 0;
           while (std::getline(journal, line)) {
@@ -886,7 +883,7 @@ int CmdExplain(const util::Args& args) {
     }
   }
   std::fprintf(stderr, "flow %s not found in %s (%zu snapshots)\n",
-               obs::FlowIdHex(uid).c_str(), cache_dir.c_str(),
+               util::Hex64(uid).c_str(), cache_dir.c_str(),
                snaps.size());
   return 1;
 }

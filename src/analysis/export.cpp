@@ -1,17 +1,15 @@
 #include "analysis/export.h"
 
-#include <array>
-#include <cstdio>
 #include <set>
 #include <unordered_map>
 
 #include "analysis/flow_index.h"
 #include "analysis/pii.h"
 #include "analysis/uid_smuggling.h"
-#include "obs/journal.h"
 #include "obs/metrics.h"
 #include "obs/tracer.h"
 #include "util/clock.h"
+#include "util/hex.h"
 #include "util/json.h"
 #include "util/strings.h"
 
@@ -128,13 +126,6 @@ std::string FlowStoreCsv(const proxy::FlowStore& store) {
 
 namespace {
 
-std::string SeedHex(uint64_t seed) {
-  std::array<char, 19> buf{};
-  std::snprintf(buf.data(), buf.size(), "0x%016llx",
-                static_cast<unsigned long long>(seed));
-  return std::string(buf.data());
-}
-
 // Names of the PII fields `report` found leaked, in PiiField order.
 // Reports scan with the profile of the device the capturing job actually
 // simulated, never a hardcoded testbed.
@@ -220,7 +211,7 @@ util::JsonArray FindingsJson(const PiiReport& report,
     finding["field"] = std::string(PiiFieldName(evidence.field));
     finding["host"] = evidence.host;
     finding["sample"] = evidence.sample;
-    finding["flow_id"] = obs::FlowIdHex(evidence.flow_uid);
+    finding["flow_id"] = util::Hex64(evidence.flow_uid);
     finding["job"] = static_cast<uint64_t>(job_index);
     finding["attempt"] = static_cast<int64_t>(attempts);
     int64_t visit =
@@ -260,7 +251,7 @@ std::string FleetSummaryCsv(
     std::vector<std::string> row = {
         result.job.spec.name,
         std::string(core::CampaignKindName(result.job.kind)),
-        SeedHex(result.seed), std::to_string(engine), std::to_string(native),
+        util::Hex64(result.seed), std::to_string(engine), std::to_string(native),
         util::FormatDouble(ratio, 4), std::to_string(engine_bytes),
         std::to_string(native_bytes), std::to_string(pii)};
     if (population) {
@@ -371,12 +362,12 @@ std::string FleetReportJson(
     entry["browser"] = result.job.spec.name;
     entry["campaign"] =
         std::string(core::CampaignKindName(result.job.kind));
-    entry["seed"] = SeedHex(result.seed);
+    entry["seed"] = util::Hex64(result.seed);
     if (population && !result.job.cohort.IsDefault()) {
       const device::DeviceCohort& cohort = result.job.cohort;
       util::JsonObject cohort_json;
       cohort_json["label"] = cohort.Label();
-      cohort_json["id"] = SeedHex(cohort.id);
+      cohort_json["id"] = util::Hex64(cohort.id);
       cohort_json["weight"] = cohort.weight;
       cohort_json["manufacturer"] = cohort.profile.manufacturer;
       cohort_json["model"] = cohort.profile.model;
@@ -453,7 +444,7 @@ std::optional<UidSmugglingReport> SmugglingFor(
 util::JsonObject SightingJson(const UidSighting& sighting,
                               const std::vector<core::VisitRecord>* visits) {
   util::JsonObject out;
-  out["flow_id"] = obs::FlowIdHex(sighting.flow_uid);
+  out["flow_id"] = util::Hex64(sighting.flow_uid);
   out["host"] = sighting.host;
   out["domain"] = sighting.domain;
   out["key"] = sighting.key;
@@ -463,8 +454,8 @@ util::JsonObject SightingJson(const UidSighting& sighting,
       visits != nullptr ? VisitOfUid(sighting.flow_uid, *visits) : -1;
   if (sighting.redirect_hop > 0) {
     out["hop"] = static_cast<uint64_t>(sighting.redirect_hop);
-    out["redirect_of"] = obs::FlowIdHex(sighting.redirect_of);
-    out["chain_head"] = obs::FlowIdHex(sighting.chain_head);
+    out["redirect_of"] = util::Hex64(sighting.redirect_of);
+    out["chain_head"] = util::Hex64(sighting.chain_head);
   }
   return out;
 }
@@ -506,12 +497,12 @@ std::string UidSmugglingReportJson(
     util::JsonObject entry;
     entry["browser"] = result.job.spec.name;
     entry["campaign"] = std::string(core::CampaignKindName(result.job.kind));
-    entry["seed"] = SeedHex(result.seed);
+    entry["seed"] = util::Hex64(result.seed);
     if (population && !result.job.cohort.IsDefault()) {
       const device::DeviceCohort& cohort = result.job.cohort;
       util::JsonObject cohort_json;
       cohort_json["label"] = cohort.Label();
-      cohort_json["id"] = SeedHex(cohort.id);
+      cohort_json["id"] = util::Hex64(cohort.id);
       cohort_json["weight"] = cohort.weight;
       cohort_json["model"] = cohort.profile.model;
       entry["cohort"] = util::Json(std::move(cohort_json));
@@ -592,7 +583,7 @@ std::string UidSmugglingCsv(
       std::vector<std::string> row = {
           result.job.spec.name,
           std::string(core::CampaignKindName(result.job.kind)),
-          SeedHex(result.seed),
+          util::Hex64(result.seed),
           finding.value,
           std::to_string(finding.domains),
           std::to_string(finding.engine_sightings),

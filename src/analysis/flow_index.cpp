@@ -123,38 +123,6 @@ uint32_t FlowIndex::InternPath(std::string_view path) {
   return id;
 }
 
-FlowIndex::FlowIndex(const FlowIndex& other)
-    : hosts_(other.hosts_),
-      keys_(other.keys_),
-      keys_lower_(other.keys_lower_),
-      params_(other.params_),
-      entries_(other.entries_),
-      flows_by_host_(other.flows_by_host_),
-      flows_by_uid_(other.flows_by_uid_),
-      flows_by_bucket_(other.flows_by_bucket_),
-      request_bytes_total_(other.request_bytes_total_),
-      response_bytes_total_(other.response_bytes_total_),
-      host_ids_(other.host_ids_),
-      key_ids_(other.key_ids_),
-      path_slots_(other.path_slots_) {
-  // Re-pool the text the views point at; slot ids stay valid as-is.
-  paths_.reserve(other.paths_.size());
-  for (std::string_view path : other.paths_) {
-    paths_.push_back(text_pool_.Copy(path));
-  }
-  for (Param& param : params_) {
-    param.value = text_pool_.Copy(param.value);
-  }
-}
-
-FlowIndex& FlowIndex::operator=(const FlowIndex& other) {
-  if (this != &other) {
-    FlowIndex copy(other);
-    *this = std::move(copy);
-  }
-  return *this;
-}
-
 void FlowIndex::IndexFlow(const proxy::FlowView& flow, uint32_t host_id,
                           PostingsCache& cache) {
   FlowEntry entry;
@@ -369,42 +337,45 @@ void FlowIndex::RewindTo(const Checkpoint& checkpoint, Cursor* cursor) {
 
 void FlowIndex::Append(const FlowIndex& other) {
   obs::ScopedSpan span("index.append", "index");
-  // Self-append would walk tables it is mutating; copy first.
-  if (&other == this) {
-    FlowIndex copy = *this;
-    Append(copy);
-    return;
-  }
+  // Every table is walked by index up to its size on entry: a
+  // self-append pushes onto the tables it reads (its re-interning finds
+  // the existing ids), and the text pool never moves bytes it handed out.
+  const size_t host_count = other.hosts_.size();
+  const size_t key_count = other.keys_.size();
+  const size_t path_count = other.paths_.size();
+  const size_t param_count = other.params_.size();
+  const size_t entry_count = other.entries_.size();
 
   // Interned tables are in first-appearance order, so re-interning each
   // table in order reproduces exactly the ids a single Build over the
   // concatenated stores would assign.
-  std::vector<uint32_t> host_map(other.hosts_.size());
-  for (size_t i = 0; i < other.hosts_.size(); ++i) {
+  std::vector<uint32_t> host_map(host_count);
+  for (size_t i = 0; i < host_count; ++i) {
     host_map[i] = InternHost(other.hosts_[i].raw);
   }
-  std::vector<uint32_t> key_map(other.keys_.size());
-  for (size_t i = 0; i < other.keys_.size(); ++i) {
+  std::vector<uint32_t> key_map(key_count);
+  for (size_t i = 0; i < key_count; ++i) {
     key_map[i] = InternKey(other.keys_[i]);
   }
-  std::vector<uint32_t> path_map(other.paths_.size());
-  for (size_t i = 0; i < other.paths_.size(); ++i) {
+  std::vector<uint32_t> path_map(path_count);
+  for (size_t i = 0; i < path_count; ++i) {
     path_map[i] = InternPath(other.paths_[i]);
   }
 
   const uint32_t param_offset = static_cast<uint32_t>(params_.size());
-  params_.reserve(params_.size() + other.params_.size());
-  for (const auto& param : other.params_) {
+  params_.reserve(params_.size() + param_count);
+  for (size_t i = 0; i < param_count; ++i) {
+    const Param& param = other.params_[i];
     params_.push_back(Param{key_map[param.key_id], param.source,
                             text_pool_.Copy(param.value), param.number});
   }
 
-  entries_.reserve(entries_.size() + other.entries_.size());
+  entries_.reserve(entries_.size() + entry_count);
   PostingsCache cache;
-  for (const auto& entry : other.entries_) {
-    FlowEntry mapped = entry;
-    mapped.host_id = host_map[entry.host_id];
-    mapped.path_id = path_map[entry.path_id];
+  for (size_t i = 0; i < entry_count; ++i) {
+    FlowEntry mapped = other.entries_[i];
+    mapped.host_id = host_map[mapped.host_id];
+    mapped.path_id = path_map[mapped.path_id];
     mapped.param_begin += param_offset;
     mapped.param_end += param_offset;
     entries_.push_back(mapped);
@@ -413,8 +384,8 @@ void FlowIndex::Append(const FlowIndex& other) {
 
   auto& metrics = Metrics();
   metrics.appends.Inc();
-  metrics.indexed_flows.Inc(other.entries_.size());
-  span.Arg("flows", static_cast<int64_t>(other.entries_.size()));
+  metrics.indexed_flows.Inc(entry_count);
+  span.Arg("flows", static_cast<int64_t>(entry_count));
 }
 
 std::optional<uint32_t> FlowIndex::HostId(std::string_view raw_host) const {

@@ -72,8 +72,7 @@ class FlowIndex {
     uint32_t key_id = 0;
     ParamSource source = ParamSource::kQuery;
     // Decoded text exactly as analyzers consume it. The bytes live in
-    // the index's text pool (address-stable for the index's lifetime);
-    // copies of the index re-pool them.
+    // the index's text pool (address-stable for the index's lifetime).
     std::string_view value;
     double number = 0;  // raw numeric value for kBodyJsonNumber entries
   };
@@ -97,11 +96,10 @@ class FlowIndex {
   };
 
   FlowIndex() = default;
-  // Paths and parameter values are views into the index's arena-backed
-  // text pool, so copies re-pool those bytes instead of copying
-  // dangling views; moves keep the arena chunks and stay defaulted.
-  FlowIndex(const FlowIndex& other);
-  FlowIndex& operator=(const FlowIndex& other);
+  // Move-only, like FlowStore: paths and parameter values are views into
+  // the index's arena-backed text pool, which a move hands over intact.
+  FlowIndex(const FlowIndex&) = delete;
+  FlowIndex& operator=(const FlowIndex&) = delete;
   FlowIndex(FlowIndex&&) = default;
   FlowIndex& operator=(FlowIndex&&) = default;
 
@@ -110,7 +108,7 @@ class FlowIndex {
 
   // Folds `other` in after this index's flows, remapping interned ids.
   // Equivalent to (and serialized byte-identical with) building one
-  // index over the concatenated stores.
+  // index over the concatenated stores; `other` may be this index.
   void Append(const FlowIndex& other);
 
  private:
@@ -119,7 +117,7 @@ class FlowIndex {
   // land in the vector the previous flow used. Node pointers into a
   // std::map stay valid across inserts, but the cache must stay local
   // to one bulk operation (Build/Append/Deserialize) or one streaming
-  // Cursor — it must not outlive the index or travel with copies.
+  // Cursor — it must not outlive the index.
   struct PostingsCache {
     int32_t uid = 0;
     std::vector<uint32_t>* uid_flows = nullptr;
@@ -252,8 +250,8 @@ class FlowIndex {
   // Paths (the hottest intern: one lookup per flow, mostly distinct)
   // use a flat open-addressing table instead of a node-based map: each
   // slot packs (hash's high 32 bits | path id + 1), 0 meaning empty,
-  // over a power-of-two vector — no per-entry allocation, one cache
-  // line per probe, and trivially copyable (ids, not views).
+  // over a power-of-two vector — no per-entry allocation and one cache
+  // line per probe.
   std::vector<uint64_t> path_slots_;
 };
 

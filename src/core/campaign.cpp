@@ -179,13 +179,13 @@ class CaptureSession {
 // job's framework, so it is cut loose from its injector and journal.
 void Drain(StreamBuffer& buffer, IngestStats* ingest,
            std::unique_ptr<proxy::FlowStore>* flows,
-           std::shared_ptr<const analysis::FlowIndex>* index) {
+           std::unique_ptr<analysis::FlowIndex>* index) {
   auto out = buffer.Materialize();
   ingest->Accumulate(buffer.stats());
   *flows = std::move(out.store);
   (*flows)->SetChaos(nullptr);
   (*flows)->SetJournal(nullptr);
-  *index = std::make_shared<const analysis::FlowIndex>(std::move(out.index));
+  *index = std::make_unique<analysis::FlowIndex>(std::move(out.index));
 }
 
 }  // namespace

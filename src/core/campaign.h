@@ -93,8 +93,8 @@ struct CaptureResult {
   // Invariant: never null, and flow_count() equals its store's size() —
   // analyses consume (store, index) pairs and have no store-only path.
   // Code assembling a result by hand builds it (FlowIndex::Build).
-  // shared_ptr: shard merges and cached results alias the same index.
-  std::shared_ptr<const analysis::FlowIndex> native_index;
+  // Owned like the store beside it: a shard merge appends in place.
+  std::unique_ptr<analysis::FlowIndex> native_index;
   // Chaos-synthesized flows observed (and excluded from the stores).
   uint64_t fault_injected_flows = 0;
   // Streaming ingest accounting (every buffer of the capture summed).
@@ -114,7 +114,7 @@ struct CrawlResult : CaptureResult {
   // The engine (tainted) store — compact unless compact_engine_store is
   // off — and its index, under the same invariant as native_index.
   std::unique_ptr<proxy::FlowStore> engine_flows;
-  std::shared_ptr<const analysis::FlowIndex> engine_index;
+  std::unique_ptr<analysis::FlowIndex> engine_index;
   std::vector<VisitRecord> visits;
   device::NetworkStackStats stack_stats;
 

@@ -41,17 +41,6 @@ device::NetworkStackStats SumStats(const device::NetworkStackStats& a,
   return out;
 }
 
-// Extends `into_index` with `from_index` during a shard merge. Appending
-// interns `from`'s tables in first-appearance order — exactly what
-// Build() over the appended store would produce — so the merged index
-// serializes byte-identically to a from-scratch rebuild.
-void MergeIndex(std::shared_ptr<const analysis::FlowIndex>* into_index,
-                const analysis::FlowIndex& from_index) {
-  auto combined = std::make_shared<analysis::FlowIndex>(**into_index);
-  combined->Append(from_index);
-  *into_index = std::move(combined);
-}
-
 // Fleet-layer metrics, registered once. References stay valid for the
 // process lifetime; the hot path is pure atomics.
 struct FleetMetrics {
@@ -366,37 +355,6 @@ FleetJobResult FleetExecutor::RunJobCached(const FleetJob& job) const {
   return result;
 }
 
-std::vector<FleetJobResult> FleetExecutor::RunSerial(
-    const std::vector<FleetJob>& jobs, FleetRunStats* stats) const {
-  FleetMetrics& metrics = FleetMetrics::Get();
-  obs::ScopedSpan run_span("fleet.run_serial", "fleet");
-  run_span.Arg("jobs", static_cast<int64_t>(jobs.size()));
-  int64_t run_start = util::SteadyNowNanos();
-
-  std::vector<FleetJobResult> results;
-  results.reserve(jobs.size());
-  std::vector<double> job_seconds;
-  job_seconds.reserve(jobs.size());
-  for (const auto& job : jobs) {
-    int64_t start = util::SteadyNowNanos();
-    results.push_back(RunJobCached(job));
-    double seconds =
-        static_cast<double>(util::SteadyNowNanos() - start) * 1e-9;
-    job_seconds.push_back(seconds);
-    metrics.job_seconds.Observe(seconds);
-    metrics.jobs_total.Inc();
-  }
-
-  if (stats != nullptr) {
-    stats->workers = 1;
-    stats->wall_seconds =
-        static_cast<double>(util::SteadyNowNanos() - run_start) * 1e-9;
-    stats->jobs_per_worker = {static_cast<int>(jobs.size())};
-    stats->job_seconds = std::move(job_seconds);
-  }
-  return results;
-}
-
 std::vector<FleetJobResult> FleetExecutor::Run(
     const std::vector<FleetJob>& jobs, FleetRunStats* stats) const {
   std::vector<FleetJobResult> results(jobs.size());
@@ -499,8 +457,10 @@ std::vector<FleetJobResult> FleetExecutor::MergeShards(
     CrawlResult& from = *result.crawl;
     into.engine_flows->Append(*from.engine_flows);
     into.native_flows->Append(*from.native_flows);
-    MergeIndex(&into.engine_index, *from.engine_index);
-    MergeIndex(&into.native_index, *from.native_index);
+    // Appending interns `from`'s tables in first-appearance order, so
+    // each merged index serializes exactly like a Build over its store.
+    into.engine_index->Append(*from.engine_index);
+    into.native_index->Append(*from.native_index);
     into.visits.insert(into.visits.end(),
                        std::make_move_iterator(from.visits.begin()),
                        std::make_move_iterator(from.visits.end()));

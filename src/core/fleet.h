@@ -18,9 +18,9 @@
 // run — a job's own Framework would have generated exactly these bytes.
 // So results are bit-identical to running the same job list one at a
 // time on a single thread, regardless of how the scheduler interleaves
-// workers. `RunSerial` is that reference path and the differential
-// harness (tests/core_fleet_test.cpp) pins `Run` to it and to jobs run
-// on standalone Frameworks.
+// workers. The differential harness (tests/core_fleet_test.cpp) pins
+// `Run` to that one-job-at-a-time oracle (tests/oracle/serial_fleet.h)
+// and to jobs run on standalone Frameworks.
 #pragma once
 
 #include <functional>
@@ -115,8 +115,7 @@ struct FleetJobResult {
 };
 
 struct FleetOptions {
-  // Worker threads. 1 still goes through the pool; RunSerial is the
-  // in-line reference path.
+  // Worker threads. 1 still goes through the pool.
   int jobs = 1;
   uint64_t base_seed = 20231024;
   // Template for every job's framework; `seed` is overwritten per job.
@@ -154,14 +153,13 @@ struct FleetOptions {
   bool journal = false;
 };
 
-// Wall-clock accounting for one Run/RunSerial call. Telemetry only —
+// Wall-clock accounting for one Run call. Telemetry only —
 // timings are steady-clock and scheduling-dependent, so none of this
 // may ever flow into an exported report (determinism contract).
 struct FleetRunStats {
   int workers = 0;
   double wall_seconds = 0;
-  // Jobs each worker completed, indexed by worker. RunSerial reports a
-  // single worker.
+  // Jobs each worker completed, indexed by worker.
   std::vector<int> jobs_per_worker;
   // Per-job execution time, indexed like the job list (plan order).
   std::vector<double> job_seconds;
@@ -193,11 +191,6 @@ class FleetExecutor {
   std::vector<FleetJobResult> Run(const std::vector<FleetJob>& jobs,
                                   FleetRunStats* stats = nullptr) const;
 
-  // Reference implementation: the same jobs, the same derived seeds,
-  // executed one at a time on the calling thread.
-  std::vector<FleetJobResult> RunSerial(const std::vector<FleetJob>& jobs,
-                                        FleetRunStats* stats = nullptr) const;
-
   // Expands browsers × cohorts × kinds × shards into the canonical job
   // list: browsers in the given (Table 1) order, cohorts in population
   // (index) order nested inside each browser, kinds in the given order,
@@ -225,7 +218,7 @@ class FleetExecutor {
       std::vector<FleetJobResult> results);
 
   // Folds every job's journal into `out` in plan order (the
-  // order `results` came back from Run/RunSerial — call before
+  // order `results` came back from Run — call before
   // MergeShards, which drops per-job identity). Deterministic at any
   // worker count because each job's buffer is private and complete.
   static void MergeJournal(const std::vector<FleetJobResult>& results,
@@ -238,9 +231,9 @@ class FleetExecutor {
   // visit fails, up to options.max_job_retries; quarantines after.
   FleetJobResult ExecuteJobWithRetry(const FleetJob& job,
                                      obs::Journal* journal) const;
-  // The cache-aware job path both Run and RunSerial go through: probe
-  // the cache (when enabled), execute on a miss, persist the fresh
-  // result, then fire options.on_job_complete.
+  // The cache-aware path every job of Run goes through: probe the
+  // cache (when enabled), execute on a miss, persist the fresh result,
+  // then fire options.on_job_complete.
   FleetJobResult RunJobCached(const FleetJob& job) const;
 
   FleetOptions options_;

@@ -1,22 +1,12 @@
 #include "core/run_manifest.h"
 
-#include <cstdio>
-
 #include "chaos/profile.h"
+#include "util/hex.h"
 #include "util/json.h"
 
 namespace panoptes::core {
 
 namespace {
-
-// 64-bit seeds exceed double precision; export as hex text (same
-// convention as the fleet report).
-std::string SeedHex(uint64_t seed) {
-  char buf[19];
-  std::snprintf(buf, sizeof(buf), "0x%016llx",
-                static_cast<unsigned long long>(seed));
-  return std::string(buf);
-}
 
 util::JsonObject IngestJson(const IngestStats& ingest) {
   util::JsonObject out;
@@ -143,7 +133,7 @@ std::string RunManifest::ToJson() const {
     entry["browser"] = job.browser;
     entry["kind"] = job.kind;
     entry["shard"] = static_cast<int64_t>(job.shard);
-    entry["seed"] = SeedHex(job.seed);
+    entry["seed"] = util::Hex64(job.seed);
     entry["attempts"] = static_cast<int64_t>(job.attempts);
     entry["quarantined"] = job.quarantined;
     entry["faults_injected"] = job.faults_injected;

@@ -20,7 +20,7 @@ void WriteIndex(const analysis::FlowIndex& index, util::BinWriter& out) {
 }
 
 bool ReadIndex(util::BinReader& in, const proxy::FlowStore& store,
-               std::shared_ptr<const analysis::FlowIndex>* index) {
+               std::unique_ptr<analysis::FlowIndex>* index) {
   if (!in.Bool()) return false;
   *index = analysis::FlowIndex::Deserialize(in);
   return *index != nullptr && (*index)->flow_count() == store.size() &&

@@ -305,7 +305,6 @@ void StreamBuffer::SpillLive() {
         .Num("bytes", segment.bytes);
   }
   const uint64_t next_base = live_->FlowCount();
-  spilled_flows_ += live_->size();
   spilled_dropped_writes_ += live_->dropped_writes();
   segments_.push_back(std::move(segment));
   // Hand the navigation-chain tails to the fresh live store so a
@@ -408,7 +407,6 @@ StreamBuffer::Materialized StreamBuffer::Materialize() {
 
   // Drained: further pushes start a new stream at ordinal 0.
   segments_.clear();
-  spilled_flows_ = 0;
   spilled_dropped_writes_ = 0;
   live_ = NewLiveStore(0);
   index_ = analysis::FlowIndex();

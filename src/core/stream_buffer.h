@@ -175,7 +175,6 @@ class StreamBuffer : public proxy::FlowSink {
   bool in_transaction_ = false;
   util::Rng shed_rng_;
   std::vector<Segment> segments_;
-  uint64_t spilled_flows_ = 0;
   uint64_t spilled_dropped_writes_ = 0;
   IngestStats stats_;
 };

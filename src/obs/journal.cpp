@@ -1,7 +1,6 @@
 #include "obs/journal.h"
 
-#include <cstdio>
-
+#include "util/hex.h"
 #include "util/json.h"
 
 namespace panoptes::obs {
@@ -29,13 +28,6 @@ void AppendQuoted(std::string& out, std::string_view value) {
 }
 
 }  // namespace
-
-std::string FlowIdHex(uint64_t uid) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "0x%016llx",
-                static_cast<unsigned long long>(uid));
-  return buf;
-}
 
 void Journal::Append(const Journal& other) {
   const uint32_t field_base = static_cast<uint32_t>(fields_.size());
@@ -105,7 +97,7 @@ void Journal::AppendEvent(std::string& out, const JournalEvent& event) const {
         break;
       case Field::Type::kHex:
         out.push_back('"');
-        out.append(FlowIdHex(field.num));
+        out.append(util::Hex64(field.num));
         out.push_back('"');
         break;
       case Field::Type::kBool:

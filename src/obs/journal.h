@@ -52,10 +52,6 @@ struct JournalEvent {
   uint32_t field_count = 0;
 };
 
-// Renders a flow id the way the journal, reports and `explain` all
-// print it: "0x" + 16 lowercase hex digits.
-std::string FlowIdHex(uint64_t uid);
-
 class Journal {
  public:
   // One field, stored unrendered. Keys are static-storage literals

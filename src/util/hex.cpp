@@ -4,6 +4,8 @@ namespace panoptes::util {
 
 namespace {
 
+constexpr char kHex[] = "0123456789abcdef";
+
 int Nibble(char c) {
   if (c >= '0' && c <= '9') return c - '0';
   if (c >= 'a' && c <= 'f') return c - 'a' + 10;
@@ -14,7 +16,6 @@ int Nibble(char c) {
 }  // namespace
 
 std::string HexEncode(std::string_view data) {
-  static constexpr char kHex[] = "0123456789abcdef";
   std::string out;
   out.reserve(data.size() * 2);
   for (unsigned char c : data) {
@@ -33,6 +34,14 @@ std::optional<std::string> HexDecode(std::string_view data) {
     int lo = Nibble(data[i + 1]);
     if (hi < 0 || lo < 0) return std::nullopt;
     out.push_back(static_cast<char>((hi << 4) | lo));
+  }
+  return out;
+}
+
+std::string Hex64(uint64_t value) {
+  std::string out = "0x0000000000000000";
+  for (size_t i = out.size(); value != 0; value >>= 4) {
+    out[--i] = kHex[value & 0xF];
   }
   return out;
 }

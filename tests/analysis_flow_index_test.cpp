@@ -14,6 +14,7 @@
 #include <memory>
 #include <set>
 #include <stdexcept>
+#include <type_traits>
 #include <vector>
 
 #include "analysis/dns_leakage.h"
@@ -144,6 +145,10 @@ TEST(FlowIndex, ParamPoolMirrorsLegacyDecodeOrder) {
   EXPECT_EQ(p[5].source, FlowIndex::ParamSource::kBodyJsonString);
   EXPECT_EQ(p[5].value, "hello");
 }
+
+// Move-only, like FlowStore: a capture owns its index and a shard merge
+// appends in place, so nothing needs (or gets) a copy.
+static_assert(!std::is_copy_constructible_v<FlowIndex>);
 
 TEST(FlowIndex, AppendEqualsBuildOverConcatenatedStores) {
   proxy::FlowStore a = SmallStore();

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "analysis/export.h"
+#include "analysis/flow_index.h"
 #include "browser/profiles.h"
 #include "chaos/profile.h"
 #include "core/fleet.h"
@@ -66,7 +67,7 @@ std::string ReportOf(std::vector<core::FleetJobResult> results) {
 TEST(Snapshot, RoundTripIsByteFaithful) {
   core::FleetExecutor executor(SmallFleet());
   auto jobs = SmallPlan();
-  auto results = executor.RunSerial(jobs);
+  auto results = executor.Run(jobs);
   ASSERT_EQ(results.size(), jobs.size());
 
   for (size_t i = 0; i < results.size(); ++i) {
@@ -91,7 +92,7 @@ TEST(Snapshot, RoundTripIsByteFaithful) {
 TEST(Snapshot, RejectsCorruptionAndForeignBytes) {
   core::FleetExecutor executor(SmallFleet());
   auto jobs = SmallPlan();
-  auto results = executor.RunSerial(jobs);
+  auto results = executor.Run(jobs);
   std::string bytes = core::snapshot::Write(results[0], 1);
 
   core::FleetJobResult restored;
@@ -124,7 +125,7 @@ core::FleetJobResult& FirstCrawl(std::vector<core::FleetJobResult>& results) {
 TEST(Snapshot, RejectsAnAbsentIndex) {
   core::FleetExecutor executor(SmallFleet());
   auto jobs = SmallPlan();
-  auto results = executor.RunSerial(jobs);
+  auto results = executor.Run(jobs);
   const core::FleetJobResult& result = FirstCrawl(results);
   std::string bytes = core::snapshot::Write(result, 1);
 
@@ -153,11 +154,12 @@ TEST(Snapshot, RejectsAnAbsentIndex) {
 TEST(Snapshot, RejectsAnIndexOfTheWrongStore) {
   core::FleetExecutor executor(SmallFleet());
   auto jobs = SmallPlan();
-  auto results = executor.RunSerial(jobs);
+  auto results = executor.Run(jobs);
   core::FleetJobResult& result = FirstCrawl(results);
   ASSERT_NE(result.crawl->engine_flows->size(),
             result.crawl->native_flows->size());
-  result.crawl->native_index = result.crawl->engine_index;
+  result.crawl->native_index = std::make_unique<analysis::FlowIndex>(
+      analysis::FlowIndex::Build(*result.crawl->engine_flows));
 
   core::FleetJobResult restored;
   EXPECT_FALSE(core::snapshot::Read(core::snapshot::Write(result, 1),
@@ -189,7 +191,7 @@ core::FleetJobResult& FirstIdle(std::vector<core::FleetJobResult>& results) {
 
 TEST(Snapshot, RejectsTheV7Schema) {
   core::FleetExecutor executor(SmallFleet());
-  auto results = executor.RunSerial(SmallPlan());
+  auto results = executor.Run(SmallPlan());
   for (const core::FleetJobResult* result :
        {&FirstCrawl(results), &FirstIdle(results)}) {
     const std::string bytes = core::snapshot::Write(*result, 1);
@@ -206,7 +208,7 @@ TEST(Snapshot, RejectsTheV7Schema) {
 
 TEST(Snapshot, RejectsAnOutOfRangeCampaignKind) {
   core::FleetExecutor executor(SmallFleet());
-  auto results = executor.RunSerial(SmallPlan());
+  auto results = executor.Run(SmallPlan());
   const core::FleetJobResult& result = FirstIdle(results);
   const std::string bytes = core::snapshot::Write(result, 1);
   ASSERT_EQ(static_cast<uint8_t>(bytes[KindAt(result)]),
@@ -226,7 +228,7 @@ TEST(Snapshot, RejectsAnOutOfRangeCampaignKind) {
 // a header that claims the other kind must not decode its payload.
 TEST(Snapshot, RejectsAPayloadOfTheOtherKind) {
   core::FleetExecutor executor(SmallFleet());
-  auto results = executor.RunSerial(SmallPlan());
+  auto results = executor.Run(SmallPlan());
   for (const core::FleetJobResult* result :
        {&FirstCrawl(results), &FirstIdle(results)}) {
     const bool idle = result->idle.has_value();

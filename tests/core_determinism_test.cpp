@@ -26,6 +26,7 @@
 #include "core/campaign.h"
 #include "core/fleet.h"
 #include "core/framework.h"
+#include "oracle/serial_fleet.h"
 #include "util/binio.h"
 
 namespace panoptes::core {
@@ -124,13 +125,13 @@ std::vector<std::string> IndexBytes(
     const std::vector<FleetJobResult>& results) {
   std::vector<std::string> bytes;
   for (const auto& result : results) {
-    std::vector<std::shared_ptr<const analysis::FlowIndex>> indexes;
+    std::vector<const analysis::FlowIndex*> indexes;
     if (result.crawl) {
-      indexes.push_back(result.crawl->engine_index);
-      indexes.push_back(result.crawl->native_index);
+      indexes.push_back(result.crawl->engine_index.get());
+      indexes.push_back(result.crawl->native_index.get());
     }
-    if (result.idle) indexes.push_back(result.idle->native_index);
-    for (const auto& index : indexes) {
+    if (result.idle) indexes.push_back(result.idle->native_index.get());
+    for (const analysis::FlowIndex* index : indexes) {
       if (index == nullptr) continue;
       util::BinWriter out;
       index->SerializeTo(out);
@@ -302,11 +303,11 @@ TEST(Determinism, PopulationReportsInvariantUnderJobCount) {
 }
 
 // A sharded cohort plan executed on the thread pool merges to exactly
-// what the in-line reference path (RunSerial) produces — cohort by
-// cohort, byte for byte.
+// what the one-job-at-a-time oracle produces — cohort by cohort, byte
+// for byte.
 TEST(Determinism, PopulationShardMergeMatchesSerialOracle) {
   auto jobs = PopulationPlan(kPaperSeed, 2);
-  auto serial = FleetExecutor(IndexFleet(1)).RunSerial(jobs);
+  auto serial = oracle::RunSerial(FleetExecutor(IndexFleet(1)), jobs);
   auto sharded = FleetExecutor(IndexFleet(4)).Run(jobs);
 
   auto merged_serial = FleetExecutor::MergeShards(std::move(serial));

@@ -11,12 +11,15 @@
 #include <stdexcept>
 
 #include "analysis/export.h"
+#include "analysis/flow_index.h"
 #include "analysis/report.h"
 #include "browser/profiles.h"
 #include "chaos/profile.h"
 #include "core/fleet.h"
 #include "core/snapshot.h"
 #include "obs/metrics.h"
+#include "oracle/serial_fleet.h"
+#include "util/binio.h"
 #include "util/rng.h"
 
 namespace panoptes::core {
@@ -93,7 +96,7 @@ TEST(FleetDifferential, ParallelMatchesSerialByteForByte) {
        CampaignKind::kIdle},
       2, CrawlOptions{}, ShortIdle());
 
-  auto serial = executor.RunSerial(jobs);
+  auto serial = oracle::RunSerial(executor, jobs);
   auto parallel = executor.Run(jobs);
   ASSERT_EQ(serial.size(), parallel.size());
 
@@ -155,6 +158,43 @@ TEST(FleetMerge, ShardsFoldBackIntoCatalogOrder) {
   EXPECT_EQ(merged[0].crawl->EngineRequestCount(), engine);
   EXPECT_EQ(merged[0].crawl->NativeRequestCount(), native);
   EXPECT_EQ(merged[0].crawl->stack_stats.sends, sends);
+}
+
+std::string IndexBytes(const analysis::FlowIndex& index) {
+  util::BinWriter out;
+  index.SerializeTo(out);
+  return out.Take();
+}
+
+// Shards fold their indexes in place: every merged index must encode
+// exactly like one built from scratch over its merged store. Bounce
+// chains and link decoration (the --smuggling knobs) put redirect
+// provenance and decorated query parameters into every shard.
+TEST(FleetMerge, MergedIndexesEqualABuildOverTheMergedStores) {
+  for (uint64_t seed : {20231024ull, 20240521ull}) {
+    SCOPED_TRACE(seed);
+    FleetOptions options = TinyFleet(3);
+    options.base_seed = seed;
+    options.framework.catalog.sitegen.bounce_fraction = 0.5;
+    options.framework.catalog.sitegen.decoration_fraction = 0.5;
+    auto jobs = FleetExecutor::PlanCampaign(
+        Browsers({"Yandex", "Opera"}),
+        {CampaignKind::kCrawl, CampaignKind::kIncognitoCrawl}, 3);
+    auto merged =
+        FleetExecutor::MergeShards(FleetExecutor(options).Run(jobs));
+    ASSERT_EQ(merged.size(), 4u);
+    for (const auto& result : merged) {
+      ASSERT_TRUE(result.crawl.has_value());
+      for (const auto& side : result.crawl->Sides()) {
+        SCOPED_TRACE(result.job.spec.name + "/" +
+                     std::string(CampaignKindName(result.job.kind)) +
+                     (side.engine ? "/engine" : "/native"));
+        EXPECT_FALSE(side.flows.empty());
+        EXPECT_EQ(IndexBytes(side.index),
+                  IndexBytes(analysis::FlowIndex::Build(side.flows)));
+      }
+    }
+  }
 }
 
 // Stress: the full Table 1 roster × 3 shards at jobs=8, repeatedly.
@@ -414,7 +454,7 @@ TEST(SharedWorld, BuiltOncePerExecutorAndNeverOnAWarmReplay) {
     cold.Run(jobs);
     EXPECT_EQ(WorldBuilds() - start, 1u);
     // A second run on the same executor reuses its world.
-    cold.RunSerial(jobs);
+    cold.Run(jobs);
     EXPECT_EQ(WorldBuilds() - start, 1u);
   }
   // Every job replays from the cache: nothing executes, nothing builds.

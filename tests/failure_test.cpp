@@ -95,9 +95,9 @@ TEST(Failure, CrawlResultRatioWithNoTraffic) {
   core::CrawlResult result;
   result.engine_flows = std::make_unique<proxy::FlowStore>();
   result.native_flows = std::make_unique<proxy::FlowStore>();
-  result.engine_index = std::make_shared<const analysis::FlowIndex>(
+  result.engine_index = std::make_unique<analysis::FlowIndex>(
       analysis::FlowIndex::Build(*result.engine_flows));
-  result.native_index = std::make_shared<const analysis::FlowIndex>(
+  result.native_index = std::make_unique<analysis::FlowIndex>(
       analysis::FlowIndex::Build(*result.native_flows));
   EXPECT_EQ(result.NativeRatio(), 0.0);
 }
@@ -105,7 +105,7 @@ TEST(Failure, CrawlResultRatioWithNoTraffic) {
 TEST(Failure, IdleShareOnEmptyStore) {
   core::IdleResult result;
   result.native_flows = std::make_unique<proxy::FlowStore>();
-  result.native_index = std::make_shared<const analysis::FlowIndex>(
+  result.native_index = std::make_unique<analysis::FlowIndex>(
       analysis::FlowIndex::Build(*result.native_flows));
   EXPECT_EQ(result.ShareToHost("graph.facebook.com"), 0.0);
 }

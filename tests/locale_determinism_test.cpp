@@ -77,7 +77,7 @@ TEST(LocaleDeterminism, FleetArtifactsAreByteIdenticalAcrossLocales) {
       {*browser::FindSpec("Yandex")},
       {core::CampaignKind::kCrawl, core::CampaignKind::kIdle}, 2);
   core::FleetExecutor executor(options);
-  auto results = executor.RunSerial(jobs);
+  auto results = executor.Run(jobs);
   core::RunManifest manifest = core::BuildRunManifest(options, results);
   auto merged = core::FleetExecutor::MergeShards(std::move(results));
 

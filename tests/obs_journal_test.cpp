@@ -89,11 +89,6 @@ TEST(Journal, AppendRebasesArenaOffsets) {
   EXPECT_EQ(merged.Jsonl(), "{\"journal_schema\":1,\"events\":0}\n");
 }
 
-TEST(Journal, FlowIdHexIsFixedWidth) {
-  EXPECT_EQ(FlowIdHex(0), "0x0000000000000000");
-  EXPECT_EQ(FlowIdHex(0x0123456789abcdefull), "0x0123456789abcdef");
-}
-
 // ---------------------------------------------------------------------------
 // Fleet journal determinism and additivity.
 

@@ -81,6 +81,12 @@ TEST(Hex, KnownValues) {
   EXPECT_EQ(HexDecode("4A4b"), "JK");  // case-insensitive
 }
 
+TEST(Hex, Hex64IsFixedWidth) {
+  EXPECT_EQ(Hex64(0), "0x0000000000000000");
+  EXPECT_EQ(Hex64(0x0123456789abcdefull), "0x0123456789abcdef");
+  EXPECT_EQ(Hex64(~0ull), "0xffffffffffffffff");
+}
+
 TEST(Hex, RejectsInvalid) {
   EXPECT_FALSE(HexDecode("abc").has_value());   // odd length
   EXPECT_FALSE(HexDecode("zz").has_value());    // not hex
