@@ -52,7 +52,7 @@ BrowserContext::BrowserContext(const BrowserSpec* spec,
       send_ctx.resolver = stub_resolver_.get();
       send_ctx.wants_h3 = spec_->supports_h3;
       ++counters_.native_requests;
-      auto outcome = netstack_->Send(request, send_ctx);
+      auto outcome = netstack_->Send(std::move(request), send_ctx);
       if (!outcome.ok) {
         ++counters_.native_failures;
         return std::nullopt;
@@ -77,7 +77,7 @@ device::SendOutcome BrowserContext::SendEngine(net::HttpRequest request,
   send_ctx.chain_id = chain_id;
   send_ctx.redirect_hop = redirect_hop;
   ++counters_.engine_requests;
-  auto outcome = netstack_->Send(request, send_ctx);
+  auto outcome = netstack_->Send(std::move(request), send_ctx);
   if (!outcome.ok) ++counters_.engine_failures;
   return outcome;
 }
@@ -89,7 +89,7 @@ device::SendOutcome BrowserContext::SendNative(net::HttpRequest request) {
   send_ctx.resolver = resolver_;
   send_ctx.wants_h3 = spec_->supports_h3;
   ++counters_.native_requests;
-  auto outcome = netstack_->Send(request, send_ctx);
+  auto outcome = netstack_->Send(std::move(request), send_ctx);
   if (!outcome.ok) ++counters_.native_failures;
   return outcome;
 }

@@ -162,7 +162,7 @@ bool StreamBuffer::OverBudget() const {
          live_->MemoryUsage() >= config_.stream.memory_budget_bytes;
 }
 
-bool StreamBuffer::Push(proxy::Flow flow) {
+bool StreamBuffer::Push(const proxy::Flow& flow) {
   auto& metrics = IngestMetrics::Get();
   MaybeSpill();
   if (OverBudget()) {
@@ -188,7 +188,7 @@ bool StreamBuffer::Push(proxy::Flow flow) {
     }
   }
   const size_t before = live_->size();
-  live_->Add(std::move(flow));
+  live_->Add(flow);
   ++stats_.flows_pushed;
   metrics.pushed.Inc();
   // A chaos flow-write-drop inside Add leaves the store unchanged; the

@@ -111,7 +111,7 @@ class StreamBuffer : public proxy::FlowSink {
   StreamBuffer& operator=(const StreamBuffer&) = delete;
 
   // FlowSink. Push returns false only for a shed flow.
-  bool Push(proxy::Flow flow) override;
+  bool Push(const proxy::Flow& flow) override;
   uint64_t FlowCount() const override { return live_->FlowCount(); }
   void BeginTransaction() override;
   void CommitTransaction() override;

@@ -10,12 +10,11 @@ void TaintFilterAddon::SetSinks(proxy::FlowSink* engine_sink,
 
 void TaintFilterAddon::OnRequest(proxy::Flow& flow,
                                  net::HttpRequest& request) {
-  auto taint = request.headers.Get(browser::kTaintHeader);
+  // Strip before forwarding: the destination must never see it.
+  auto taint = request.headers.Take(browser::kTaintHeader);
   if (taint) {
     flow.origin = proxy::TrafficOrigin::kEngine;
-    flow.taint = *taint;
-    // Strip before forwarding: the destination must never see it.
-    request.headers.Remove(browser::kTaintHeader);
+    flow.taint = std::move(*taint);
   } else {
     flow.origin = proxy::TrafficOrigin::kNative;
   }

@@ -60,7 +60,7 @@ NetworkStack::NetworkStack(AndroidDevice* device, net::Network* network,
                            util::SimClock* clock)
     : device_(device), network_(network), clock_(clock) {}
 
-SendOutcome NetworkStack::Send(const net::HttpRequest& request,
+SendOutcome NetworkStack::Send(net::HttpRequest request,
                                const SendContext& ctx) {
   ++stats_.sends;
 
@@ -169,7 +169,7 @@ SendOutcome NetworkStack::Send(const net::HttpRequest& request,
     meta.tls = https;
     meta.chain_id = ctx.chain_id;
     meta.redirect_hop = ctx.redirect_hop;
-    outcome.response = diverter_->Forward(request, meta);
+    outcome.response = diverter_->Forward(std::move(request), meta);
     outcome.ok = true;
     outcome.via_proxy = true;
     outcome.version_used = net::HttpVersion::kHttp11;

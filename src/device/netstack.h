@@ -69,7 +69,9 @@ class TrafficDiverter {
 
   // Processes a request after the client accepted the forged
   // certificate: runs addons, forwards to the genuine server, returns
-  // its (addon-processed) response.
+  // its (addon-processed) response. The diverter owns the request from
+  // here on: the stack moves it in and never reads it again, and the
+  // MITM proxy moves its headers and body into the flow record.
   virtual net::HttpResponse Forward(net::HttpRequest request,
                                     net::ConnectionMeta meta) = 0;
 };
@@ -120,7 +122,9 @@ class NetworkStack {
   // detach.
   void SetChaos(chaos::Injector* injector) { chaos_ = injector; }
 
-  SendOutcome Send(const net::HttpRequest& request, const SendContext& ctx);
+  // Takes the request by value: a diverted request moves on into the
+  // diverter, so callers should move theirs in.
+  SendOutcome Send(net::HttpRequest request, const SendContext& ctx);
 
   const NetworkStackStats& stats() const { return stats_; }
   void ResetStats() { stats_ = NetworkStackStats{}; }

@@ -1,6 +1,7 @@
 #include "net/cookies.h"
 
 #include <algorithm>
+#include <functional>
 
 #include "util/strings.h"
 
@@ -16,6 +17,7 @@ bool CookieDomainMatch(std::string_view host, std::string_view domain) {
 
 bool CookiePathMatch(std::string_view request_path,
                      std::string_view cookie_path) {
+  if (cookie_path.empty()) return false;
   if (request_path == cookie_path) return true;
   if (!util::StartsWith(request_path, cookie_path)) return false;
   if (cookie_path.back() == '/') return true;
@@ -82,13 +84,17 @@ std::optional<Cookie> ParseSetCookie(std::string_view header,
 }
 
 void CookieJar::Store(Cookie cookie) {
-  for (auto& existing : cookies_) {
+  NoteExpiry(cookie);
+  std::vector<size_t>& positions = by_domain_[util::ToLower(cookie.domain)];
+  for (size_t position : positions) {
+    Cookie& existing = cookies_[position];
     if (existing.name == cookie.name && existing.domain == cookie.domain &&
         existing.path == cookie.path) {
       existing = std::move(cookie);
       return;
     }
   }
+  positions.push_back(cookies_.size());
   cookies_.push_back(std::move(cookie));
 }
 
@@ -100,28 +106,58 @@ bool CookieJar::SetFromHeader(std::string_view header,
   return true;
 }
 
+void CookieJar::Clear() {
+  cookies_.clear();
+  by_domain_.clear();
+  next_expiry_.reset();
+}
+
+void CookieJar::NoteExpiry(const Cookie& cookie) {
+  if (cookie.expires && (!next_expiry_ || *cookie.expires < *next_expiry_)) {
+    next_expiry_ = cookie.expires;
+  }
+}
+
 void CookieJar::Evict(util::SimTime now) {
-  cookies_.erase(std::remove_if(cookies_.begin(), cookies_.end(),
-                                [&](const Cookie& cookie) {
-                                  return cookie.IsExpiredAt(now);
-                                }),
-                 cookies_.end());
+  if (!next_expiry_ || now < *next_expiry_) return;
+  std::erase_if(cookies_,
+                [&](const Cookie& cookie) { return cookie.IsExpiredAt(now); });
+  by_domain_.clear();
+  next_expiry_.reset();
+  for (size_t position = 0; position < cookies_.size(); ++position) {
+    NoteExpiry(cookies_[position]);
+    by_domain_[util::ToLower(cookies_[position].domain)].push_back(position);
+  }
 }
 
 std::vector<const Cookie*> CookieJar::MatchingCookies(const Url& url,
                                                       util::SimTime now) {
   Evict(now);
   std::vector<const Cookie*> out;
-  bool https = url.scheme() == "https";
-  for (const auto& cookie : cookies_) {
-    if (cookie.secure && !https) continue;
-    bool domain_ok = cookie.host_only
-                         ? util::EqualsIgnoreCase(url.host(), cookie.domain)
-                         : CookieDomainMatch(url.host(), cookie.domain);
-    if (!domain_ok) continue;
-    if (!CookiePathMatch(url.path(), cookie.path)) continue;
-    out.push_back(&cookie);
+  const bool https = url.scheme() == "https";
+  std::string folded;
+  // The host, then each parent domain (the text after each dot): the
+  // only domains CookieDomainMatch accepts for this host. Host-only
+  // cookies match under the host itself alone.
+  std::string_view domain = util::LowerIfNeeded(url.host(), folded);
+  for (bool is_host = true;; is_host = false) {
+    auto it = by_domain_.find(domain);
+    if (it != by_domain_.end()) {
+      for (size_t position : it->second) {
+        const Cookie& cookie = cookies_[position];
+        if (cookie.host_only && !is_host) continue;
+        if (cookie.secure && !https) continue;
+        if (!CookiePathMatch(url.path(), cookie.path)) continue;
+        out.push_back(&cookie);
+      }
+    }
+    size_t dot = domain.find('.');
+    if (dot == std::string_view::npos) break;
+    domain.remove_prefix(dot + 1);
   }
+  // Back to jar order (addresses in cookies_), so the unstable sort
+  // below sees exactly the sequence a whole-jar scan hands it.
+  std::sort(out.begin(), out.end(), std::less<const Cookie*>());
   std::sort(out.begin(), out.end(), [](const Cookie* a, const Cookie* b) {
     return a->path.size() > b->path.size();  // longer paths first
   });
@@ -132,7 +168,7 @@ std::string CookieJar::CookieHeaderFor(const Url& url, util::SimTime now) {
   std::string out;
   for (const auto* cookie : MatchingCookies(url, now)) {
     if (!out.empty()) out += "; ";
-    out += cookie->name + "=" + cookie->value;
+    out.append(cookie->name).append("=").append(cookie->value);
   }
   return out;
 }

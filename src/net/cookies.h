@@ -12,10 +12,12 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "net/url.h"
 #include "util/clock.h"
+#include "util/strings.h"
 
 namespace panoptes::net {
 
@@ -57,23 +59,37 @@ class CookieJar {
   // evicted as a side effect.
   std::string CookieHeaderFor(const Url& url, util::SimTime now);
 
-  // All live cookies matching `url` (most-specific path first).
+  // All live cookies matching `url` (most-specific path first; equal
+  // path lengths in the order std::sort leaves jar order). Only the
+  // buckets of the host and its parent domains are visited. Expired
+  // cookies are evicted as a side effect.
   std::vector<const Cookie*> MatchingCookies(const Url& url,
                                              util::SimTime now);
 
-  void Clear() { cookies_.clear(); }
+  void Clear();
   size_t size() const { return cookies_.size(); }
 
  private:
   void Evict(util::SimTime now);
+  void NoteExpiry(const Cookie& cookie);
 
+  // Jar order: a replaced cookie keeps its slot and eviction keeps the
+  // survivors' relative order.
   std::vector<Cookie> cookies_;
+  // Lowercased cookie domain → positions in cookies_, ascending.
+  std::unordered_map<std::string, std::vector<size_t>, util::StringHash,
+                     std::equal_to<>>
+      by_domain_;
+  // No stored cookie expires before this, so Evict has nothing to do
+  // until then. Unset while no cookie carries an expiry.
+  std::optional<util::SimTime> next_expiry_;
 };
 
 // Domain-match per RFC 6265 §5.1.3.
 bool CookieDomainMatch(std::string_view host, std::string_view domain);
 
-// Path-match per RFC 6265 §5.1.4.
+// Path-match per RFC 6265 §5.1.4. An empty cookie path matches
+// nothing (ParseSetCookie never produces one; Store accepts it).
 bool CookiePathMatch(std::string_view request_path,
                      std::string_view cookie_path);
 

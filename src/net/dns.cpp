@@ -11,7 +11,8 @@ void DnsZone::AddRecord(std::string_view hostname, IpAddress address) {
 }
 
 std::optional<IpAddress> DnsZone::Lookup(std::string_view hostname) const {
-  std::string key = util::ToLower(hostname);
+  std::string folded;
+  std::string_view key = util::LowerIfNeeded(hostname, folded);
   if (failing_.find(key) != failing_.end()) return std::nullopt;
   if (chaos_ != nullptr && chaos_->DnsFault(key)) return std::nullopt;
   auto it = records_.find(key);
@@ -20,7 +21,9 @@ std::optional<IpAddress> DnsZone::Lookup(std::string_view hostname) const {
 }
 
 bool DnsZone::Has(std::string_view hostname) const {
-  return records_.find(util::ToLower(hostname)) != records_.end();
+  std::string folded;
+  return records_.find(util::LowerIfNeeded(hostname, folded)) !=
+         records_.end();
 }
 
 void DnsZone::SetFailing(std::string_view hostname, bool failing) {
@@ -41,7 +44,8 @@ DohResolver::DohResolver(std::string provider_host, Transport transport)
       transport_(std::move(transport)) {}
 
 std::optional<IpAddress> DohResolver::Resolve(std::string_view hostname) {
-  std::string key = util::ToLower(hostname);
+  std::string folded;
+  std::string_view key = util::LowerIfNeeded(hostname, folded);
   auto cached = cache_.find(key);
   if (cached != cache_.end()) return cached->second;
 
@@ -69,7 +73,7 @@ std::optional<IpAddress> DohResolver::Resolve(std::string_view hostname) {
   if (data == nullptr || !data->is_string()) return std::nullopt;
   auto ip = IpAddress::Parse(data->as_string());
   if (!ip) return std::nullopt;
-  cache_[key] = *ip;
+  cache_.emplace(key, *ip);
   return ip;
 }
 

@@ -10,8 +10,10 @@
 #include <set>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 
 #include "net/ip.h"
+#include "util/strings.h"
 
 namespace panoptes::chaos {
 class Injector;
@@ -37,7 +39,9 @@ class DnsZone {
   void SetChaos(chaos::Injector* injector) { chaos_ = injector; }
 
  private:
-  std::map<std::string, IpAddress, std::less<>> records_;
+  std::unordered_map<std::string, IpAddress, util::StringHash,
+                     std::equal_to<>>
+      records_;
   std::set<std::string, std::less<>> failing_;
   chaos::Injector* chaos_ = nullptr;
 };

@@ -1,5 +1,7 @@
 #include "net/fabric.h"
 
+#include <algorithm>
+
 #include "chaos/injector.h"
 #include "util/strings.h"
 
@@ -20,20 +22,20 @@ const HostBinding& Network::Host(std::string hostname, IpAddress ip,
   binding.server = std::move(server);
 
   zone_.AddRecord(key, ip);
-  host_by_ip_[ip] = key;
   auto [it, _] = by_host_.insert_or_assign(key, std::move(binding));
+  by_ip_[ip.value()] = &it->second;
   return it->second;
 }
 
 const HostBinding* Network::FindByHost(std::string_view hostname) const {
-  auto it = by_host_.find(util::ToLower(hostname));
+  std::string folded;
+  auto it = by_host_.find(util::LowerIfNeeded(hostname, folded));
   return it == by_host_.end() ? nullptr : &it->second;
 }
 
 const HostBinding* Network::FindByIp(IpAddress ip) const {
-  auto it = host_by_ip_.find(ip);
-  if (it == host_by_ip_.end()) return nullptr;
-  return FindByHost(it->second);
+  auto it = by_ip_.find(ip.value());
+  return it == by_ip_.end() ? nullptr : it->second;
 }
 
 const Certificate* Network::LeafFor(std::string_view sni) const {
@@ -49,9 +51,8 @@ bool Network::SupportsH3(std::string_view hostname) const {
 HttpResponse Network::Deliver(IpAddress server_ip, const HttpRequest& request,
                               const ConnectionMeta& meta) {
   ++delivered_;
-  for (const auto& [name, value] : request.headers.entries()) {
-    (void)value;
-    if (util::StartsWith(util::ToLower(name), "x-panoptes")) {
+  for (const auto& entry : request.headers.entries()) {
+    if (util::StartsWithIgnoreCase(entry.first, "x-panoptes")) {
       ++taint_leaks_;
       break;
     }
@@ -81,6 +82,7 @@ std::vector<std::string> Network::Hostnames() const {
   std::vector<std::string> out;
   out.reserve(by_host_.size());
   for (const auto& [host, _] : by_host_) out.push_back(host);
+  std::sort(out.begin(), out.end());
   return out;
 }
 

@@ -9,11 +9,11 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "net/dns.h"
@@ -21,6 +21,7 @@
 #include "net/ip.h"
 #include "net/tls.h"
 #include "util/clock.h"
+#include "util/strings.h"
 
 namespace panoptes::chaos {
 class Injector;
@@ -131,14 +132,20 @@ class Network {
   // server, or it could alter site behaviour).
   uint64_t taint_leaks() const { return taint_leaks_; }
 
-  // Every hostname currently bound (stable order).
+  // Every hostname currently bound, sorted.
   std::vector<std::string> Hostnames() const;
 
  private:
   DnsZone zone_;
   CertificateAuthority web_ca_;
-  std::map<std::string, HostBinding, std::less<>> by_host_;
-  std::map<IpAddress, std::string> host_by_ip_;
+  // Keys are folded once, at Host(); lookups fold only input that
+  // carries an uppercase letter. Hash nodes are stable, so by_ip_
+  // (keyed by IpAddress::value()) points straight at the binding, and a
+  // rebound name keeps its node.
+  std::unordered_map<std::string, HostBinding, util::StringHash,
+                     std::equal_to<>>
+      by_host_;
+  std::unordered_map<uint32_t, const HostBinding*> by_ip_;
   chaos::Injector* chaos_ = nullptr;
   uint64_t delivered_ = 0;
   uint64_t taint_leaks_ = 0;

@@ -34,7 +34,10 @@ std::optional<std::string> HttpHeaders::Get(std::string_view name) const {
 }
 
 bool HttpHeaders::Has(std::string_view name) const {
-  return Get(name).has_value();
+  for (const auto& entry : entries_) {
+    if (util::EqualsIgnoreCase(entry.first, name)) return true;
+  }
+  return false;
 }
 
 size_t HttpHeaders::Remove(std::string_view name) {
@@ -48,6 +51,21 @@ size_t HttpHeaders::Remove(std::string_view name) {
     }
   }
   return removed;
+}
+
+std::optional<std::string> HttpHeaders::Take(std::string_view name) {
+  std::optional<std::string> taken;
+  auto kept = entries_.begin();
+  for (auto& entry : entries_) {
+    if (util::EqualsIgnoreCase(entry.first, name)) {
+      if (!taken) taken = std::move(entry.second);
+    } else {
+      if (&*kept != &entry) *kept = std::move(entry);
+      ++kept;
+    }
+  }
+  entries_.erase(kept, entries_.end());
+  return taken;
 }
 
 size_t HttpHeaders::WireSize() const {

@@ -17,8 +17,11 @@ class HttpHeaders {
  public:
   using Entry = std::pair<std::string, std::string>;
 
-  // Appends a header, preserving insertion order.
+  // Appends a header, preserving insertion order. Callers filling a
+  // fresh collection with distinct names Add into a Reserve()d one
+  // rather than Set, which rescans the collection on every call.
   void Add(std::string_view name, std::string_view value);
+  void Reserve(size_t count) { entries_.reserve(count); }
 
   // Replaces all occurrences of `name` with a single entry (appended at
   // the position of the first occurrence, or at the end when absent).
@@ -31,6 +34,10 @@ class HttpHeaders {
 
   // Removes every occurrence; returns how many were removed.
   size_t Remove(std::string_view name);
+
+  // Get, then Remove, in one pass: removes every occurrence of `name`
+  // and returns the first one's value.
+  std::optional<std::string> Take(std::string_view name);
 
   const std::vector<Entry>& entries() const { return entries_; }
   size_t size() const { return entries_.size(); }

@@ -35,8 +35,10 @@ std::string_view VersionName(HttpVersion version) {
 
 size_t HttpRequest::WireSize() const {
   // "METHOD target HTTP/1.1\r\n" + headers + blank line + body.
-  return MethodName(method).size() + 1 + url.RequestTarget().size() + 11 +
-         headers.WireSize() + 2 + body.size();
+  const size_t target = url.path().size() +
+                        (url.query().empty() ? 0 : 1 + url.query().size());
+  return MethodName(method).size() + 1 + target + 11 + headers.WireSize() +
+         2 + body.size();
 }
 
 std::string HttpRequest::Summary() const {
@@ -58,8 +60,9 @@ HttpResponse HttpResponse::Sized(size_t length, std::string_view content_type,
                                  std::string head) {
   HttpResponse resp;
   resp.status = 200;
-  resp.headers.Set("Content-Type", content_type);
-  resp.headers.Set("Content-Length", std::to_string(head.size() + length));
+  resp.headers.Reserve(2);
+  resp.headers.Add("Content-Type", content_type);
+  resp.headers.Add("Content-Length", std::to_string(head.size() + length));
   resp.body = std::move(head);
   resp.sized_bytes = length;
   return resp;
@@ -76,17 +79,19 @@ HttpResponse HttpResponse::NotFound() {
 HttpResponse HttpResponse::Redirect(std::string location, int status) {
   HttpResponse resp;
   resp.status = status;
-  resp.headers.Set("Location", location);
-  resp.headers.Set("Content-Length", "0");
+  resp.headers.Reserve(2);
+  resp.headers.Add("Location", location);
+  resp.headers.Add("Content-Length", "0");
   return resp;
 }
 
 HttpResponse HttpResponse::Error(int status, std::string_view reason) {
   HttpResponse resp;
   resp.status = status;
-  resp.headers.Set("Content-Type", "text/plain");
+  resp.headers.Reserve(2);
+  resp.headers.Add("Content-Type", "text/plain");
   resp.body = std::string(reason);
-  resp.headers.Set("Content-Length", std::to_string(resp.body.size()));
+  resp.headers.Add("Content-Length", std::to_string(resp.body.size()));
   return resp;
 }
 

@@ -15,6 +15,10 @@ class Addon {
 
   // Called before the request is forwarded upstream. `request` is the
   // message that will actually be sent; mutate it to rewrite traffic.
+  // The proxy owns it from Forward on and, once the exchange is over
+  // (delivered, blocked or reset), moves its headers and body into
+  // flow.request_headers / flow.request_body: later hooks read them
+  // there.
   virtual void OnRequest(Flow& flow, net::HttpRequest& request) {
     (void)flow;
     (void)request;

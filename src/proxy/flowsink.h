@@ -26,11 +26,13 @@ class FlowSink {
  public:
   virtual ~FlowSink() = default;
 
-  // Stores one completed flow. Returns false only when the sink *shed*
-  // the flow under memory pressure (budgeted sinks with shedding
-  // enabled); a chaos-dropped write still returns true — the producer
-  // handed the flow over, the store lost it.
-  virtual bool Push(Flow flow) = 0;
+  // Stores one completed flow. The flow stays the producer's (the MITM
+  // proxy owns it until Forward returns): a sink copies what it keeps
+  // into its own storage. Returns false only when the sink *shed* the
+  // flow under memory pressure (budgeted sinks with shedding enabled);
+  // a chaos-dropped write still returns true — the producer handed the
+  // flow over, the store lost it.
+  virtual bool Push(const Flow& flow) = 0;
 
   // Flows accepted so far (global count: a spilling sink counts sealed
   // segments too). Shed flows are never counted.

@@ -39,7 +39,7 @@ uint32_t MakeProvenanceTag(uint64_t job_seed, uint32_t role) {
   return tag == 0 ? 1 : tag;
 }
 
-void FlowStore::Add(Flow flow) {
+void FlowStore::Add(const Flow& flow) {
   if (chaos_ != nullptr && chaos_->FlowWriteDrop(flow.Host())) {
     ++dropped_writes_;
     static obs::Counter& dropped = obs::MetricsRegistry::Default().GetCounter(

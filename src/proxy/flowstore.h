@@ -67,14 +67,14 @@ class FlowStore : public FlowSink {
   FlowStore(const FlowStore&) = delete;
   FlowStore& operator=(const FlowStore&) = delete;
 
-  void Add(Flow flow);
+  void Add(const Flow& flow);
   void Clear();
 
   // FlowSink: the unbounded in-memory sink. Push never sheds (a chaos
   // write drop is the store losing the flow, not the producer being
   // refused), and the transaction mark maps onto TruncateTo.
-  bool Push(Flow flow) override {
-    Add(std::move(flow));
+  bool Push(const Flow& flow) override {
+    Add(flow);
     return true;
   }
   uint64_t FlowCount() const override {

@@ -83,9 +83,6 @@ net::HttpResponse MitmProxy::Forward(net::HttpRequest request,
     addon->OnRequest(flow, request);
   }
 
-  flow.request_headers = request.headers;
-  flow.request_body = request.body;
-
   net::HttpResponse response;
   if (flow.blocked) {
     // A blocking addon claimed this flow: answer locally, never
@@ -103,6 +100,10 @@ net::HttpResponse MitmProxy::Forward(net::HttpRequest request,
     meta.via_proxy = true;
     response = network_->Deliver(meta.server_ip, request, meta);
   }
+  // The request is spent: the flow takes the forwarded (rewritten)
+  // headers and body, whether or not they reached a server.
+  flow.request_headers = std::move(request.headers);
+  flow.request_body = std::move(request.body);
   if (response.headers.Has(chaos::kInjectedFaultHeader)) {
     flow.fault_injected = true;
   }

@@ -6,9 +6,9 @@
 // forwarded to the genuine server over the network fabric.
 #pragma once
 
-#include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "device/netstack.h"
@@ -16,6 +16,7 @@
 #include "net/tls.h"
 #include "proxy/addon.h"
 #include "proxy/flowstore.h"
+#include "util/strings.h"
 
 namespace panoptes::chaos {
 class Injector;
@@ -67,7 +68,9 @@ class MitmProxy : public device::TrafficDiverter {
   chaos::Injector* chaos_ = nullptr;
   obs::Journal* journal_ = nullptr;
   net::CertificateAuthority ca_;
-  std::map<std::string, net::Certificate, std::less<>> cert_cache_;
+  std::unordered_map<std::string, net::Certificate, util::StringHash,
+                     std::equal_to<>>
+      cert_cache_;
   std::vector<std::shared_ptr<Addon>> addons_;
   std::string browser_label_;
   uint64_t next_flow_id_ = 1;

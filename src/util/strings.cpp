@@ -44,12 +44,27 @@ std::string ToUpper(std::string_view s) {
   return out;
 }
 
+std::string_view LowerIfNeeded(std::string_view s, std::string& storage) {
+  for (char c : s) {
+    if (c >= 'A' && c <= 'Z') {
+      storage = ToLower(s);
+      return storage;
+    }
+  }
+  return s;
+}
+
 bool EqualsIgnoreCase(std::string_view a, std::string_view b) {
   if (a.size() != b.size()) return false;
   for (size_t i = 0; i < a.size(); ++i) {
     if (AsciiLower(a[i]) != AsciiLower(b[i])) return false;
   }
   return true;
+}
+
+bool StartsWithIgnoreCase(std::string_view s, std::string_view prefix) {
+  return s.size() >= prefix.size() &&
+         EqualsIgnoreCase(s.substr(0, prefix.size()), prefix);
 }
 
 std::string_view Trim(std::string_view s) {

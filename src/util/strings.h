@@ -28,8 +28,17 @@ std::string ToLower(std::string_view s);
 // Returns `s` with ASCII lowercase letters folded to uppercase.
 std::string ToUpper(std::string_view s);
 
+// Returns `s` itself when it holds no ASCII uppercase letter, else its
+// lowercase copy, written into `storage`. Lookups keyed by folded names
+// call this so already-lowercase input (every parsed URL host) costs no
+// allocation.
+std::string_view LowerIfNeeded(std::string_view s, std::string& storage);
+
 // Case-insensitive ASCII comparison.
 bool EqualsIgnoreCase(std::string_view a, std::string_view b);
+
+// Whether `s` begins with `prefix`, compared case-insensitively (ASCII).
+bool StartsWithIgnoreCase(std::string_view s, std::string_view prefix);
 
 // Removes leading and trailing ASCII whitespace.
 std::string_view Trim(std::string_view s);

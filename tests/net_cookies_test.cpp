@@ -68,6 +68,28 @@ TEST(CookieMatch, Path) {
   EXPECT_FALSE(CookiePathMatch("/", "/cart"));
 }
 
+TEST(CookieMatch, EmptyCookiePathMatchesNothing) {
+  EXPECT_FALSE(CookiePathMatch("/x", ""));
+  EXPECT_FALSE(CookiePathMatch("/", ""));
+  EXPECT_FALSE(CookiePathMatch("", ""));
+
+  // Store takes such a cookie through the public API; no request sees
+  // it, and it sits alongside a well-formed one.
+  CookieJar jar;
+  Cookie empty_path;
+  empty_path.name = "bad";
+  empty_path.value = "1";
+  empty_path.domain = "shop.example.com";
+  empty_path.path = "";
+  jar.Store(empty_path);
+  jar.SetFromHeader("sid=1", kPage, kNow);
+  EXPECT_EQ(jar.size(), 2u);
+  EXPECT_EQ(jar.CookieHeaderFor(kPage, kNow), "sid=1");
+  EXPECT_EQ(jar.CookieHeaderFor(Url::MustParse("https://shop.example.com/"),
+                                kNow),
+            "sid=1");
+}
+
 TEST(CookieJarTest, StoreAndMatch) {
   CookieJar jar;
   jar.SetFromHeader("sid=1; Path=/", kPage, kNow);

@@ -53,6 +53,20 @@ TEST(Headers, RemoveAllOccurrencesCountsThem) {
   EXPECT_EQ(headers.Remove("gone"), 0u);
 }
 
+TEST(Headers, TakeReturnsTheFirstValueAndRemovesEveryOccurrence) {
+  HttpHeaders headers;
+  headers.Add("x-panoptes-taint", "1");
+  headers.Add("Accept", "a");
+  headers.Add("X-Panoptes-Taint", "2");
+  headers.Add("Cookie", "c");
+  EXPECT_EQ(headers.Take("X-PANOPTES-taint"), "1");
+  const std::vector<HttpHeaders::Entry> rest = {{"Accept", "a"},
+                                                {"Cookie", "c"}};
+  EXPECT_EQ(headers.entries(), rest);
+  EXPECT_EQ(headers.Take("x-panoptes-taint"), std::nullopt);
+  EXPECT_EQ(headers.entries(), rest);
+}
+
 TEST(Headers, PreservesInsertionOrder) {
   HttpHeaders headers;
   headers.Add("A", "1");

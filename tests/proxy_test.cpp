@@ -1,6 +1,9 @@
 // MITM proxy + flow store tests.
 #include <gtest/gtest.h>
 
+#include "chaos/injector.h"
+#include "core/blocker.h"
+#include "core/taint_addon.h"
 #include "net/fabric.h"
 #include "proxy/flowstore.h"
 #include "proxy/mitm.h"
@@ -272,6 +275,83 @@ TEST_F(MitmTest, ForwardToUnknownIpYields502Flow) {
   EXPECT_EQ(response.status, 502);
   ASSERT_EQ(addon->flows.size(), 1u);
   EXPECT_EQ(addon->flows.front().response_status, 502);
+}
+
+// The headers and body the proxy stores are the ones it forwarded: in
+// order, taint stripped, equal to what the server received. Flows that
+// are never delivered (blocked, upstream reset) still record them.
+TEST_F(MitmTest, StoredFlowCarriesTheForwardedRequest) {
+  proxy_.AddAddon(std::make_shared<core::TaintFilterAddon>());
+  auto blocker = std::make_shared<core::NativeTrackerBlocker>(
+      [](std::string_view host) { return host == "blocked.com"; });
+  proxy_.AddAddon(blocker);
+  auto capture = std::make_shared<RecordingAddon>();
+  proxy_.AddAddon(capture);
+
+  auto make = [](std::string_view url, bool tainted) {
+    net::HttpRequest request = Get(url);
+    request.method = net::HttpMethod::kPost;
+    request.headers.Add("Accept", "*/*");
+    if (tainted) request.headers.Add("X-Panoptes-Taint", "tok");
+    request.headers.Add("User-Agent", "UA/1.0");
+    request.headers.Add("Cookie", "sid=1");
+    request.body = "{\"k\":\"v\"}";
+    return request;
+  };
+  const std::vector<net::HttpHeaders::Entry> forwarded = {
+      {"Accept", "*/*"},
+      {"User-Agent", "UA/1.0"},
+      {"Cookie", "sid=1"},
+      {"x-addon-touched", "1"}};
+
+  for (bool tainted : {true, false}) {
+    SCOPED_TRACE(tainted ? "engine" : "native");
+    net::HttpRequest request = make("https://site.com/p?q=1", tainted);
+    const size_t wire = request.WireSize();
+    last_request_ = net::HttpRequest{};
+    auto response = proxy_.Forward(std::move(request), Meta());
+    EXPECT_EQ(response.status, 200);
+
+    const Flow& flow = capture->flows.back();
+    EXPECT_EQ(flow.origin,
+              tainted ? TrafficOrigin::kEngine : TrafficOrigin::kNative);
+    EXPECT_EQ(flow.taint, tainted ? "tok" : "");
+    EXPECT_EQ(last_request_.headers.entries(), forwarded);
+    EXPECT_EQ(flow.request_headers.entries(), last_request_.headers.entries());
+    EXPECT_EQ(flow.request_body, last_request_.body);
+    EXPECT_EQ(flow.request_body, "{\"k\":\"v\"}");
+    // request_bytes is the size the client sent, taint included.
+    EXPECT_EQ(flow.request_bytes, wire);
+  }
+
+  // Blocked: answered locally, the server never sees it.
+  net::HttpRequest blocked = make("https://blocked.com/x", false);
+  const size_t blocked_wire = blocked.WireSize();
+  last_request_ = net::HttpRequest{};
+  EXPECT_EQ(proxy_.Forward(std::move(blocked), Meta()).status, 403);
+  EXPECT_TRUE(last_request_.url.host().empty());
+  EXPECT_TRUE(capture->flows.back().blocked);
+  EXPECT_EQ(capture->flows.back().request_headers.entries(), forwarded);
+  EXPECT_EQ(capture->flows.back().request_body, "{\"k\":\"v\"}");
+  EXPECT_EQ(capture->flows.back().request_bytes, blocked_wire);
+
+  // Upstream reset: the proxy answers 502 before delivery.
+  chaos::FaultProfile profile;
+  profile.upstream_reset_p = 1.0;
+  chaos::Injector injector(7, profile);
+  proxy_.SetChaos(&injector);
+  net::HttpRequest reset = make("https://site.com/r", true);
+  const size_t reset_wire = reset.WireSize();
+  EXPECT_EQ(proxy_.Forward(std::move(reset), Meta()).status, 502);
+  proxy_.SetChaos(nullptr);
+  EXPECT_TRUE(last_request_.url.host().empty());
+  const Flow& reset_flow = capture->flows.back();
+  EXPECT_TRUE(reset_flow.fault_injected);
+  EXPECT_EQ(reset_flow.origin, TrafficOrigin::kEngine);
+  EXPECT_EQ(reset_flow.request_headers.entries(), forwarded);
+  EXPECT_EQ(reset_flow.request_body, "{\"k\":\"v\"}");
+  EXPECT_EQ(reset_flow.request_bytes, reset_wire);
+  EXPECT_EQ(capture->flows.size(), 4u);
 }
 
 }  // namespace

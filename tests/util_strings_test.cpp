@@ -20,6 +20,24 @@ TEST(Strings, EqualsIgnoreCase) {
   EXPECT_FALSE(EqualsIgnoreCase("abc", "abd"));
 }
 
+TEST(Strings, StartsWithIgnoreCase) {
+  EXPECT_TRUE(StartsWithIgnoreCase("X-PANOPTES-TAINT", "x-panoptes"));
+  EXPECT_TRUE(StartsWithIgnoreCase("x-panoptes", "X-Panoptes"));
+  EXPECT_TRUE(StartsWithIgnoreCase("anything", ""));
+  EXPECT_FALSE(StartsWithIgnoreCase("x-panopte", "x-panoptes"));
+  EXPECT_FALSE(StartsWithIgnoreCase("xx-panoptes", "x-panoptes"));
+}
+
+TEST(Strings, LowerIfNeededFoldsOnlyUppercaseInput) {
+  std::string storage;
+  std::string_view plain = "a.example.com";
+  std::string_view out = LowerIfNeeded(plain, storage);
+  EXPECT_EQ(out.data(), plain.data());  // no copy
+  EXPECT_TRUE(storage.empty());
+  EXPECT_EQ(LowerIfNeeded("A.Example.COM", storage), "a.example.com");
+  EXPECT_EQ(storage, "a.example.com");
+}
+
 TEST(Strings, Trim) {
   EXPECT_EQ(Trim("  hello \t\n"), "hello");
   EXPECT_EQ(Trim("hello"), "hello");
