@@ -91,7 +91,7 @@ Capture& GetCapture() {
                                sites, crawl_options);
     for (const auto* site : sites) {
       c->visited.push_back(site->landing_url);
-      c->site_hosts.insert(site->landing_url.host());
+      c->site_hosts.emplace(site->landing_url.host());
     }
     c->geo = analysis::GeoIpDb(c->framework->geo_plan().ranges());
     return c;

@@ -97,7 +97,7 @@ void WriteVisit(const VisitRecord& visit, util::BinWriter& out) {
 
 void ReadVisit(util::BinReader& in, VisitRecord* visit) {
   visit->hostname = in.Str();
-  visit->category = static_cast<web::SiteCategory>(in.U8());
+  visit->category = in.Enum(web::SiteCategory::kHealth);
   visit->ok = in.Bool();
   visit->dom_content_loaded = in.Bool();
   visit->incognito_honored = in.Bool();

@@ -67,7 +67,7 @@ SendOutcome NetworkStack::Send(net::HttpRequest request,
   SendOutcome outcome;
   outcome.request_bytes = request.WireSize();
 
-  const std::string& host = request.url.host();
+  const std::string_view host = request.url.host();
   auto ip = ctx.resolver->Resolve(host);
   if (!ip) {
     // A failed lookup still costs a resolver round trip.
@@ -194,7 +194,7 @@ SendOutcome NetworkStack::DirectExchange(const net::HttpRequest& request,
                                          net::HttpVersion version) {
   SendOutcome outcome;
   outcome.request_bytes = request.WireSize();
-  const std::string& host = request.url.host();
+  const std::string_view host = request.url.host();
   const bool https = request.url.scheme() == "https";
 
   if (https) {

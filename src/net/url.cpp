@@ -1,5 +1,6 @@
 #include "net/url.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 
@@ -8,57 +9,41 @@
 namespace panoptes::net {
 
 std::optional<Url> Url::Parse(std::string_view text) {
-  Url url;
-  size_t scheme_end = text.find("://");
+  // Rewrite only what Url normalizes; UrlView::Parse validates and
+  // slices the result.
+  const size_t scheme_end = text.find("://");
   if (scheme_end == std::string_view::npos) return std::nullopt;
-  url.scheme_ = util::ToLower(text.substr(0, scheme_end));
-  if (url.scheme_ != "http" && url.scheme_ != "https") return std::nullopt;
-  text.remove_prefix(scheme_end + 3);
-
-  // Authority runs to the first of '/', '?', '#'.
-  size_t authority_end = text.find_first_of("/?#");
-  std::string_view authority = text.substr(0, authority_end);
-  if (authority.empty()) return std::nullopt;
-
-  size_t colon = authority.rfind(':');
-  if (colon != std::string_view::npos) {
-    std::string_view digits = authority.substr(colon + 1);
-    auto port = util::ParseUint(digits);
-    if (!port || *port == 0 || *port > 65535) return std::nullopt;
-    // ":080" would re-serialize as ":80", breaking parse∘serialize
-    // identity and letting one origin intern under two spellings.
-    if (digits.front() == '0') return std::nullopt;
-    url.port_ = static_cast<uint16_t>(*port);
-    authority = authority.substr(0, colon);
-  }
-  if (authority.empty()) return std::nullopt;
-  url.host_ = util::ToLower(authority);
-  // A scheme-default port normalizes away entirely, so
-  // "https://a.com:443" and "https://a.com" are one origin — and one
-  // join key — everywhere downstream.
-  if (url.port_ && *url.port_ == (url.scheme_ == "https" ? 443 : 80)) {
-    url.port_.reset();
+  const size_t authority_end = text.find_first_of("/?#", scheme_end + 3);
+  std::string folded;
+  std::string_view origin =
+      util::LowerIfNeeded(text.substr(0, authority_end), folded);
+  const std::string_view default_port =
+      origin.substr(0, scheme_end) == "https" ? ":443" : ":80";
+  if (origin.ends_with(default_port)) {
+    origin.remove_suffix(default_port.size());
+    // A host holding ':' would re-slice as host and port.
+    if (origin.find(':', scheme_end + 3) != std::string_view::npos) {
+      return std::nullopt;
+    }
   }
 
-  if (authority_end == std::string_view::npos) return url;
-  text.remove_prefix(authority_end);
+  const std::string_view rest = authority_end == std::string_view::npos
+                                    ? std::string_view()
+                                    : text.substr(authority_end);
+  const size_t fragment = std::min(rest.find('#'), rest.size());
+  const size_t query = std::min(rest.substr(0, fragment).find('?'), fragment);
+  std::string canonical;
+  canonical.reserve(origin.size() + rest.size() + 1);
+  canonical += origin;
+  if (query == 0) canonical += '/';
+  canonical += rest.substr(0, query);
+  // A bare '?' or '#' carries nothing and is dropped.
+  if (fragment - query > 1) canonical += rest.substr(query, fragment - query);
+  if (rest.size() - fragment > 1) canonical += rest.substr(fragment);
 
-  size_t query_pos = text.find('?');
-  size_t frag_pos = text.find('#');
-  size_t path_end = std::min(query_pos, frag_pos);
-  std::string_view path = text.substr(0, path_end);
-  url.path_ = path.empty() ? "/" : std::string(path);
-
-  if (query_pos != std::string_view::npos && query_pos < frag_pos) {
-    size_t query_len = (frag_pos == std::string_view::npos)
-                           ? std::string_view::npos
-                           : frag_pos - query_pos - 1;
-    url.query_ = std::string(text.substr(query_pos + 1, query_len));
-  }
-  if (frag_pos != std::string_view::npos) {
-    url.fragment_ = std::string(text.substr(frag_pos + 1));
-  }
-  return url;
+  auto view = UrlView::Parse(canonical);
+  if (!view) return std::nullopt;
+  return Url(std::move(canonical), *view);
 }
 
 Url Url::MustParse(std::string_view text) {
@@ -71,34 +56,15 @@ Url Url::MustParse(std::string_view text) {
   return *url;
 }
 
-uint16_t Url::EffectivePort() const {
-  if (port_) return *port_;
-  return scheme_ == "https" ? 443 : 80;
-}
-
-void Url::set_path(std::string path) {
-  path_ = path.empty() || path[0] != '/' ? "/" + path : std::move(path);
-}
-
-std::string Url::Origin() const {
-  std::string out = scheme_ + "://" + host_;
-  if (port_) {
-    out += ":" + std::to_string(*port_);
-  }
-  return out;
-}
-
-std::string Url::Serialize() const {
-  std::string out = Origin() + path_;
-  if (!query_.empty()) out += "?" + query_;
-  if (!fragment_.empty()) out += "#" + fragment_;
-  return out;
-}
-
-std::string Url::RequestTarget() const {
-  std::string out = path_;
-  if (!query_.empty()) out += "?" + query_;
-  return out;
+void Url::AddQueryParam(std::string_view name, std::string_view value) {
+  // The pair ends the query, so it goes in before any fragment.
+  const std::string pair = (layout_.has_query_ ? "&" : "?") +
+                           util::PercentEncode(name) + "=" +
+                           util::PercentEncode(value);
+  text_.insert(layout_.QueryEnd(), pair);
+  layout_.query_len_ += static_cast<uint32_t>(
+      layout_.has_query_ ? pair.size() : pair.size() - 1);
+  layout_.has_query_ = true;
 }
 
 std::vector<std::pair<std::string, std::string>> DecodeQueryParams(
@@ -108,27 +74,6 @@ std::vector<std::pair<std::string, std::string>> DecodeQueryParams(
     out.emplace_back(util::PercentDecode(key), util::PercentDecode(value));
   });
   return out;
-}
-
-std::vector<std::pair<std::string, std::string>> Url::QueryParams() const {
-  return DecodeQueryParams(query_);
-}
-
-std::optional<std::string> Url::QueryParam(std::string_view name) const {
-  for (auto& [key, value] : QueryParams()) {
-    if (key == name) return value;
-  }
-  return std::nullopt;
-}
-
-void Url::AddQueryParam(std::string_view name, std::string_view value) {
-  std::string pair =
-      util::PercentEncode(name) + "=" + util::PercentEncode(value);
-  if (query_.empty()) {
-    query_ = std::move(pair);
-  } else {
-    query_ += "&" + pair;
-  }
 }
 
 namespace {
@@ -153,8 +98,7 @@ std::optional<UrlView> UrlView::Parse(std::string_view text) {
 
   std::string_view rest = text.substr(scheme_end + 3);
   size_t authority_end = rest.find_first_of("/?#");
-  // Url::Serialize always emits a path (at least "/"); text without one
-  // is not a serialization, so the view has nothing stable to slice.
+  // Canonical text always has a path (at least "/").
   if (authority_end == std::string_view::npos) return std::nullopt;
   if (rest[authority_end] != '/') return std::nullopt;  // empty path
   std::string_view authority = rest.substr(0, authority_end);
@@ -165,9 +109,8 @@ std::optional<UrlView> UrlView::Parse(std::string_view text) {
     std::string_view digits = authority.substr(colon + 1);
     auto port = util::ParseUint(digits);
     if (!port || *port == 0 || *port > 65535) return std::nullopt;
-    // Url normalizes leading-zero digits and scheme-default ports away;
-    // text carrying either is not a serialization, so the view (which
-    // can only slice, not rewrite) rejects it.
+    // Leading-zero digits and a scheme-default port are non-canonical
+    // spellings of a port; a view can only slice, not rewrite.
     if (digits.front() == '0') return std::nullopt;
     if (*port == (scheme_end == 5 ? 443u : 80u)) return std::nullopt;
     view.port_len_ = static_cast<uint32_t>(digits.size());
@@ -186,8 +129,7 @@ std::optional<UrlView> UrlView::Parse(std::string_view text) {
   if (query_pos != std::string_view::npos && query_pos < frag_pos) {
     size_t query_end =
         frag_pos == std::string_view::npos ? tail.size() : frag_pos;
-    // A bare '?' (empty query) serializes without the '?', so this text
-    // cannot round-trip; same for a bare '#' below.
+    // Canonical text has no bare '?' (empty query); nor a bare '#'.
     if (query_end == query_pos + 1) return std::nullopt;
     view.has_query_ = true;
     view.query_len_ = static_cast<uint32_t>(query_end - query_pos - 1);
@@ -206,23 +148,6 @@ uint16_t UrlView::EffectivePort() const {
     return static_cast<uint16_t>(*util::ParseUint(digits));
   }
   return scheme_len_ == 5 ? 443 : 80;  // "https" vs "http"
-}
-
-std::string_view UrlView::fragment() const {
-  if (!has_fragment_) return std::string_view();
-  size_t begin =
-      PathBegin() + path_len_ + (has_query_ ? query_len_ + 1 : 0) + 1;
-  return text_.substr(begin);
-}
-
-std::string UrlView::Origin() const {
-  // "scheme://host[:port]" is exactly the text up to the path.
-  return std::string(text_.substr(0, PathBegin()));
-}
-
-std::string UrlView::RequestTarget() const {
-  size_t len = path_len_ + (has_query_ ? query_len_ + 1 : 0);
-  return std::string(text_.substr(PathBegin(), len));
 }
 
 std::optional<std::string> UrlView::QueryParam(std::string_view name) const {

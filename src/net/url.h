@@ -4,8 +4,16 @@
 // URLs are the central object of the study: the taint splitter keys on
 // them, the history-leak detector searches for them (plain, percent-
 // encoded or Base64-encoded) inside other requests' parameters.
+//
+// One layout, one parser. A URL is its canonical text ("scheme://host
+// [:port]path[?query][#fragment]") plus the offsets UrlView::Parse
+// slices it at. UrlView borrows the text (the arena-backed FlowStore
+// keeps it stable); Url owns it. Url::Parse only rewrites the spellings
+// it normalizes into that canonical text and hands it to UrlView::Parse,
+// so the two forms cannot disagree on a component.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -13,62 +21,6 @@
 #include <vector>
 
 namespace panoptes::net {
-
-class Url {
- public:
-  Url() = default;
-
-  // Parses an absolute http(s) URL. Returns nullopt for other schemes,
-  // empty hosts, or invalid ports (zero, > 65535, non-digits, leading
-  // zeros). A scheme-default port (":443" on https, ":80" on http)
-  // parses but normalizes away, so the default-port and portless
-  // spellings of an origin compare — and serialize — identically.
-  static std::optional<Url> Parse(std::string_view text);
-
-  // Convenience for literals that are known-valid; aborts on failure.
-  static Url MustParse(std::string_view text);
-
-  const std::string& scheme() const { return scheme_; }
-  const std::string& host() const { return host_; }
-  // Port from the URL, or the scheme default (80/443).
-  uint16_t EffectivePort() const;
-  bool has_explicit_port() const { return port_.has_value(); }
-  const std::string& path() const { return path_; }    // always begins '/'
-  const std::string& query() const { return query_; }  // without '?'
-  const std::string& fragment() const { return fragment_; }
-
-  void set_path(std::string path);
-  void set_query(std::string query) { query_ = std::move(query); }
-
-  // "https://host[:port]" with the port omitted when default.
-  std::string Origin() const;
-
-  // Full serialization; parse(Serialize()) is the identity for parsed
-  // URLs.
-  std::string Serialize() const;
-
-  // Path plus "?query" when non-empty (the HTTP/1.1 request target).
-  std::string RequestTarget() const;
-
-  // Decoded (name, value) pairs in order of appearance.
-  std::vector<std::pair<std::string, std::string>> QueryParams() const;
-
-  // First value for `name` after decoding; nullopt if absent.
-  std::optional<std::string> QueryParam(std::string_view name) const;
-
-  // Appends an encoded name=value pair to the query string.
-  void AddQueryParam(std::string_view name, std::string_view value);
-
-  friend bool operator==(const Url&, const Url&) = default;
-
- private:
-  std::string scheme_;
-  std::string host_;
-  std::optional<uint16_t> port_;
-  std::string path_ = "/";
-  std::string query_;
-  std::string fragment_;
-};
 
 // Builds "name=value&..." from pairs with percent-encoding.
 std::string EncodeQuery(
@@ -102,29 +54,29 @@ void ForEachQueryParamRaw(std::string_view query, Fn&& fn) {
 }
 
 // Decoded (name, value) pairs of a raw query string (without '?'), in
-// order of appearance — the single decode routine behind both
-// Url::QueryParams and UrlView::QueryParams, so the owning and view
-// forms can never drift apart.
+// order of appearance — the single decode routine behind
+// UrlView::QueryParams.
 std::vector<std::pair<std::string, std::string>> DecodeQueryParams(
     std::string_view query);
 
-// Non-owning view of a serialized absolute http(s) URL.
+class Url;
+
+// Non-owning view of a canonical URL text.
 //
-// A UrlView slices one contiguous text in Url::Serialize form
-// ("scheme://host[:port]path[?query][#fragment]"); the arena-backed
-// FlowStore keeps that text stable for the store's lifetime, so flows
-// expose their URLs without per-flow string ownership. Accessors mirror
-// Url member for member; for any text t, UrlView::Parse(t) and
-// Url::Parse(t) agree on every component.
+// The view slices one contiguous text in Url::Serialize form; the
+// arena-backed FlowStore keeps that text stable for the store's
+// lifetime, so flows expose their URLs without per-flow string
+// ownership.
 class UrlView {
  public:
   UrlView() = default;
 
-  // Splits `text` without allocating. `text` must outlive the view.
-  // Returns nullopt under exactly the conditions Url::Parse rejects,
-  // plus inputs whose serialization would differ from `text` (an
-  // uppercase scheme/host, an empty path, or an explicit scheme-default
-  // port — Url normalizes those, a view cannot).
+  // Splits `text` without allocating — the only URL parser. `text`
+  // must outlive the view. Returns nullopt for a scheme other than
+  // lowercase http/https, an empty or uppercase host, an invalid port
+  // (zero, > 65535, non-digits, leading zeros, or the scheme default)
+  // and for text without a path, with a bare '?' or a bare '#': a view
+  // can only slice, so it accepts exactly the canonical spellings.
   static std::optional<UrlView> Parse(std::string_view text);
 
   std::string_view text() const { return text_; }
@@ -132,6 +84,11 @@ class UrlView {
   std::string_view host() const {
     return text_.substr(scheme_len_ + 3, host_len_);
   }
+  // "host[:port]", the HTTP/1.1 Host header value.
+  std::string_view authority() const {
+    return text_.substr(scheme_len_ + 3, PathBegin() - scheme_len_ - 3);
+  }
+  // Port from the URL, or the scheme default (80/443).
   uint16_t EffectivePort() const;
   bool has_explicit_port() const { return port_len_ > 0; }
   std::string_view path() const {  // always begins '/'
@@ -141,28 +98,37 @@ class UrlView {
     return has_query_ ? text_.substr(PathBegin() + path_len_ + 1, query_len_)
                       : std::string_view();
   }
-  std::string_view fragment() const;
+  std::string_view fragment() const {  // without '#'; empty when absent
+    return has_fragment_ ? text_.substr(QueryEnd() + 1) : std::string_view();
+  }
 
   // "https://host[:port]" with the port omitted when default.
-  std::string Origin() const;
+  std::string Origin() const {
+    return std::string(text_.substr(0, PathBegin()));
+  }
 
   std::string Serialize() const { return std::string(text_); }
 
   // Path plus "?query" when non-empty (the HTTP/1.1 request target).
-  std::string RequestTarget() const;
+  std::string RequestTarget() const {
+    return std::string(text_.substr(PathBegin(), QueryEnd() - PathBegin()));
+  }
 
+  // Decoded (name, value) pairs in order of appearance.
   std::vector<std::pair<std::string, std::string>> QueryParams() const {
     return DecodeQueryParams(query());
   }
+  // First value for `name` after decoding; nullopt if absent.
   std::optional<std::string> QueryParam(std::string_view name) const;
 
-  // Owning copy, for call sites that must outlive the backing store.
-  Url ToUrl() const { return Url::MustParse(text_); }
+  // Owning copy of the text and layout, for call sites that must
+  // outlive the backing store.
+  Url ToUrl() const;
 
   // Re-points the view at `text`, which must hold the same bytes as
-  // text() at a different address (a relocated arena image). The parse
-  // offsets carry over unchanged, so this is a pointer swap, not a
-  // re-parse.
+  // text() at a different address (a relocated arena image, an owning
+  // Url's buffer). The offsets carry over unchanged, so this is a
+  // pointer swap, not a re-parse.
   UrlView RebasedTo(std::string_view text) const {
     UrlView out = *this;
     out.text_ = text;
@@ -170,8 +136,14 @@ class UrlView {
   }
 
  private:
+  friend class Url;
+
   size_t PathBegin() const {
     return scheme_len_ + 3 + host_len_ + (port_len_ > 0 ? port_len_ + 1 : 0);
+  }
+  // End of the request target: where '#' or the text ends.
+  size_t QueryEnd() const {
+    return PathBegin() + path_len_ + (has_query_ ? query_len_ + 1 : 0);
   }
 
   std::string_view text_;
@@ -179,9 +151,72 @@ class UrlView {
   uint32_t host_len_ = 0;
   uint32_t port_len_ = 0;  // digits only, 0 when no explicit port
   uint32_t path_len_ = 0;
-  uint32_t query_len_ = 0;  // meaningful only when has_query_
+  uint32_t query_len_ = 0;  // 0 when !has_query_
   bool has_query_ = false;
   bool has_fragment_ = false;
 };
+
+// Owning URL: its canonical text plus the UrlView layout over it.
+// Accessors slice the text, so they are valid until the Url is modified
+// or destroyed.
+class Url {
+ public:
+  // No scheme and no host; the path is "/". Serializes as ":///", a
+  // text no parse produces.
+  Url() { layout_.path_len_ = 1; }
+
+  // Parses an absolute http(s) URL. Folds an uppercase scheme or host,
+  // drops a scheme-default port (":443" on https, ":80" on http), writes
+  // a missing path as "/" and drops a bare '?' or '#' — so every
+  // spelling of a URL serializes, and compares, as one text — then
+  // rejects whatever UrlView::Parse rejects in that text.
+  static std::optional<Url> Parse(std::string_view text);
+
+  // Convenience for literals that are known-valid; aborts on failure.
+  static Url MustParse(std::string_view text);
+
+  std::string_view scheme() const { return view().scheme(); }
+  std::string_view host() const { return view().host(); }
+  std::string_view authority() const { return view().authority(); }
+  uint16_t EffectivePort() const { return view().EffectivePort(); }
+  bool has_explicit_port() const { return layout_.has_explicit_port(); }
+  std::string_view path() const { return view().path(); }
+  std::string_view query() const { return view().query(); }
+  std::string_view fragment() const { return view().fragment(); }
+  std::string Origin() const { return view().Origin(); }
+  // The canonical text; Parse(Serialize()) is the identity.
+  const std::string& Serialize() const { return text_; }
+  std::string RequestTarget() const { return view().RequestTarget(); }
+  std::vector<std::pair<std::string, std::string>> QueryParams() const {
+    return view().QueryParams();
+  }
+  std::optional<std::string> QueryParam(std::string_view name) const {
+    return view().QueryParam(name);
+  }
+
+  // Appends an encoded name=value pair to the query string.
+  void AddQueryParam(std::string_view name, std::string_view value);
+
+  // This URL as a view over its own text.
+  UrlView view() const { return layout_.RebasedTo(text_); }
+
+  friend bool operator==(const Url& a, const Url& b) {
+    return a.text_ == b.text_;
+  }
+
+ private:
+  friend class UrlView;
+
+  Url(std::string text, const UrlView& layout)
+      : text_(std::move(text)), layout_(layout.RebasedTo({})) {}
+
+  std::string text_ = ":///";
+  // Offsets into text_, with no text of its own: copying or moving a
+  // short Url moves its characters (small-string buffer), so a stored
+  // view would dangle. view() re-points it on each access.
+  UrlView layout_;
+};
+
+inline Url UrlView::ToUrl() const { return Url(std::string(text_), *this); }
 
 }  // namespace panoptes::net

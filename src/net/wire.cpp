@@ -44,7 +44,11 @@ std::string FormatRequest(const HttpRequest& request) {
   out += request.url.RequestTarget();
   out += " HTTP/1.1\r\n";
   if (!request.headers.Has("Host")) {
-    out += "Host: " + request.url.host() + "\r\n";
+    // host[:port]: ParseRequest rebuilds the URL from this header, so
+    // an explicit port must travel with it.
+    out += "Host: ";
+    out += request.url.authority();
+    out += "\r\n";
   }
   for (const auto& [name, value] : request.headers.entries()) {
     out += name + ": " + value + "\r\n";

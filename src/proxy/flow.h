@@ -60,7 +60,7 @@ struct Flow {
   uint64_t chain_id = 0;
   uint32_t redirect_hop = 0;
 
-  const std::string& Host() const { return url.host(); }
+  std::string_view Host() const { return url.host(); }
 };
 
 }  // namespace panoptes::proxy

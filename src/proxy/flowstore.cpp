@@ -89,13 +89,9 @@ void FlowStore::StoreFlow(const Flow& flow) {
   rec.app_uid = flow.app_uid;
   rec.method = flow.method;
 
-  // The URL is stored as its canonical serialization; the view re-slices
-  // it in place. A default-constructed Url has no scheme and cannot
-  // round-trip — such flows keep an empty view (Host() == ""), exactly
-  // the shape the owning-Flow store exposed.
-  std::string url_text = flow.url.Serialize();
-  std::string_view stored_url = arena_.Copy(url_text);
-  if (auto view = net::UrlView::Parse(stored_url)) rec.url = *view;
+  // The Url's own text and layout, re-pointed at the arena copy.
+  const net::UrlView url = flow.url.view();
+  rec.url = url.RebasedTo(arena_.Copy(url.text()));
   rec.host_id = InternHost(rec.url.host());
 
   if (!compact_) {
@@ -146,9 +142,7 @@ void FlowStore::StoreRec(const FlowView& src) {
   FlowView rec = src;
   rec.browser = InternLabel(src.browser);
 
-  std::string_view stored_url = arena_.Copy(src.url.text());
-  rec.url = net::UrlView();
-  if (auto view = net::UrlView::Parse(stored_url)) rec.url = *view;
+  rec.url = src.url.RebasedTo(arena_.Copy(src.url.text()));
   rec.host_id = InternHost(rec.url.host());
 
   rec.request_headers = HeadersView();
@@ -515,7 +509,7 @@ bool FlowStore::AppendRecords(util::BinReader& in) {
     if (browser_id >= labels.size()) return fail();
     rec.browser = labels[browser_id];
     rec.app_uid = static_cast<int>(in.I64());
-    rec.method = static_cast<net::HttpMethod>(in.U8());
+    rec.method = in.Enum(net::HttpMethod::kDelete);
     auto url = net::UrlView::Parse(Take(in.U32()));
     if (!url.has_value()) return fail();
     rec.url = *url;
@@ -536,8 +530,8 @@ bool FlowStore::AppendRecords(util::BinReader& in) {
     rec.request_bytes = in.U64();
     rec.response_bytes = in.U64();
     rec.server_ip = net::IpAddress(in.U32());
-    rec.version = static_cast<net::HttpVersion>(in.U8());
-    rec.origin = static_cast<TrafficOrigin>(in.U8());
+    rec.version = in.Enum(net::HttpVersion::kHttp3);
+    rec.origin = in.Enum(TrafficOrigin::kNative);
     rec.taint = Take(in.U32());
     rec.blocked = in.Bool();
     uint32_t blocked_id = in.U32();

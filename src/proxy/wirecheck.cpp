@@ -12,7 +12,7 @@ void WireCheckAddon::OnRequest(Flow& flow, net::HttpRequest& request) {
   bool ok = reparsed.has_value();
   if (ok) {
     ok = net::FormatRequest(*reparsed) == wire &&
-         reparsed->url.Serialize() == request.url.Serialize() &&
+         reparsed->url == request.url &&
          reparsed->body == request.body;
   }
   if (!ok) {

@@ -51,6 +51,14 @@ class BinReader {
   int64_t I64() { return static_cast<int64_t>(U64()); }
   double F64();
   std::string Str();
+  // A byte naming an enumerator no greater than `last`; any other byte
+  // poisons the reader, so corrupt input never becomes an enum value.
+  template <typename E>
+  E Enum(E last) {
+    const uint8_t v = U8();
+    if (v > static_cast<uint8_t>(last)) ok_ = false;
+    return ok_ ? static_cast<E>(v) : E{};
+  }
   // `n` raw bytes as a view into the underlying buffer (valid while the
   // buffer lives); empty + poisoned on underflow.
   std::string_view Raw(size_t n) { return Bytes(n); }

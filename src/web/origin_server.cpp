@@ -53,7 +53,7 @@ net::HttpResponse OriginServer::Handle(const net::HttpRequest& request,
 net::HttpResponse OriginServer::Respond(
     const net::HttpRequest& request) const {
   const Site& site = world_->site(index_);
-  const std::string& path = request.url.path();
+  const std::string_view path = request.url.path();
   if (path == site.landing_url.path()) {
     // First-party bounce: a landing hit that doesn't yet carry the
     // decoration parameter is 302'd through the site's tracker hops,

@@ -125,7 +125,8 @@ void ApplyScenarioOverlay(Site& site, const SiteGenOptions& options) {
     for (auto& resource : site.resources) {
       if (!resource.third_party) {
         resource.url = net::Url::MustParse(
-            "http://" + resource.url.host() + resource.url.RequestTarget());
+            "http://" + std::string(resource.url.host()) +
+            resource.url.RequestTarget());
       }
     }
   }
@@ -206,7 +207,7 @@ std::string RenderLandingHtml(const Site& site) {
   html += site.hostname;
   html += "</title>\n";
   for (const auto& resource : site.resources) {
-    std::string url = resource.url.Serialize();
+    const std::string& url = resource.url.Serialize();
     switch (resource.type) {
       case ResourceType::kScript:
         html += "<script src=\"" + url + "\"></script>\n";

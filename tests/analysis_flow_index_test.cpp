@@ -220,7 +220,7 @@ const CrawlFixture& Crawl() {
     for (const auto& site : f->framework->catalog().sites()) {
       sites.push_back(&site);
       f->visited.push_back(site.landing_url);
-      f->site_hosts.insert(site.landing_url.host());
+      f->site_hosts.emplace(site.landing_url.host());
     }
     core::CrawlOptions crawl_options;
     crawl_options.compact_engine_store = false;  // Referer analysis

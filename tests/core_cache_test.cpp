@@ -224,6 +224,87 @@ TEST(Snapshot, RejectsAnOutOfRangeCampaignKind) {
   }
 }
 
+// Enum bytes read from disk are range-checked: a flow's method, HTTP
+// version or traffic origin past its last enumerator is corruption, not
+// a value to cast.
+TEST(Snapshot, RejectsOutOfRangeFlowEnums) {
+  core::FleetExecutor executor(SmallFleet());
+  auto results = executor.Run(SmallPlan());
+  const core::FleetJobResult& result = FirstCrawl(results);
+  const std::string bytes = core::snapshot::Write(result, 1);
+  const proxy::FlowView& flow = result.crawl->engine_flows->flow(0);
+
+  // A record opens with its id and uid; the method byte follows the
+  // time, browser label id and app uid. Version and origin follow the
+  // url/header/body framing, status, byte counts and server IP.
+  util::BinWriter key;
+  key.U64(flow.id);
+  key.U64(flow.uid);
+  const size_t record = bytes.find(key.Take());
+  ASSERT_NE(record, std::string::npos);
+  const size_t method_at = record + 8 + 8 + 8 + 4 + 8;
+  const size_t version_at =
+      method_at + 1 + 4 + 4 + 8 * flow.request_headers.size() + 4 + 8 + 8 +
+      8 + 4;
+  const size_t origin_at = version_at + 1;
+  ASSERT_EQ(bytes[method_at], static_cast<char>(flow.method));
+  ASSERT_EQ(bytes[version_at], static_cast<char>(flow.version));
+  ASSERT_EQ(bytes[origin_at], static_cast<char>(flow.origin));
+
+  // Each byte with the value of its enum's last enumerator.
+  const std::pair<size_t, int> fields[] = {
+      {method_at, static_cast<int>(net::HttpMethod::kDelete)},
+      {version_at, static_cast<int>(net::HttpVersion::kHttp3)},
+      {origin_at, static_cast<int>(proxy::TrafficOrigin::kNative)},
+  };
+  core::FleetJobResult restored;
+  for (const auto& [at, last] : fields) {
+    std::string mutated = bytes;
+    mutated[at] = static_cast<char>(last);
+    EXPECT_TRUE(core::snapshot::Read(mutated, result.job, &restored)) << at;
+    for (int bad : {last + 1, 9, 0xFF}) {
+      mutated[at] = static_cast<char>(bad);
+      EXPECT_FALSE(core::snapshot::Read(mutated, result.job, &restored))
+          << at << " " << bad;
+      EXPECT_FALSE(core::snapshot::ReadAny(mutated, &restored))
+          << at << " " << bad;
+    }
+  }
+}
+
+TEST(Snapshot, RejectsAnOutOfRangeSiteCategory) {
+  core::FleetExecutor executor(SmallFleet());
+  auto results = executor.Run(SmallPlan());
+  const core::FleetJobResult& result = FirstCrawl(results);
+  const std::string bytes = core::snapshot::Write(result, 1);
+  ASSERT_FALSE(result.crawl->visits.empty());
+  const core::VisitRecord& visit = result.crawl->visits.front();
+
+  // A visit record opens with its hostname, then the category byte.
+  util::BinWriter key;
+  key.Str(visit.hostname);
+  key.U8(static_cast<uint8_t>(visit.category));
+  key.Bool(visit.ok);
+  key.Bool(visit.dom_content_loaded);
+  key.Bool(visit.incognito_honored);
+  key.I64(visit.engine_requests);
+  const std::string prefix = key.Take();
+  const size_t record = bytes.find(prefix);
+  ASSERT_NE(record, std::string::npos);
+  ASSERT_EQ(record, bytes.rfind(prefix));
+  const size_t category_at = record + 4 + visit.hostname.size();
+
+  core::FleetJobResult restored;
+  std::string mutated = bytes;
+  mutated[category_at] = static_cast<char>(web::SiteCategory::kHealth);
+  EXPECT_TRUE(core::snapshot::Read(mutated, result.job, &restored));
+  for (int bad : {static_cast<int>(web::SiteCategory::kHealth) + 1, 0xFF}) {
+    mutated[category_at] = static_cast<char>(bad);
+    EXPECT_FALSE(core::snapshot::Read(mutated, result.job, &restored)) << bad;
+    EXPECT_FALSE(core::snapshot::ReadAny(mutated, &restored)) << bad;
+  }
+}
+
 // The kind byte alone decides which tail follows the shared capture, so
 // a header that claims the other kind must not decode its payload.
 TEST(Snapshot, RejectsAPayloadOfTheOtherKind) {

@@ -7,7 +7,7 @@ namespace {
 
 HttpResponse Echo(const HttpRequest& request, const ConnectionMeta& meta) {
   (void)meta;
-  return HttpResponse::Ok("echo:" + request.url.path());
+  return HttpResponse::Ok("echo:" + std::string(request.url.path()));
 }
 
 TEST(Network, HostRegistersDnsAndCert) {

@@ -5,6 +5,7 @@
 
 #include "browser/engine.h"
 #include "net/url.h"
+#include "url_inputs.h"
 #include "util/rng.h"
 
 namespace panoptes::net {
@@ -12,34 +13,12 @@ namespace {
 
 class UrlFuzz : public ::testing::TestWithParam<int> {};
 
-std::string RandomBytes(util::Rng& rng, size_t length) {
-  std::string out;
-  for (size_t i = 0; i < length; ++i) {
-    out.push_back(static_cast<char>(rng.NextBelow(256)));
-  }
-  return out;
-}
+using url_inputs::RandomBytes;
 
 TEST_P(UrlFuzz, ParserNeverCrashesAndRoundTripsWhenAccepting) {
   util::Rng rng(static_cast<uint64_t>(GetParam()) * 2654435761u + 11);
   for (int i = 0; i < 200; ++i) {
-    std::string input;
-    switch (rng.NextBelow(3)) {
-      case 0:
-        input = RandomBytes(rng, rng.NextBelow(64));
-        break;
-      case 1:
-        // URL-ish prefix + garbage.
-        input = "https://" + RandomBytes(rng, rng.NextBelow(40));
-        break;
-      default:
-        // Mutate a valid URL.
-        input = "https://example.com/path?a=1#f";
-        if (!input.empty()) {
-          size_t pos = rng.NextBelow(input.size());
-          input[pos] = static_cast<char>(rng.NextBelow(256));
-        }
-    }
+    const std::string input = url_inputs::FuzzUrlInput(rng);
     auto url = Url::Parse(input);
     if (url) {
       // Postconditions for accepted input.

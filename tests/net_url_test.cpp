@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <string_view>
+#include <vector>
+
+#include "url_inputs.h"
 #include "util/rng.h"
 #include "util/strings.h"
 
@@ -159,12 +165,71 @@ TEST(Url, Base64ParamSurvivesEncoding) {
   EXPECT_EQ(Url::Parse(url.Serialize())->QueryParam("url"), b64);
 }
 
-TEST(Url, SetPathNormalises) {
-  Url url = Url::MustParse("https://h/");
-  url.set_path("no-slash");
-  EXPECT_EQ(url.path(), "/no-slash");
-  url.set_path("/ok");
-  EXPECT_EQ(url.path(), "/ok");
+// Url owns its text and re-points its layout on every access, so a
+// copy or move never reads the source's buffer — short URLs live in the
+// small-string buffer, which moves with the object.
+void ExpectUrl(const Url& url, std::string_view text) {
+  const UrlView want = *UrlView::Parse(text);
+  EXPECT_EQ(url.Serialize(), text);
+  EXPECT_EQ(url.scheme(), want.scheme());
+  EXPECT_EQ(url.host(), want.host());
+  EXPECT_EQ(url.authority(), want.authority());
+  EXPECT_EQ(url.EffectivePort(), want.EffectivePort());
+  EXPECT_EQ(url.path(), want.path());
+  EXPECT_EQ(url.query(), want.query());
+  EXPECT_EQ(url.fragment(), want.fragment());
+  EXPECT_EQ(url.Origin(), want.Origin());
+  EXPECT_EQ(url.RequestTarget(), want.RequestTarget());
+  EXPECT_EQ(url.QueryParams(), want.QueryParams());
+  EXPECT_EQ(url.view().text().data(), url.Serialize().data());
+}
+
+TEST(Url, CopiesAndMovesKeepTheirOwnText) {
+  const std::string short_text = "http://a.b/c?d";
+  const std::string long_text =
+      "https://tracker.example.com:8443/a/long/path?x=1&y=%20#fragment";
+  ASSERT_LE(short_text.size(), std::string().capacity());  // inline buffer
+  for (const std::string* text : {&short_text, &long_text}) {
+    const std::string& other = text == &short_text ? long_text : short_text;
+    SCOPED_TRACE(*text);
+
+    auto source = std::make_unique<Url>(Url::MustParse(*text));
+    Url copied(*source);
+    Url copy_assigned = Url::MustParse(other);
+    copy_assigned = *source;
+    Url moved(std::move(*source));
+    source.reset();
+    ExpectUrl(copied, *text);
+    ExpectUrl(copy_assigned, *text);
+    ExpectUrl(moved, *text);
+
+    source = std::make_unique<Url>(Url::MustParse(*text));
+    Url move_assigned = Url::MustParse(other);
+    move_assigned = std::move(*source);
+    source.reset();
+    ExpectUrl(move_assigned, *text);
+
+    Url& alias = move_assigned;  // self-assignment
+    move_assigned = alias;
+    ExpectUrl(move_assigned, *text);
+
+    // Vector growth relocates every element.
+    std::vector<Url> urls;
+    for (int i = 0; i < 64; ++i) urls.push_back(Url::MustParse(*text));
+    for (const Url& url : urls) ExpectUrl(url, *text);
+  }
+
+  // AddQueryParam splices in before the fragment, and only into its own
+  // text.
+  const Url original = Url::MustParse("https://a.com/p#frag");
+  Url url = original;
+  url.AddQueryParam("k", "v#w");
+  ExpectUrl(url, "https://a.com/p?k=" + util::PercentEncode("v#w") + "#frag");
+  url.AddQueryParam("n", "2");
+  ExpectUrl(url,
+            "https://a.com/p?k=" + util::PercentEncode("v#w") + "&n=2#frag");
+  EXPECT_EQ(url.QueryParam("k"), "v#w");
+  ExpectUrl(original, "https://a.com/p#frag");
 }
 
 TEST(Url, EncodeQueryHelper) {
@@ -221,21 +286,7 @@ class UrlRoundTrip : public ::testing::TestWithParam<int> {};
 
 TEST_P(UrlRoundTrip, Holds) {
   util::Rng rng(static_cast<uint64_t>(GetParam()));
-  std::string text = "https://";
-  text += rng.NextToken(8) + "." + rng.NextToken(4) + ".com";
-  uint64_t port = 0;
-  if (rng.NextBool(0.3)) {
-    port = rng.NextInRange(1, 65535);
-    text += ":" + std::to_string(port);
-  }
-  int segments = static_cast<int>(rng.NextBelow(4));
-  for (int i = 0; i < segments; ++i) text += "/" + rng.NextToken(6);
-  if (segments == 0) text += "/";
-  if (rng.NextBool(0.5)) {
-    text += "?" + rng.NextToken(3) + "=" + rng.NextHex(8);
-    if (rng.NextBool(0.5)) text += "&" + rng.NextToken(2) + "=" + rng.NextToken(5);
-  }
-  if (rng.NextBool(0.2)) text += "#" + rng.NextToken(4);
+  const auto [text, port] = url_inputs::GenerateUrl(rng);
 
   auto url = Url::Parse(text);
   ASSERT_TRUE(url.has_value()) << text;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "util/rng.h"
 
 namespace panoptes::net {
@@ -53,6 +55,26 @@ TEST(Wire, RequestRoundTrip) {
   EXPECT_EQ(parsed->body, request.body);
   // And the re-render is identical.
   EXPECT_EQ(FormatRequest(*parsed), FormatRequest(request));
+}
+
+// ParseRequest rebuilds the URL from the Host header, so the header
+// carries the authority, explicit port included.
+TEST(Wire, RequestRoundTripKeepsAnExplicitPort) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"https://a.com:8443/p?q=1", "Host: a.com:8443\r\n"},
+      {"http://b.org:8080/", "Host: b.org:8080\r\n"},
+      {"http://c.net:443/x", "Host: c.net:443\r\n"},
+  };
+  for (const auto& [text, host_line] : cases) {
+    HttpRequest request;
+    request.url = Url::MustParse(text);
+    const std::string wire = FormatRequest(request);
+    EXPECT_NE(wire.find(host_line), std::string::npos) << text;
+    auto parsed = ParseRequest(wire, request.url.scheme() == "https");
+    ASSERT_TRUE(parsed.has_value()) << text;
+    EXPECT_EQ(parsed->url.Serialize(), text);
+    EXPECT_EQ(FormatRequest(*parsed), wire) << text;
+  }
 }
 
 TEST(Wire, ResponseRoundTrip) {

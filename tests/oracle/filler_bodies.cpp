@@ -16,7 +16,7 @@ std::string FillerBody(std::string_view tag, size_t size) {
 
 std::optional<net::HttpResponse> MaterializedSubresource(
     const web::Site& site, const net::HttpRequest& request) {
-  const std::string& path = request.url.path();
+  const std::string_view path = request.url.path();
   if (path == site.landing_url.path()) return std::nullopt;
   for (const auto& resource : site.resources) {
     if (!resource.third_party && resource.url.path() == path) {

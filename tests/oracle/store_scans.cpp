@@ -215,7 +215,7 @@ RefererReport AnalyzeRefererLeakage(const proxy::FlowStore& engine_flows) {
     ++report.leaking_requests;
     auto& entry = by_host[std::string(flow.Host())];
     ++entry.requests;
-    entry.sites.insert(referer_url->host());
+    entry.sites.emplace(referer_url->host());
   }
 
   report.leaks = SortedLeaks(by_host);

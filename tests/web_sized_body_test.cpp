@@ -71,7 +71,7 @@ Coverage CheckWorld(const std::shared_ptr<const World>& world) {
         EXPECT_TRUE(sized.body.empty());
         ++coverage.origin;
       } else {
-        auto server = third_parties.find(resource.url.host());
+        auto server = third_parties.find(std::string(resource.url.host()));
         if (server == third_parties.end()) {
           ADD_FAILURE() << "no third-party server for this host";
           continue;
@@ -148,7 +148,7 @@ TEST(SizedBody, LandingAndErrorBodiesStayMaterialized) {
 
   net::HttpRequest missing;
   missing.url = net::Url::MustParse(
-      landing.url.scheme() + "://" + landing.url.host() + "/not/there");
+      landing.url.Origin() + "/not/there");
   auto error = origin.Handle(missing, meta);
   EXPECT_EQ(error.status, 404);
   EXPECT_FALSE(error.body.empty());
