@@ -54,13 +54,13 @@
 #include "core/framework.h"
 #include "core/result_cache.h"
 #include "core/run_manifest.h"
+#include "core/testbed.h"
 #include "device/population.h"
 #include "proxy/har.h"
 #include "util/args.h"
 #include "util/hex.h"
 #include "util/strings.h"
 #include "web/sitelist.h"
-#include "web/world.h"
 
 using namespace panoptes;
 
@@ -350,19 +350,19 @@ int CmdFleet(const util::Args& args) {
     obs::Journal run_journal;
     std::string combined = "{\"results\":[";
     bool first = true;
-    // Every browser's framework serves the same generated web, built
-    // once, as the fleet executor does.
+    // Every browser's framework runs on the same testbed, built once, as
+    // the fleet executor does.
     core::FrameworkOptions base_fw = options.framework;
     base_fw.catalog_seed = options.base_seed;
-    const auto world =
-        web::World::Build(base_fw.CatalogSeed(), base_fw.catalog);
+    const auto testbed =
+        core::Testbed::Build(base_fw.CatalogSeed(), base_fw.catalog);
     for (const auto& spec : browsers) {
       core::FrameworkOptions fw = base_fw;
       fw.seed = core::DeriveJobSeed(options.base_seed, spec.name,
                                     core::CampaignKind::kIdle, 0);
       obs::Journal job_journal;
       if (window_journal_path) fw.journal = &job_journal;
-      core::Framework framework(fw, world);
+      core::Framework framework(std::move(fw), testbed);
       auto result = core::RunWindow(framework, spec, window_options);
       std::printf(
           "%s window %llds: %llu native requests, %llu shed, %llu spill "
@@ -375,8 +375,8 @@ int CmdFleet(const util::Args& args) {
           result.watchdog_cancelled ? " [watchdog cancelled]" : "");
       if (!first) combined += ",";
       first = false;
-      combined += analysis::WindowReportJson(spec.name, result.native_index,
-                                             fw.device_profile);
+      combined += analysis::WindowReportJson(
+          spec.name, result.native_index, framework.options().device_profile);
       if (window_journal_path) run_journal.Append(job_journal);
     }
     combined += "]}";

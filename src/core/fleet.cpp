@@ -146,16 +146,16 @@ FleetExecutor::FleetExecutor(FleetOptions options)
 
 FleetExecutor::~FleetExecutor() = default;
 
-std::shared_ptr<const web::World> FleetExecutor::world() const {
+const std::shared_ptr<const Testbed>& FleetExecutor::testbed() const {
   // Built inside the first job's span, so its cost stays in that job's
   // time rather than in a span of its own.
-  std::call_once(world_once_, [this] {
-    world_ = web::World::Build(
+  std::call_once(testbed_once_, [this] {
+    testbed_ = Testbed::Build(
         options_.framework.catalog_seed.value_or(options_.base_seed),
         options_.framework.catalog);
     FleetMetrics::Get().world_builds.Inc();
   });
-  return world_;
+  return testbed_;
 }
 
 std::vector<FleetJob> FleetExecutor::PlanCampaign(
@@ -209,6 +209,7 @@ FleetJobResult FleetExecutor::ExecuteJob(const FleetJob& job, int attempt,
   FleetJobResult out;
   out.job = job;
 
+  // The job's options, built once and moved into its framework.
   FrameworkOptions fw = options_.framework;
   fw.seed = DeriveJobSeed(options_.base_seed, job.spec.name, job.kind,
                           job.shard, attempt,
@@ -217,7 +218,7 @@ FleetJobResult FleetExecutor::ExecuteJob(const FleetJob& job, int attempt,
   // cadence and endpoints all key off these traits.
   fw.device_profile = job.cohort.profile;
   // All jobs crawl the same generated web (the executor's shared
-  // world); only the runtime streams (browser jitter, tokens, idle
+  // testbed); only the runtime streams (browser jitter, tokens, idle
   // cadence) differ per job.
   if (!fw.catalog_seed.has_value()) fw.catalog_seed = options_.base_seed;
   out.seed = fw.seed;
@@ -241,7 +242,7 @@ FleetJobResult FleetExecutor::ExecuteJob(const FleetJob& job, int attempt,
           .Str("device", job.cohort.profile.model);
     }
   }
-  Framework framework(fw, world());
+  Framework framework(std::move(fw), testbed());
 
   if (job.kind == CampaignKind::kIdle) {
     IdleOptions idle = job.idle;

@@ -6,21 +6,26 @@
 // (browser, campaign kind, site shard) — and runs them on a pool of
 // worker threads. Each job owns a private Framework seeded from a
 // deterministically derived per-job seed: its own simulated clock,
-// network (DNS zone, web CA, origin servers and their hit counters),
-// vendor backends, device, proxy, chaos injector and flow stores.
+// network (DNS zone with its fault hooks, origin and vendor servers and
+// their hit counters, delivery counters), device, proxy, chaos injector
+// and flow stores.
 //
-// The one thing jobs share is the executor's web::World: the generated
-// site catalog and every rendered landing page, built once by the first
-// job that runs. Sharing it cannot couple jobs: it is immutable after
-// construction (handed out only as shared_ptr<const>), it draws no
-// randomness from any job's streams, and it is a pure function of
-// (catalog seed, CatalogOptions), which are the same for every job of a
-// run — a job's own Framework would have generated exactly these bytes.
-// So results are bit-identical to running the same job list one at a
-// time on a single thread, regardless of how the scheduler interleaves
-// workers. The differential harness (tests/core_fleet_test.cpp) pins
-// `Run` to that one-job-at-a-time oracle (tests/oracle/serial_fleet.h)
-// and to jobs run on standalone Frameworks.
+// The one thing jobs share is the executor's core::Testbed, built once
+// by the first job that runs: the generated web (site catalog and every
+// rendered landing page), the host table (every hostname's address, DNS
+// answer and genuine leaf), the address plan and the latency table.
+// Sharing it cannot couple jobs: it is immutable after construction
+// (handed out only as shared_ptr<const>), it draws no randomness from
+// any job's streams, and it is a pure function of (catalog seed,
+// CatalogOptions), which are the same for every job of a run — a job's
+// own Framework would have built exactly these bytes. Every per-job
+// draw (DNS and server faults included) still happens in the job's own
+// network, in the same order. So results are bit-identical to running
+// the same job list one at a time on a single thread, regardless of how
+// the scheduler interleaves workers. The differential harness
+// (tests/core_fleet_test.cpp) pins `Run` to that one-job-at-a-time
+// oracle (tests/oracle/serial_fleet.h) and to jobs run on standalone
+// Frameworks.
 #pragma once
 
 #include <functional>
@@ -34,9 +39,9 @@
 #include "browser/spec.h"
 #include "core/campaign.h"
 #include "core/framework.h"
+#include "core/testbed.h"
 #include "device/population.h"
 #include "obs/journal.h"
-#include "web/world.h"
 
 namespace panoptes::core {
 
@@ -179,11 +184,12 @@ class FleetExecutor {
   // Null when options.cache_dir is empty.
   const ResultCache* cache() const { return cache_.get(); }
 
-  // The generated web every job of this executor serves, built on first
-  // use — by the first job that executes, so a run whose every job
-  // replays from the cache builds none. A pure function of the catalog
-  // seed and CatalogOptions, which every cache fingerprint includes.
-  std::shared_ptr<const web::World> world() const;
+  // The testbed every job of this executor runs on (the generated web
+  // and its host table), built on first use — by the first job that
+  // executes, so a run whose every job replays from the cache builds
+  // none. A pure function of the catalog seed and CatalogOptions, which
+  // every cache fingerprint includes.
+  const std::shared_ptr<const Testbed>& testbed() const;
 
   // Runs every job on `options.jobs` worker threads. Results come back
   // indexed exactly like `jobs`, independent of scheduling. When
@@ -238,8 +244,8 @@ class FleetExecutor {
 
   FleetOptions options_;
   std::unique_ptr<ResultCache> cache_;
-  mutable std::once_flag world_once_;
-  mutable std::shared_ptr<const web::World> world_;
+  mutable std::once_flag testbed_once_;
+  mutable std::shared_ptr<const Testbed> testbed_;
 };
 
 }  // namespace panoptes::core

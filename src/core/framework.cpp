@@ -6,38 +6,42 @@
 
 namespace panoptes::core {
 
+namespace {
+
+// The testbed a framework is handed, once it is known to be the one its
+// options describe.
+std::shared_ptr<const Testbed> Checked(std::shared_ptr<const Testbed> testbed,
+                                       const FrameworkOptions& options) {
+  if (testbed == nullptr ||
+      !testbed->Matches(options.CatalogSeed(), options.catalog)) {
+    throw std::invalid_argument(
+        "Framework: the testbed does not match the options' catalog seed "
+        "and CatalogOptions");
+  }
+  return testbed;
+}
+
+}  // namespace
+
 Framework::Framework(FrameworkOptions options)
-    : Framework(options,
-                web::World::Build(options.CatalogSeed(), options.catalog)) {}
+    : Framework(Testbed::Build(options.CatalogSeed(), options.catalog),
+                std::move(options)) {}
 
 Framework::Framework(FrameworkOptions options,
-                     std::shared_ptr<const web::World> world)
-    : options_(options),
-      network_(options.seed ^ 0xFAB51Cull),
-      geo_plan_(vendors::GeoPlan::Default()),
-      world_(std::move(world)),
-      device_(options.device_profile),
-      netstack_(&device_, &network_, &clock_) {
-  if (world_ == nullptr ||
-      !world_->Matches(options_.CatalogSeed(), options_.catalog)) {
-    throw std::invalid_argument(
-        "Framework: the web::World does not match the options' catalog "
-        "seed and CatalogOptions");
-  }
-  // The generated web: this testbed's own origin servers, DNS records
-  // and certificates over the shared, read-only world.
-  std::vector<net::IpAllocator> origin_blocks = {
-      geo_plan_.Allocator("US-HOSTING"),
-      geo_plan_.Allocator("DE-HOSTING"),
-      geo_plan_.Allocator("NL-HOSTING"),
-  };
-  // Note: copies of the allocators are fine here — origin installation
-  // happens once, and the geo ranges (not offsets) drive geolocation.
-  web::InstallWeb(world_, network_, origin_blocks,
-                  geo_plan_.Allocator("US-ADTECH"));
+                     std::shared_ptr<const Testbed> testbed)
+    : Framework(std::move(testbed), std::move(options)) {}
 
-  // The vendor backends.
-  vendor_world_ = vendors::InstallVendors(network_, geo_plan_);
+Framework::Framework(std::shared_ptr<const Testbed> testbed,
+                     FrameworkOptions&& options)
+    : testbed_(Checked(std::move(testbed), options)),
+      options_(std::move(options)),
+      network_(&testbed_->hosts(), options_.seed ^ 0xFAB51Cull),
+      device_(options_.device_profile),
+      netstack_(&device_, &network_, &clock_) {
+  // This testbed's own servers at the shared table's slots: an origin
+  // per site over the shared world, and the vendor backends.
+  web::BindWeb(testbed_->world(), testbed_->web_plan(), network_);
+  vendor_world_ = vendors::BindVendors(testbed_->vendor_plan(), network_);
 
   // The proxy and its addon chain.
   proxy_ = std::make_unique<proxy::MitmProxy>(&network_,
@@ -64,16 +68,18 @@ Framework::Framework(FrameworkOptions options,
 
   // Per-destination latency: geo RTTs from the Greek vantage point, or
   // the flat latency, with chaos jitter layered on top when enabled.
-  std::unique_ptr<net::LatencyModel> latency;
+  // The geo table is the testbed's: the stack shares it, keeping the
+  // testbed alive.
+  std::shared_ptr<const net::LatencyModel> latency;
   if (options_.use_geo_latency) {
-    latency = std::make_unique<net::GeoLatencyModel>(
-        net::GeoLatencyModel::FromVantageGreece(geo_plan_.ranges()));
+    latency = std::shared_ptr<const net::LatencyModel>(testbed_,
+                                                       &testbed_->latency());
   }
   if (chaos_ != nullptr) {
     if (latency == nullptr) {
-      latency = std::make_unique<net::FixedLatency>(options_.latency);
+      latency = std::make_shared<net::FixedLatency>(options_.latency);
     }
-    latency = std::make_unique<net::ChaosLatencyModel>(std::move(latency),
+    latency = std::make_shared<net::ChaosLatencyModel>(std::move(latency),
                                                        chaos_.get());
   }
   if (latency != nullptr) netstack_.SetLatencyModel(std::move(latency));

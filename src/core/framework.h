@@ -1,11 +1,14 @@
 // Panoptes: the top-level framework (paper Fig 1).
 //
-// Owns the whole testbed — simulated clock, network fabric with the
-// generated web's servers and the vendor backends, the Android device,
-// the transparent MITM proxy with the taint-filter addon — and exposes
-// the two campaign types of the evaluation: crawls (§3.1-3.4) and idle
-// runs (§3.5). The generated web itself (web::World) is immutable and
-// may be shared with other frameworks; see the fleet executor.
+// Runs one testbed — simulated clock, network fabric with the generated
+// web's servers and the vendor backends, the Android device, the
+// transparent MITM proxy with the taint-filter addon — and exposes the
+// two campaign types of the evaluation: crawls (§3.1-3.4) and idle runs
+// (§3.5). The testbed's immutable half (core::Testbed: the generated
+// web, every host's address, DNS answer and leaf, the address plan and
+// latency table) may be shared with other frameworks; see the fleet
+// executor. What a framework owns is the mutable half: its network's
+// servers and counters, the device, the proxy and the chaos injector.
 #pragma once
 
 #include <memory>
@@ -18,15 +21,14 @@
 #include "chaos/injector.h"
 #include "chaos/profile.h"
 #include "core/taint_addon.h"
+#include "core/testbed.h"
 #include "device/device.h"
 #include "device/netstack.h"
 #include "net/fabric.h"
 #include "proxy/mitm.h"
 #include "util/clock.h"
-#include "vendors/geo_plan.h"
 #include "vendors/world.h"
 #include "web/catalog.h"
-#include "web/world.h"
 
 namespace panoptes::obs {
 class Journal;
@@ -77,16 +79,16 @@ struct FrameworkOptions {
 
 class Framework {
  public:
-  // Builds its own generated web (web::World::Build over the options'
-  // catalog seed and CatalogOptions).
+  // Builds its own testbed (Testbed::Build over the options' catalog
+  // seed and CatalogOptions).
   explicit Framework(FrameworkOptions options = {});
 
-  // Installs a prebuilt, shared web instead. The world must be exactly
-  // the one the options describe — same catalog seed, same
-  // CatalogOptions — or the constructor throws std::invalid_argument:
-  // the result cache fingerprints a job by its options, so a framework
-  // serving any other web would file results under a false identity.
-  Framework(FrameworkOptions options, std::shared_ptr<const web::World> world);
+  // Runs on a prebuilt, shared testbed instead. It must be exactly the
+  // one the options describe — same catalog seed, same CatalogOptions —
+  // or the constructor throws std::invalid_argument: the result cache
+  // fingerprints a job by its options, so a framework serving any other
+  // web would file results under a false identity.
+  Framework(FrameworkOptions options, std::shared_ptr<const Testbed> testbed);
 
   Framework(const Framework&) = delete;
   Framework& operator=(const Framework&) = delete;
@@ -94,9 +96,14 @@ class Framework {
   const FrameworkOptions& options() const { return options_; }
   util::SimClock& clock() { return clock_; }
   net::Network& network() { return network_; }
-  const web::SiteCatalog& catalog() const { return world_->catalog(); }
-  const std::shared_ptr<const web::World>& world() const { return world_; }
-  vendors::GeoPlan& geo_plan() { return geo_plan_; }
+  const web::SiteCatalog& catalog() const {
+    return testbed_->world()->catalog();
+  }
+  const std::shared_ptr<const Testbed>& testbed() const { return testbed_; }
+  const std::shared_ptr<const web::World>& world() const {
+    return testbed_->world();
+  }
+  const vendors::GeoPlan& geo_plan() const { return testbed_->geo_plan(); }
   vendors::VendorWorld& vendor_world() { return vendor_world_; }
   device::AndroidDevice& device() { return device_; }
   device::NetworkStack& netstack() { return netstack_; }
@@ -120,13 +127,17 @@ class Framework {
   browser::BrowserRuntime* current_browser() { return runtime_.get(); }
 
  private:
+  // Both public constructors end here. `options` is taken by reference
+  // so the one that builds its own testbed can read it first.
+  Framework(std::shared_ptr<const Testbed> testbed,
+            FrameworkOptions&& options);
+
+  std::shared_ptr<const Testbed> testbed_;  // before network_: it reads it
   FrameworkOptions options_;
   util::SimClock clock_;
   std::unique_ptr<chaos::Injector> chaos_;
   net::Network network_;
-  vendors::GeoPlan geo_plan_;
   vendors::VendorWorld vendor_world_;
-  std::shared_ptr<const web::World> world_;
   device::AndroidDevice device_;
   device::NetworkStack netstack_;
   std::unique_ptr<proxy::MitmProxy> proxy_;

@@ -111,8 +111,9 @@ class NetworkStack {
   void SetLatency(util::Duration latency) { latency_ = latency; }
 
   // Installs a per-destination latency model (e.g. GeoLatencyModel);
-  // overrides the fixed latency. Pass nullptr to revert.
-  void SetLatencyModel(std::unique_ptr<net::LatencyModel> model) {
+  // overrides the fixed latency. Pass nullptr to revert. The model may
+  // be shared: the stack only reads it.
+  void SetLatencyModel(std::shared_ptr<const net::LatencyModel> model) {
     latency_model_ = std::move(model);
   }
 
@@ -145,7 +146,7 @@ class NetworkStack {
   TrafficDiverter* diverter_ = nullptr;
   chaos::Injector* chaos_ = nullptr;
   util::Duration latency_ = util::Duration::Millis(25);
-  std::unique_ptr<net::LatencyModel> latency_model_;
+  std::shared_ptr<const net::LatencyModel> latency_model_;
   NetworkStackStats stats_;
   TrafficStatsRegistry traffic_;
 };

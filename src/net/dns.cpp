@@ -1,6 +1,7 @@
 #include "net/dns.h"
 
 #include "chaos/injector.h"
+#include "net/host_table.h"
 #include "util/json.h"
 #include "util/strings.h"
 
@@ -10,20 +11,28 @@ void DnsZone::AddRecord(std::string_view hostname, IpAddress address) {
   records_[util::ToLower(hostname)] = address;
 }
 
+void DnsZone::Attach(const HostTable* table) { tables_.push_back(table); }
+
+std::optional<IpAddress> DnsZone::Find(std::string_view folded) const {
+  auto it = records_.find(folded);
+  if (it != records_.end()) return it->second;
+  for (auto table = tables_.rbegin(); table != tables_.rend(); ++table) {
+    if (auto ip = (*table)->Address(folded)) return ip;
+  }
+  return std::nullopt;
+}
+
 std::optional<IpAddress> DnsZone::Lookup(std::string_view hostname) const {
   std::string folded;
   std::string_view key = util::LowerIfNeeded(hostname, folded);
   if (failing_.find(key) != failing_.end()) return std::nullopt;
   if (chaos_ != nullptr && chaos_->DnsFault(key)) return std::nullopt;
-  auto it = records_.find(key);
-  if (it == records_.end()) return std::nullopt;
-  return it->second;
+  return Find(key);
 }
 
 bool DnsZone::Has(std::string_view hostname) const {
   std::string folded;
-  return records_.find(util::LowerIfNeeded(hostname, folded)) !=
-         records_.end();
+  return Find(util::LowerIfNeeded(hostname, folded)).has_value();
 }
 
 void DnsZone::SetFailing(std::string_view hostname, bool failing) {

@@ -11,6 +11,7 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <vector>
 
 #include "net/ip.h"
 #include "util/strings.h"
@@ -21,12 +22,23 @@ class Injector;
 
 namespace panoptes::net {
 
+class HostTable;
+
 // Authoritative hostname → address mapping for the whole simulation.
+//
+// A zone answers from its own records first, then from the host tables
+// attached to it, the most recently attached first. A network's zone
+// holds no records of its own: it attaches the shared table and, once
+// something is bound at runtime, the network's overlay in front of it.
 class DnsZone {
  public:
   void AddRecord(std::string_view hostname, IpAddress address);
+  // Answers for every host of `table` too. Not owned; must outlive the
+  // zone.
+  void Attach(const HostTable* table);
   std::optional<IpAddress> Lookup(std::string_view hostname) const;
   bool Has(std::string_view hostname) const;
+  // Records added through AddRecord; attached tables are not counted.
   size_t size() const { return records_.size(); }
 
   // Simulate an outage for a specific name (failure injection).
@@ -39,9 +51,12 @@ class DnsZone {
   void SetChaos(chaos::Injector* injector) { chaos_ = injector; }
 
  private:
+  std::optional<IpAddress> Find(std::string_view folded) const;
+
   std::unordered_map<std::string, IpAddress, util::StringHash,
                      std::equal_to<>>
       records_;
+  std::vector<const HostTable*> tables_;  // searched back to front
   std::set<std::string, std::less<>> failing_;
   chaos::Injector* chaos_ = nullptr;
 };

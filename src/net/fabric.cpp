@@ -7,45 +7,69 @@
 
 namespace panoptes::net {
 
-Network::Network(uint64_t seed)
-    : web_ca_("SimWeb-Root-CA", util::Rng(seed)) {}
+Network::Network(uint64_t seed) : seed_(seed) { Overlay(); }
 
-const HostBinding& Network::Host(std::string hostname, IpAddress ip,
-                                 std::shared_ptr<Server> server,
-                                 bool supports_h3) {
-  std::string key = util::ToLower(hostname);
-  HostBinding binding;
-  binding.hostname = key;
-  binding.ip = ip;
-  binding.leaf = const_cast<CertificateAuthority&>(web_ca_).IssueLeaf(key);
-  binding.supports_h3 = supports_h3;
-  binding.server = std::move(server);
-
-  zone_.AddRecord(key, ip);
-  auto [it, _] = by_host_.insert_or_assign(key, std::move(binding));
-  by_ip_[ip.value()] = &it->second;
-  return it->second;
+Network::Network(const HostTable* table, uint64_t seed)
+    : table_(table), seed_(seed) {
+  zone_.Attach(table_);
+  servers_.resize(table_->end_slot());
 }
 
-const HostBinding* Network::FindByHost(std::string_view hostname) const {
-  std::string folded;
-  auto it = by_host_.find(util::LowerIfNeeded(hostname, folded));
-  return it == by_host_.end() ? nullptr : &it->second;
+HostTable& Network::Overlay() {
+  if (overlay_ == nullptr) {
+    overlay_ = std::make_unique<HostTable>(
+        seed_, table_ == nullptr ? 0 : table_->end_slot());
+    zone_.Attach(overlay_.get());
+  }
+  return *overlay_;
 }
 
-const HostBinding* Network::FindByIp(IpAddress ip) const {
-  auto it = by_ip_.find(ip.value());
-  return it == by_ip_.end() ? nullptr : it->second;
+const CertificateAuthority& Network::web_ca() const {
+  return table_ != nullptr ? table_->web_ca() : overlay_->web_ca();
+}
+
+void Network::Bind(uint32_t slot, std::shared_ptr<Server> server) {
+  servers_[slot] = std::move(server);
+}
+
+const HostRecord& Network::Host(std::string_view hostname, IpAddress ip,
+                                std::shared_ptr<Server> server,
+                                bool supports_h3) {
+  const HostRecord& record = Overlay().Add(hostname, ip, supports_h3);
+  if (servers_.size() <= record.slot) servers_.resize(record.slot + 1);
+  servers_[record.slot] = std::move(server);
+  return record;
+}
+
+const HostRecord* Network::FindByHost(std::string_view hostname) const {
+  if (overlay_ != nullptr) {
+    if (const HostRecord* record = overlay_->Find(hostname)) return record;
+  }
+  return table_ == nullptr ? nullptr : table_->Find(hostname);
+}
+
+const HostRecord* Network::FindByIp(IpAddress ip) const {
+  if (overlay_ != nullptr) {
+    if (const HostRecord* record = overlay_->FindByIp(ip)) return record;
+  }
+  if (table_ == nullptr) return nullptr;
+  const HostRecord* record = table_->FindByIp(ip);
+  // A table host rebound in the overlay no longer answers here.
+  if (record != nullptr && overlay_ != nullptr &&
+      overlay_->Find(record->hostname) != nullptr) {
+    return nullptr;
+  }
+  return record;
 }
 
 const Certificate* Network::LeafFor(std::string_view sni) const {
-  const auto* binding = FindByHost(sni);
-  return binding == nullptr ? nullptr : &binding->leaf;
+  const HostRecord* record = FindByHost(sni);
+  return record == nullptr ? nullptr : &record->leaf;
 }
 
 bool Network::SupportsH3(std::string_view hostname) const {
-  const auto* binding = FindByHost(hostname);
-  return binding != nullptr && binding->supports_h3;
+  const HostRecord* record = FindByHost(hostname);
+  return record != nullptr && record->supports_h3;
 }
 
 HttpResponse Network::Deliver(IpAddress server_ip, const HttpRequest& request,
@@ -57,11 +81,12 @@ HttpResponse Network::Deliver(IpAddress server_ip, const HttpRequest& request,
       break;
     }
   }
-  const auto* binding = FindByIp(server_ip);
-  if (binding == nullptr || binding->server == nullptr) {
+  const HostRecord* record = FindByIp(server_ip);
+  Server* server = record == nullptr ? nullptr : ServerFor(*record);
+  if (server == nullptr) {
     return HttpResponse::Error(502, "no server at " + server_ip.ToString());
   }
-  if (chaos_ != nullptr && chaos_->ServerError(binding->hostname)) {
+  if (chaos_ != nullptr && chaos_->ServerError(record->hostname)) {
     // An origin-side 5xx episode: the request reached the server (and
     // is counted above), but no genuine response comes back. The marker
     // header lets the proxy tag the flow as fault-injected.
@@ -70,7 +95,7 @@ HttpResponse Network::Deliver(IpAddress server_ip, const HttpRequest& request,
     error.headers.Set(chaos::kInjectedFaultHeader, "server-error");
     return error;
   }
-  return binding->server->Handle(request, meta);
+  return server->Handle(request, meta);
 }
 
 void Network::SetChaos(chaos::Injector* injector) {
@@ -80,9 +105,15 @@ void Network::SetChaos(chaos::Injector* injector) {
 
 std::vector<std::string> Network::Hostnames() const {
   std::vector<std::string> out;
-  out.reserve(by_host_.size());
-  for (const auto& [host, _] : by_host_) out.push_back(host);
+  const HostTable* tables[] = {table_, overlay_.get()};
+  for (const HostTable* table : tables) {
+    if (table == nullptr) continue;
+    for (const HostRecord& record : table->records()) {
+      out.push_back(record.hostname);
+    }
+  }
   std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
 }
 

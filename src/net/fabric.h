@@ -1,27 +1,29 @@
 // The in-process network fabric: every simulated remote endpoint
 // (website origins, browser-vendor backends, ad servers, DoH providers)
-// registers here, and all device traffic is delivered through it.
+// is reachable here, and all device traffic is delivered through it.
 //
-// The fabric is synchronous and deterministic. It owns the authoritative
-// DNS zone, the "web PKI" certificate authority that issues the real
-// leaf certificates, and the hostname → server bindings.
+// The fabric is synchronous and deterministic. A Network is one
+// testbed's mutable view of the simulated internet: its DNS zone, the
+// servers answering at each host (with their inspection state), the
+// chaos hooks and the delivery counters. What a host *is* (address,
+// genuine leaf, HTTP/3 support) lives in a net::HostTable, which a
+// network either shares read-only with other networks (Bind attaches a
+// server to each of its slots) or grows itself at runtime (Host).
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "net/dns.h"
+#include "net/host_table.h"
 #include "net/http.h"
 #include "net/ip.h"
 #include "net/tls.h"
 #include "util/clock.h"
-#include "util/strings.h"
 
 namespace panoptes::chaos {
 class Injector;
@@ -73,19 +75,16 @@ class FunctionServer : public Server {
   Handler handler_;
 };
 
-// One hostname bound to an address, a certificate and a server.
-struct HostBinding {
-  std::string hostname;
-  IpAddress ip;
-  Certificate leaf;        // issued by the fabric's web CA
-  bool supports_h3 = false;
-  std::shared_ptr<Server> server;
-};
-
 class Network {
  public:
-  // `seed` feeds the web CA's key-id generator.
+  // A network with no shared table: every host is bound through Host().
+  // `seed` feeds the web CA that issues those hosts' leaves.
   explicit Network(uint64_t seed = 0x9A7075E5u);
+
+  // A network over a shared, read-only `table` (not owned; must outlive
+  // the network). Servers attach to its slots through Bind; Host() adds
+  // overlay bindings that shadow it, with leaves from a CA fed by `seed`.
+  Network(const HostTable* table, uint64_t seed);
 
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
@@ -95,16 +94,28 @@ class Network {
 
   // The CA that signs every genuine server leaf. Device trust stores
   // include it by default (it models the public web PKI).
-  const CertificateAuthority& web_ca() const { return web_ca_; }
+  const CertificateAuthority& web_ca() const;
 
-  // Registers a hostname: adds the DNS record, issues a leaf and binds
-  // the server. Replaces any previous binding for the hostname.
-  const HostBinding& Host(std::string hostname, IpAddress ip,
-                          std::shared_ptr<Server> server,
-                          bool supports_h3 = false);
+  // Attaches `server` to slot `slot` of the shared table. Issues no leaf
+  // and adds no DNS record: the table already holds both.
+  void Bind(uint32_t slot, std::shared_ptr<Server> server);
 
-  const HostBinding* FindByHost(std::string_view hostname) const;
-  const HostBinding* FindByIp(IpAddress ip) const;
+  // Registers a hostname in this network's overlay: issues a leaf, makes
+  // the name resolve to `ip` and binds the server. A name bound before,
+  // in the overlay or the shared table, is shadowed and gives up its old
+  // address. The returned record is valid until the next Host call.
+  const HostRecord& Host(std::string_view hostname, IpAddress ip,
+                         std::shared_ptr<Server> server,
+                         bool supports_h3 = false);
+
+  const HostRecord* FindByHost(std::string_view hostname) const;
+  const HostRecord* FindByIp(IpAddress ip) const;
+
+  // The server this network binds for `record`; nullptr when none is.
+  Server* ServerFor(const HostRecord& record) const {
+    return record.slot < servers_.size() ? servers_[record.slot].get()
+                                         : nullptr;
+  }
 
   // Certificate the genuine server would present for `sni`; nullptr for
   // unknown hosts.
@@ -136,16 +147,15 @@ class Network {
   std::vector<std::string> Hostnames() const;
 
  private:
+  HostTable& Overlay();
+
+  const HostTable* table_ = nullptr;
+  uint64_t seed_;
+  // Created by the first Host() call; its slots follow the table's.
+  std::unique_ptr<HostTable> overlay_;
   DnsZone zone_;
-  CertificateAuthority web_ca_;
-  // Keys are folded once, at Host(); lookups fold only input that
-  // carries an uppercase letter. Hash nodes are stable, so by_ip_
-  // (keyed by IpAddress::value()) points straight at the binding, and a
-  // rebound name keeps its node.
-  std::unordered_map<std::string, HostBinding, util::StringHash,
-                     std::equal_to<>>
-      by_host_;
-  std::unordered_map<uint32_t, const HostBinding*> by_ip_;
+  // Indexed by HostRecord::slot, table slots first.
+  std::vector<std::shared_ptr<Server>> servers_;
   chaos::Injector* chaos_ = nullptr;
   uint64_t delivered_ = 0;
   uint64_t taint_leaks_ = 0;

@@ -64,14 +64,14 @@ class GeoLatencyModel : public LatencyModel {
 // bytes in the figures are unaffected, exactly like the base models.
 class ChaosLatencyModel : public LatencyModel {
  public:
-  ChaosLatencyModel(std::unique_ptr<LatencyModel> base,
+  ChaosLatencyModel(std::shared_ptr<const LatencyModel> base,
                     chaos::Injector* injector)
       : base_(std::move(base)), injector_(injector) {}
 
   util::Duration RttTo(IpAddress server) const override;
 
  private:
-  std::unique_ptr<LatencyModel> base_;
+  std::shared_ptr<const LatencyModel> base_;
   chaos::Injector* injector_;
 };
 

@@ -4,14 +4,8 @@ namespace panoptes::vendors {
 
 namespace {
 
-struct VendorHostSpec {
-  const char* hostname;
-  const char* country;  // GeoPlan block code
-  bool h3 = false;
-};
-
 // Every generic vendor backend. The specialised ones (Yandex sba/api,
-// oleads, DoH) are installed separately below.
+// oleads, DoH) are planned separately below.
 constexpr VendorHostSpec kTelemetryHosts[] = {
     // Google / Chrome.
     {"update.googleapis.com", "US", true},
@@ -101,50 +95,55 @@ constexpr VendorHostSpec kTelemetryHosts[] = {
 
 }  // namespace
 
-VendorWorld InstallVendors(net::Network& network, GeoPlan& plan) {
-  VendorWorld world;
+std::span<const VendorHostSpec> TelemetryHosts() { return kTelemetryHosts; }
 
-  for (const auto& spec : kTelemetryHosts) {
-    auto server = std::make_shared<TelemetryServer>(spec.hostname);
-    network.Host(spec.hostname, plan.Allocator(spec.country).Next(), server,
-                 spec.h3);
-    world.telemetry.emplace(spec.hostname, std::move(server));
+VendorPlan PlanVendors(net::HostTable& table, GeoPlan& geo) {
+  VendorPlan plan;
+  auto add = [&](const char* hostname, const char* country, bool h3) {
+    return table.Add(hostname, geo.Allocator(country).Next(), h3).slot;
+  };
+  plan.telemetry.reserve(TelemetryHosts().size());
+  for (const auto& spec : TelemetryHosts()) {
+    plan.telemetry.push_back(add(spec.hostname, spec.country, spec.h3));
   }
-
-  world.sba_yandex = std::make_shared<SbaYandexServer>();
-  network.Host("sba.yandex.net", plan.Allocator("RU").Next(),
-               world.sba_yandex);
-
-  world.yandex_api = std::make_shared<YandexApiServer>();
-  network.Host("api.browser.yandex.ru", plan.Allocator("RU").Next(),
-               world.yandex_api);
-
-  world.oleads = std::make_shared<OleadsServer>();
-  network.Host("s-odx.oleads.com", plan.Allocator("NO").Next(),
-               world.oleads);
+  plan.sba_yandex = add("sba.yandex.net", "RU", false);
+  plan.yandex_api = add("api.browser.yandex.ru", "RU", false);
+  plan.oleads = add("s-odx.oleads.com", "NO", false);
   // Americas CDN front of the same ad SDK backend: device cohorts west
   // of UTC fetch ads here (browser/profiles.cpp picks the endpoint by
   // device region). Same handler — only the hostname and geo differ.
-  network.Host("s-odx-amer.oleads.com", plan.Allocator("US").Next(),
-               world.oleads);
+  plan.oleads_amer = add("s-odx-amer.oleads.com", "US", false);
+  plan.bing = add("www.bing.com", "US", /*h3=*/true);
+  plan.sitecheck = add("sitecheck2.opera.com", "NO", false);
+  plan.cloudflare_doh = add("cloudflare-dns.com", "US-ANYCAST-CF", true);
+  plan.google_doh = add("dns.google", "US-ANYCAST-GOOG", true);
+  return plan;
+}
 
+VendorWorld BindVendors(const VendorPlan& plan, net::Network& network) {
+  VendorWorld world;
+  world.telemetry.reserve(plan.telemetry.size());
+  for (size_t i = 0; i < plan.telemetry.size(); ++i) {
+    auto server =
+        std::make_shared<TelemetryServer>(TelemetryHosts()[i].hostname);
+    network.Bind(plan.telemetry[i], server);
+    world.telemetry.push_back(std::move(server));
+  }
+  world.sba_yandex = std::make_shared<SbaYandexServer>();
+  network.Bind(plan.sba_yandex, world.sba_yandex);
+  world.yandex_api = std::make_shared<YandexApiServer>();
+  network.Bind(plan.yandex_api, world.yandex_api);
+  world.oleads = std::make_shared<OleadsServer>();
+  network.Bind(plan.oleads, world.oleads);
+  network.Bind(plan.oleads_amer, world.oleads);
   world.bing = std::make_shared<BingApiServer>();
-  network.Host("www.bing.com", plan.Allocator("US").Next(), world.bing,
-               /*supports_h3=*/true);
-
+  network.Bind(plan.bing, world.bing);
   world.sitecheck = std::make_shared<OperaSitecheckServer>();
-  network.Host("sitecheck2.opera.com", plan.Allocator("NO").Next(),
-               world.sitecheck);
-
+  network.Bind(plan.sitecheck, world.sitecheck);
   world.cloudflare_doh = std::make_shared<DohServer>(&network);
-  network.Host("cloudflare-dns.com",
-               plan.Allocator("US-ANYCAST-CF").Next(), world.cloudflare_doh,
-               /*supports_h3=*/true);
-
+  network.Bind(plan.cloudflare_doh, world.cloudflare_doh);
   world.google_doh = std::make_shared<DohServer>(&network);
-  network.Host("dns.google", plan.Allocator("US-ANYCAST-GOOG").Next(),
-               world.google_doh, /*supports_h3=*/true);
-
+  network.Bind(plan.google_doh, world.google_doh);
   return world;
 }
 

@@ -30,20 +30,38 @@ bool World::Matches(uint64_t seed, const CatalogOptions& options) const {
          identity_->options == options;
 }
 
-void InstallWeb(const std::shared_ptr<const World>& world,
-                net::Network& network,
+WebPlan PlanWeb(const World& world, net::HostTable& table,
                 std::vector<net::IpAllocator>& origin_blocks,
                 net::IpAllocator& thirdparty_block) {
-  for (size_t i = 0; i < world->size(); ++i) {
-    const Site& site = world->site(i);
+  WebPlan plan;
+  plan.site_slots.reserve(world.size());
+  for (size_t i = 0; i < world.size(); ++i) {
+    const Site& site = world.site(i);
     auto& block = origin_blocks[i % origin_blocks.size()];
-    network.Host(site.hostname, block.Next(),
-                 std::make_shared<OriginServer>(world, i), site.supports_h3);
+    plan.site_slots.push_back(
+        table.Add(site.hostname, block.Next(), site.supports_h3).slot);
   }
-  for (const auto& service : ThirdPartyPool()) {
-    network.Host(service.request_host, thirdparty_block.Next(),
-                 std::make_shared<ThirdPartyServer>(service),
-                 /*supports_h3=*/true);
+  const auto& pool = ThirdPartyPool();
+  plan.service_slots.reserve(pool.size());
+  for (const auto& service : pool) {
+    plan.service_slots.push_back(
+        table
+            .Add(service.request_host, thirdparty_block.Next(),
+                 /*supports_h3=*/true)
+            .slot);
+  }
+  return plan;
+}
+
+void BindWeb(const std::shared_ptr<const World>& world, const WebPlan& plan,
+             net::Network& network) {
+  for (size_t i = 0; i < plan.site_slots.size(); ++i) {
+    network.Bind(plan.site_slots[i], std::make_shared<OriginServer>(world, i));
+  }
+  const auto& pool = ThirdPartyPool();
+  for (size_t k = 0; k < plan.service_slots.size(); ++k) {
+    network.Bind(plan.service_slots[k],
+                 std::make_shared<ThirdPartyServer>(pool[k]));
   }
 }
 

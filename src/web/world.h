@@ -5,9 +5,11 @@
 // CatalogOptions), so any number of testbeds can serve the same web
 // from one copy. A World is only ever handed out as
 // `shared_ptr<const World>`: once built nothing writes to it, which is
-// what lets a fleet's worker threads read one concurrently. Per-testbed
-// state (request counters, DNS records, certificates, chaos hooks) lives
-// in the servers and the network that InstallWeb binds, never here.
+// what lets a fleet's worker threads read one concurrently. Where its
+// hosts sit (addresses, DNS answers, certificates) is planned once into
+// a shared net::HostTable by PlanWeb; per-job state (the servers and
+// their request counters, chaos hooks) lives in the servers BindWeb
+// attaches to each job's network, never here.
 #pragma once
 
 #include <cstdint>
@@ -55,14 +57,27 @@ class World {
   std::optional<Identity> identity_;
 };
 
-// Binds an origin server for every site of `world` and a generic server
-// for every third-party service into `network`. Origin addresses are
-// drawn from `origin_blocks` round-robin (so the dataset spans hosting
-// regions); third parties from `thirdparty_block`. The origin servers
-// share `world`, which stays alive as long as any of them is bound.
-void InstallWeb(const std::shared_ptr<const World>& world,
-                net::Network& network,
+// Where a world's hosts sit in a host table: one slot per site (indexed
+// like the catalog) and one per third-party service (indexed like
+// ThirdPartyPool()).
+struct WebPlan {
+  std::vector<uint32_t> site_slots;
+  std::vector<uint32_t> service_slots;
+};
+
+// Registers every site of `world` and every third-party service in
+// `table`. Origin addresses are drawn from `origin_blocks` round-robin
+// (so the dataset spans hosting regions); third parties from
+// `thirdparty_block`. Done once per testbed.
+WebPlan PlanWeb(const World& world, net::HostTable& table,
                 std::vector<net::IpAllocator>& origin_blocks,
                 net::IpAllocator& thirdparty_block);
+
+// Binds a fresh origin server for every site and a generic server for
+// every third-party service into `network`, at the slots `plan` holds.
+// The origin servers share `world`, which stays alive as long as any of
+// them is bound.
+void BindWeb(const std::shared_ptr<const World>& world, const WebPlan& plan,
+             net::Network& network);
 
 }  // namespace panoptes::web

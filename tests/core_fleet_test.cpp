@@ -279,13 +279,14 @@ TEST(FleetSeed, JobSeedsAreDistinctAcrossThePlan) {
 }
 
 
-// --- the shared, read-only web::World ---
+// --- the shared, read-only testbed (web::World + host table) ---
 
-// 2 browsers x crawl+idle x 2 shards under the "flaky" fault profile,
-// with bounce tracking on so landing pages redirect through trackers.
-FleetOptions SharedWorldFleet(int jobs) {
+// 2 browsers x crawl+idle x 2 shards under a fault profile ("flaky"
+// unless named), with bounce tracking on so landing pages redirect
+// through trackers.
+FleetOptions SharedWorldFleet(int jobs, std::string_view profile = "flaky") {
   FleetOptions options = TinyFleet(jobs);
-  options.framework.chaos = *chaos::FaultProfile::Named("flaky");
+  options.framework.chaos = *chaos::FaultProfile::Named(profile);
   options.framework.catalog.sitegen.bounce_fraction = 0.5;
   return options;
 }
@@ -366,43 +367,58 @@ uint64_t WorldBuilds() {
   return CounterValue("panoptes_fleet_world_builds_total");
 }
 
+// Every per-job fault draw happens in the job's own network, so fleet
+// jobs on the shared testbed replay a standalone framework's faults
+// exactly: DNS faults ("dns-storm"), origin and vendor 5xx episodes
+// ("vendor-5xx") and a mix of everything ("flaky").
 TEST(SharedWorld, FleetJobsMatchStandaloneFrameworksByteForByte) {
   auto jobs = SharedWorldPlan();
   ASSERT_EQ(jobs.size(), 6u);
-  std::vector<std::string> standalone;
-  for (const auto& job : jobs) {
-    FleetJobResult result = RunStandalone(SharedWorldFleet(1), job);
-    standalone.push_back(snapshot::Write(result, /*fingerprint=*/0));
-  }
-  for (int workers : {1, 4}) {
-    SCOPED_TRACE("workers=" + std::to_string(workers));
-    FleetExecutor executor(SharedWorldFleet(workers));
-    auto results = executor.Run(jobs);
-    ASSERT_EQ(results.size(), jobs.size());
-    size_t faults = 0;
-    for (size_t i = 0; i < jobs.size(); ++i) {
-      SCOPED_TRACE(jobs[i].spec.name + "/" +
-                   std::string(CampaignKindName(jobs[i].kind)) + "/shard" +
-                   std::to_string(jobs[i].shard));
-      ASSERT_EQ(results[i].attempts, 1);
-      ASSERT_FALSE(results[i].quarantined);
-      faults += results[i].faults.size();
-      EXPECT_EQ(snapshot::Write(results[i], 0), standalone[i]);
+  const std::pair<std::string_view, chaos::FaultKind> profiles[] = {
+      {"flaky", chaos::FaultKind::kServerError},
+      {"dns-storm", chaos::FaultKind::kDnsFailure},
+      {"vendor-5xx", chaos::FaultKind::kServerError},
+  };
+  for (const auto& [profile, signature] : profiles) {
+    SCOPED_TRACE(std::string(profile));
+    std::vector<std::string> standalone;
+    for (const auto& job : jobs) {
+      FleetJobResult result = RunStandalone(SharedWorldFleet(1, profile), job);
+      standalone.push_back(snapshot::Write(result, /*fingerprint=*/0));
     }
-    // The chaos profile must actually have fired, or the comparison
-    // says nothing about per-job injector state.
-    EXPECT_GT(faults, 0u);
+    for (int workers : {1, 4}) {
+      SCOPED_TRACE("workers=" + std::to_string(workers));
+      FleetExecutor executor(SharedWorldFleet(workers, profile));
+      auto results = executor.Run(jobs);
+      ASSERT_EQ(results.size(), jobs.size());
+      size_t fired = 0;
+      for (size_t i = 0; i < jobs.size(); ++i) {
+        SCOPED_TRACE(jobs[i].spec.name + "/" +
+                     std::string(CampaignKindName(jobs[i].kind)) + "/shard" +
+                     std::to_string(jobs[i].shard));
+        ASSERT_EQ(results[i].attempts, 1);
+        ASSERT_FALSE(results[i].quarantined);
+        for (const auto& fault : results[i].faults) {
+          fired += fault.kind == signature;
+        }
+        EXPECT_EQ(snapshot::Write(results[i], 0), standalone[i]);
+      }
+      // The profile's own fault must actually have fired, or the
+      // comparison says nothing about per-job injector state.
+      EXPECT_GT(fired, 0u);
+    }
   }
 }
 
 TEST(SharedWorld, WorldIsUnchangedByAConcurrentRun) {
   FleetExecutor executor(SharedWorldFleet(4));
-  std::shared_ptr<const web::World> world = executor.world();
-  uint64_t before = WorldHash(*world);
+  std::shared_ptr<const Testbed> testbed = executor.testbed();
+  const web::World& world = *testbed->world();
+  uint64_t before = WorldHash(world);
   auto results = executor.Run(SharedWorldPlan());
   ASSERT_EQ(results.size(), 6u);
-  EXPECT_EQ(executor.world(), world);  // the same instance, not a rebuild
-  EXPECT_EQ(WorldHash(*world), before);
+  EXPECT_EQ(executor.testbed(), testbed);  // the same instance, not a rebuild
+  EXPECT_EQ(WorldHash(world), before);
   // And it is exactly the web a standalone framework would generate.
   const FleetOptions& options = executor.options();
   EXPECT_EQ(WorldHash(*web::World::Build(options.base_seed,
@@ -415,29 +431,27 @@ TEST(SharedWorld, FrameworkRejectsAMismatchedWorld) {
   fw.catalog.popular_count = 3;
   fw.catalog.sensitive_count = 1;
   fw.catalog_seed = 7;
-  // The matching world installs, and the framework serves it.
-  auto world = web::World::Build(7, fw.catalog);
-  Framework framework(fw, world);
-  EXPECT_EQ(framework.world(), world);
+  // The matching testbed installs, and the framework serves its world.
+  auto testbed = Testbed::Build(7, fw.catalog);
+  Framework framework(fw, testbed);
+  EXPECT_EQ(framework.testbed(), testbed);
+  EXPECT_EQ(framework.world(), testbed->world());
 
-  EXPECT_THROW(Framework(fw, web::World::Build(8, fw.catalog)),
+  EXPECT_THROW(Framework(fw, Testbed::Build(8, fw.catalog)),
                std::invalid_argument);
   web::CatalogOptions more_sites = fw.catalog;
   more_sites.popular_count = 4;
-  EXPECT_THROW(Framework(fw, web::World::Build(7, more_sites)),
+  EXPECT_THROW(Framework(fw, Testbed::Build(7, more_sites)),
                std::invalid_argument);
   web::CatalogOptions other_sitegen = fw.catalog;
   other_sitegen.sitegen.h3_fraction = 0.9;
-  EXPECT_THROW(Framework(fw, web::World::Build(7, other_sitegen)),
-               std::invalid_argument);
-  // Hand-assembled sites have no generator identity at all.
-  EXPECT_THROW(Framework(fw, web::World::FromSites(world->catalog().sites())),
+  EXPECT_THROW(Framework(fw, Testbed::Build(7, other_sitegen)),
                std::invalid_argument);
   EXPECT_THROW(Framework(fw, nullptr), std::invalid_argument);
   // Without catalog_seed the web follows the framework seed.
   fw.catalog_seed.reset();
   fw.seed = 7;
-  EXPECT_NO_THROW(Framework(fw, world));
+  EXPECT_NO_THROW(Framework(fw, testbed));
 }
 
 TEST(SharedWorld, BuiltOncePerExecutorAndNeverOnAWarmReplay) {
@@ -491,7 +505,7 @@ TEST(SharedWorld, ServersMaterializeOnlyTheBodiesClientsRead) {
         CounterValue("panoptes_proxy_response_bytes_total") - response_bytes;
 
     // Each crawl job loads its shard's landing pages once.
-    const web::World& world = *executor.world();
+    const web::World& world = *executor.testbed()->world();
     uint64_t landing_bytes = 0;
     for (const auto& job : jobs) {
       if (job.kind != CampaignKind::kCrawl) continue;

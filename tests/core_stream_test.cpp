@@ -495,15 +495,15 @@ TEST(Window, BudgetedWindowMatchesUnboundedIndex) {
   EXPECT_GT(r1.native_flows, 0u);
 }
 
-// `fleet --window` builds the generated web once and hands it to every
+// `fleet --window` builds the testbed once and hands it to every
 // browser's framework; each browser's report and journal must match a
-// run on a framework that generates its own.
+// run on a framework that builds its own.
 TEST(Window, SharedWorldMatchesPrivateWorld) {
   FrameworkOptions fw;
   fw.catalog.popular_count = 4;
   fw.catalog.sensitive_count = 2;
   fw.catalog_seed = 20231024;
-  const auto world = web::World::Build(fw.CatalogSeed(), fw.catalog);
+  const auto testbed = Testbed::Build(fw.CatalogSeed(), fw.catalog);
   WindowOptions options;
   options.window = util::Duration::Minutes(2);
   const auto profile = device::DeviceProfile::PaperTestbed();
@@ -522,7 +522,7 @@ TEST(Window, SharedWorldMatchesPrivateWorld) {
 
     obs::Journal shared_journal;
     job_fw.journal = &shared_journal;
-    Framework shared_world(job_fw, world);
+    Framework shared_world(job_fw, testbed);
     WindowResult shared = RunWindow(shared_world, *spec, options);
 
     EXPECT_GT(own.native_flows, 0u);

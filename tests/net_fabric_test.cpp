@@ -108,9 +108,9 @@ TEST(Network, MixedCaseHostLookups) {
   for (std::string_view name :
        {"mixed.example.com", "MIXED.EXAMPLE.COM", "Mixed.Example.COM"}) {
     SCOPED_TRACE(std::string(name));
-    const HostBinding* binding = network.FindByHost(name);
-    ASSERT_NE(binding, nullptr);
-    EXPECT_EQ(binding->hostname, "mixed.example.com");
+    const HostRecord* record = network.FindByHost(name);
+    ASSERT_NE(record, nullptr);
+    EXPECT_EQ(record->hostname, "mixed.example.com");
     EXPECT_NE(network.LeafFor(name), nullptr);
     EXPECT_TRUE(network.SupportsH3(name));
     EXPECT_TRUE(network.zone().Has(name));
@@ -121,11 +121,12 @@ TEST(Network, MixedCaseHostLookups) {
   EXPECT_EQ(network.FindByHost("other.example.com"), nullptr);
   EXPECT_FALSE(network.zone().Has("OTHER.example.com"));
 
-  // A rebound name keeps answering on both addresses with the new
-  // binding; FindByIp reaches it without a second name lookup.
+  // A rebound name answers on its new address only; FindByIp reaches
+  // it without a second name lookup.
   network.Host("MIXED.example.com", IpAddress(1, 0, 0, 6),
                std::make_shared<FunctionServer>(Echo));
-  EXPECT_EQ(network.FindByIp(IpAddress(1, 0, 0, 5)),
+  EXPECT_EQ(network.FindByIp(IpAddress(1, 0, 0, 5)), nullptr);
+  EXPECT_EQ(network.FindByIp(IpAddress(1, 0, 0, 6)),
             network.FindByHost("mixed.example.com"));
   EXPECT_EQ(network.FindByIp(IpAddress(1, 0, 0, 6))->ip,
             IpAddress(1, 0, 0, 6));
@@ -165,6 +166,50 @@ TEST(Network, RebindingReplaces) {
   network.Host("a.com", IpAddress(1, 0, 0, 7),
                std::make_shared<FunctionServer>(Echo));
   EXPECT_EQ(network.zone().Lookup("a.com"), IpAddress(1, 0, 0, 7));
+}
+
+// A rebind gives up the old address: nothing answers there any more,
+// whether the name was bound in the network itself or in a shared table
+// the network's own binding now shadows.
+TEST(Network, RebindingReleasesTheOldAddress) {
+  HttpRequest request;
+  request.url = Url::MustParse("https://a.com/");
+  ConnectionMeta meta;
+
+  Network network;
+  network.Host("a.com", IpAddress(1, 0, 0, 1),
+               std::make_shared<FunctionServer>(Echo));
+  network.Host("a.com", IpAddress(1, 0, 0, 7),
+               std::make_shared<FunctionServer>(Echo));
+  EXPECT_EQ(network.FindByIp(IpAddress(1, 0, 0, 1)), nullptr);
+  EXPECT_EQ(network.Deliver(IpAddress(1, 0, 0, 1), request, meta).status,
+            502);
+  EXPECT_EQ(network.Deliver(IpAddress(1, 0, 0, 7), request, meta).status,
+            200);
+
+  HostTable table(/*seed=*/1);
+  uint32_t slot = table.Add("a.com", IpAddress(1, 0, 0, 1), false).slot;
+  Network shadowing(&table, /*seed=*/2);
+  Network untouched(&table, /*seed=*/3);
+  for (Network* net : {&shadowing, &untouched}) {
+    net->Bind(slot, std::make_shared<FunctionServer>(Echo));
+  }
+  EXPECT_EQ(shadowing.Deliver(IpAddress(1, 0, 0, 1), request, meta).status,
+            200);
+  shadowing.Host("A.com", IpAddress(1, 0, 0, 7),
+                 std::make_shared<FunctionServer>(Echo));
+  EXPECT_EQ(shadowing.zone().Lookup("a.com"), IpAddress(1, 0, 0, 7));
+  EXPECT_EQ(shadowing.FindByIp(IpAddress(1, 0, 0, 1)), nullptr);
+  EXPECT_EQ(shadowing.Deliver(IpAddress(1, 0, 0, 1), request, meta).status,
+            502);
+  EXPECT_EQ(shadowing.Deliver(IpAddress(1, 0, 0, 7), request, meta).status,
+            200);
+  EXPECT_EQ(shadowing.Hostnames(), std::vector<std::string>{"a.com"});
+  // The shared table, and every other network over it, is unchanged.
+  EXPECT_EQ(table.FindByIp(IpAddress(1, 0, 0, 1)), table.Find("a.com"));
+  EXPECT_EQ(untouched.zone().Lookup("a.com"), IpAddress(1, 0, 0, 1));
+  EXPECT_EQ(untouched.Deliver(IpAddress(1, 0, 0, 1), request, meta).status,
+            200);
 }
 
 TEST(Network, HostnamesListing) {

@@ -13,6 +13,16 @@ namespace {
 
 net::ConnectionMeta Meta() { return net::ConnectionMeta{}; }
 
+// The vendor hosts planned into a fresh table, with one network's
+// servers bound at their slots.
+struct Vendors {
+  GeoPlan geo = GeoPlan::Default();
+  net::HostTable table{/*seed=*/1};
+  VendorPlan plan = PlanVendors(table, geo);
+  net::Network network{&table, /*seed=*/2};
+  VendorWorld world = BindVendors(plan, network);
+};
+
 TEST(GeoPlan, BlocksDisjointAndLabelled) {
   auto plan = GeoPlan::Default();
   const auto& ranges = plan.ranges();
@@ -156,9 +166,9 @@ TEST(Doh, AnswersFromAuthoritativeZone) {
 }
 
 TEST(VendorWorld, InstallsEveryPaperHost) {
-  net::Network network;
-  auto plan = GeoPlan::Default();
-  auto world = InstallVendors(network, plan);
+  Vendors vendors;
+  const net::Network& network = vendors.network;
+  const VendorWorld& world = vendors.world;
 
   // Hosts the paper names must exist and resolve.
   for (const char* host :
@@ -173,12 +183,18 @@ TEST(VendorWorld, InstallsEveryPaperHost) {
   EXPECT_NE(world.sitecheck, nullptr);
   EXPECT_NE(world.Telemetry("www.msn.com"), nullptr);
   EXPECT_EQ(world.Telemetry("unknown.host"), nullptr);
+  // Each server is bound at its host's slot.
+  EXPECT_EQ(network.ServerFor(*network.FindByHost("www.msn.com")),
+            world.Telemetry("www.msn.com"));
+  EXPECT_EQ(network.ServerFor(*network.FindByHost("sba.yandex.net")),
+            world.sba_yandex.get());
+  EXPECT_EQ(network.ServerFor(*network.FindByHost("s-odx-amer.oleads.com")),
+            world.oleads.get());
 }
 
 TEST(VendorWorld, BingAndSitecheckValidateAndRecord) {
-  net::Network network;
-  auto plan = GeoPlan::Default();
-  auto world = InstallVendors(network, plan);
+  Vendors vendors;
+  VendorWorld& world = vendors.world;
 
   net::HttpRequest visit;
   visit.url = net::Url::MustParse(
@@ -210,14 +226,12 @@ TEST(VendorWorld, BingAndSitecheckValidateAndRecord) {
 }
 
 TEST(VendorWorld, GeoPlacementMatchesPaperSection34) {
-  net::Network network;
-  auto plan = GeoPlan::Default();
-  InstallVendors(network, plan);
+  Vendors vendors;
 
   auto country_of = [&](const char* host) -> std::string {
-    auto ip = network.zone().Lookup(host);
+    auto ip = vendors.network.zone().Lookup(host);
     if (!ip) return "";
-    for (const auto& range : plan.ranges()) {
+    for (const auto& range : vendors.geo.ranges()) {
       if (range.cidr.Contains(*ip)) return range.country_code;
     }
     return "?";

@@ -239,24 +239,33 @@ TEST(InstallWeb, BindsEverySiteAndService) {
   options.popular_count = 10;
   options.sensitive_count = 6;
   auto world = World::Build(4, options);
-  net::Network network;
+  net::HostTable table(/*seed=*/1);
   std::vector<net::IpAllocator> origins = {
       net::IpAllocator(*net::Cidr::Parse("104.16.0.0/16"))};
   net::IpAllocator third(*net::Cidr::Parse("142.250.0.0/16"));
-  InstallWeb(world, network, origins, third);
+  WebPlan plan = PlanWeb(*world, table, origins, third);
+  net::Network network(&table, /*seed=*/2);
+  BindWeb(world, plan, network);
 
   for (size_t i = 0; i < world->size(); ++i) {
     const Site& site = world->site(i);
-    const net::HostBinding* binding = network.FindByHost(site.hostname);
-    ASSERT_NE(binding, nullptr) << site.hostname;
+    const net::HostRecord* record = network.FindByHost(site.hostname);
+    ASSERT_NE(record, nullptr) << site.hostname;
+    EXPECT_EQ(record->slot, plan.site_slots[i]);
+    EXPECT_EQ(network.zone().Lookup(site.hostname), record->ip);
     // Each origin serves its own slot of the shared world.
-    auto* origin = dynamic_cast<const OriginServer*>(binding->server.get());
+    auto* origin =
+        dynamic_cast<const OriginServer*>(network.ServerFor(*record));
     ASSERT_NE(origin, nullptr) << site.hostname;
     EXPECT_EQ(&origin->site(), &site);
   }
   for (const auto& service : ThirdPartyPool()) {
-    EXPECT_NE(network.FindByHost(service.request_host), nullptr)
-        << service.request_host;
+    const net::HostRecord* record = network.FindByHost(service.request_host);
+    ASSERT_NE(record, nullptr) << service.request_host;
+    auto* server =
+        dynamic_cast<const ThirdPartyServer*>(network.ServerFor(*record));
+    ASSERT_NE(server, nullptr) << service.request_host;
+    EXPECT_EQ(server->service().request_host, service.request_host);
   }
 }
 
