@@ -186,10 +186,9 @@ void FlowIndex::IndexFlow(const proxy::FlowView& flow, uint32_t host_id,
           double number = value.as_number();
           // Same rendering the PII scanner applies: exact integers
           // print bare; otherwise four decimals (enough for lat/lon).
-          std::string text =
-              number == static_cast<double>(static_cast<int64_t>(number))
-                  ? std::to_string(static_cast<int64_t>(number))
-                  : util::FormatDouble(number, 4);
+          auto integer = util::ExactInteger<int64_t>(number);
+          std::string text = integer ? std::to_string(*integer)
+                                     : util::FormatDouble(number, 4);
           params_.push_back(Param{InternKey(key),
                                   ParamSource::kBodyJsonNumber,
                                   text_pool_.Copy(text), number});

@@ -29,17 +29,19 @@ std::optional<Manifest> Manifest::FromJson(std::string_view text) {
   if (!json || !json->is_object()) return std::nullopt;
 
   Manifest manifest;
-  if (const auto* seed = json->Find("seed");
-      seed != nullptr && seed->is_number()) {
-    manifest.seed = static_cast<uint64_t>(seed->as_number());
-  }
-  if (const auto* popular = json->Find("popular_sites");
-      popular != nullptr && popular->is_number()) {
-    manifest.popular_sites = static_cast<int>(popular->as_number());
-  }
-  if (const auto* sensitive = json->Find("sensitive_sites");
-      sensitive != nullptr && sensitive->is_number()) {
-    manifest.sensitive_sites = static_cast<int>(sensitive->as_number());
+  // A numeric field that is not an integer in range rejects the
+  // manifest; a field that is absent, or not a number, keeps its default.
+  auto read = [&](const util::Json& object, const char* key, auto& field) {
+    const auto* value = object.Find(key);
+    if (value == nullptr || !value->is_number()) return true;
+    auto integer = value->Integer<std::remove_reference_t<decltype(field)>>();
+    if (integer) field = *integer;
+    return integer.has_value();
+  };
+  if (!read(*json, "seed", manifest.seed) ||
+      !read(*json, "popular_sites", manifest.popular_sites) ||
+      !read(*json, "sensitive_sites", manifest.sensitive_sites)) {
+    return std::nullopt;
   }
   if (manifest.popular_sites < 0 || manifest.sensitive_sites < 0 ||
       manifest.popular_sites + manifest.sensitive_sites == 0) {
@@ -69,10 +71,9 @@ std::optional<Manifest> Manifest::FromJson(std::string_view text) {
         incognito != nullptr && incognito->is_bool()) {
       entry.incognito = incognito->as_bool();
     }
-    if (const auto* minutes = item.Find("idle_minutes");
-        minutes != nullptr && minutes->is_number()) {
-      entry.idle_minutes = static_cast<int64_t>(minutes->as_number());
-      if (entry.idle_minutes <= 0) return std::nullopt;
+    if (!read(item, "idle_minutes", entry.idle_minutes) ||
+        entry.idle_minutes <= 0) {
+      return std::nullopt;
     }
     manifest.entries.push_back(std::move(entry));
   }

@@ -208,7 +208,7 @@ void PiiScanner::ScanFlowImpl(const FlowT& flow, PiiReport& report) const {
   }
 
   if (flow.request_body.empty()) return;
-  auto json = util::Json::Parse(flow.request_body);
+  std::optional<util::Json> json = util::Json::Parse(flow.request_body);
   if (!json || !json->is_object()) return;
   for (const auto& [key, value] : json->as_object()) {
     if (value.is_string()) {
@@ -216,9 +216,9 @@ void PiiScanner::ScanFlowImpl(const FlowT& flow, PiiReport& report) const {
     } else if (value.is_number()) {
       double number = value.as_number();
       // Exact integers print bare; keep enough precision for lat/lon.
-      std::string text = number == static_cast<int64_t>(number)
-                             ? std::to_string(static_cast<int64_t>(number))
-                             : util::FormatDouble(number, 4);
+      auto integer = util::ExactInteger<int64_t>(number);
+      std::string text = integer ? std::to_string(*integer)
+                                 : util::FormatDouble(number, 4);
       ScanText(key, text, host, flow_uid, report);
     } else if (value.is_bool()) {
       ScanText(key, value.as_bool() ? "true" : "false", host,
@@ -229,10 +229,9 @@ void PiiScanner::ScanFlowImpl(const FlowT& flow, PiiReport& report) const {
   // Resolution split across two JSON numbers (Opera's oleads body).
   const auto* width = json->Find("deviceScreenWidth");
   const auto* height = json->Find("deviceScreenHeight");
-  if (width != nullptr && height != nullptr && width->is_number() &&
-      height->is_number() &&
-      static_cast<int>(width->as_number()) == profile_.screen_width &&
-      static_cast<int>(height->as_number()) == profile_.screen_height) {
+  if (width != nullptr && height != nullptr &&
+      width->Integer<int>() == profile_.screen_width &&
+      height->Integer<int>() == profile_.screen_height) {
     std::string joined = std::to_string(profile_.screen_width) + "x" +
                          std::to_string(profile_.screen_height);
     Mark(report, PiiField::kResolution, host, util::HashString(joined),
@@ -283,8 +282,8 @@ PiiReport PiiScanner::Scan(const FlowIndex& index) const {
       if (key == "deviceScreenHeight") height = &params[p];
     }
     if (width != nullptr && height != nullptr &&
-        static_cast<int>(width->number) == profile_.screen_width &&
-        static_cast<int>(height->number) == profile_.screen_height) {
+        util::ExactInteger<int>(width->number) == profile_.screen_width &&
+        util::ExactInteger<int>(height->number) == profile_.screen_height) {
       std::string joined = std::to_string(profile_.screen_width) + "x" +
                            std::to_string(profile_.screen_height);
       Mark(report, PiiField::kResolution, host, util::HashString(joined),

@@ -35,7 +35,7 @@ Framework::Framework(std::shared_ptr<const Testbed> testbed,
                      FrameworkOptions&& options)
     : testbed_(Checked(std::move(testbed), options)),
       options_(std::move(options)),
-      network_(&testbed_->hosts(), options_.seed ^ 0xFAB51Cull),
+      network_(&testbed_->hosts()),
       device_(options_.device_profile),
       netstack_(&device_, &network_, &clock_) {
   // This testbed's own servers at the shared table's slots: an origin

@@ -10,11 +10,8 @@
 #include <set>
 #include <string>
 #include <string_view>
-#include <unordered_map>
-#include <vector>
 
 #include "net/ip.h"
-#include "util/strings.h"
 
 namespace panoptes::chaos {
 class Injector;
@@ -26,20 +23,16 @@ class HostTable;
 
 // Authoritative hostname → address mapping for the whole simulation.
 //
-// A zone answers from its own records first, then from the host tables
-// attached to it, the most recently attached first. A network's zone
-// holds no records of its own: it attaches the shared table and, once
-// something is bound at runtime, the network's overlay in front of it.
+// A zone holds no records of its own: it answers from the one host
+// table it is built over, after its own failing names and the chaos
+// hooks have had their say.
 class DnsZone {
  public:
-  void AddRecord(std::string_view hostname, IpAddress address);
-  // Answers for every host of `table` too. Not owned; must outlive the
-  // zone.
-  void Attach(const HostTable* table);
+  // Answers for every host of `table`. Not owned; must outlive the zone.
+  explicit DnsZone(const HostTable* table) : table_(table) {}
+
   std::optional<IpAddress> Lookup(std::string_view hostname) const;
   bool Has(std::string_view hostname) const;
-  // Records added through AddRecord; attached tables are not counted.
-  size_t size() const { return records_.size(); }
 
   // Simulate an outage for a specific name (failure injection).
   void SetFailing(std::string_view hostname, bool failing);
@@ -51,12 +44,7 @@ class DnsZone {
   void SetChaos(chaos::Injector* injector) { chaos_ = injector; }
 
  private:
-  std::optional<IpAddress> Find(std::string_view folded) const;
-
-  std::unordered_map<std::string, IpAddress, util::StringHash,
-                     std::equal_to<>>
-      records_;
-  std::vector<const HostTable*> tables_;  // searched back to front
+  const HostTable* table_;
   std::set<std::string, std::less<>> failing_;
   chaos::Injector* chaos_ = nullptr;
 };

@@ -6,9 +6,10 @@
 // testbed's mutable view of the simulated internet: its DNS zone, the
 // servers answering at each host (with their inspection state), the
 // chaos hooks and the delivery counters. What a host *is* (address,
-// genuine leaf, HTTP/3 support) lives in a net::HostTable, which a
-// network either shares read-only with other networks (Bind attaches a
-// server to each of its slots) or grows itself at runtime (Host).
+// genuine leaf, HTTP/3 support) lives in the one net::HostTable the
+// network is built over, which it shares read-only with every other
+// network over that table: Bind attaches a server to one of its slots,
+// and every host and DNS lookup answers from the table.
 #pragma once
 
 #include <cstdint>
@@ -77,14 +78,9 @@ class FunctionServer : public Server {
 
 class Network {
  public:
-  // A network with no shared table: every host is bound through Host().
-  // `seed` feeds the web CA that issues those hosts' leaves.
-  explicit Network(uint64_t seed = 0x9A7075E5u);
-
   // A network over a shared, read-only `table` (not owned; must outlive
-  // the network). Servers attach to its slots through Bind; Host() adds
-  // overlay bindings that shadow it, with leaves from a CA fed by `seed`.
-  Network(const HostTable* table, uint64_t seed);
+  // the network). Servers attach to its slots through Bind.
+  explicit Network(const HostTable* table);
 
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
@@ -94,22 +90,20 @@ class Network {
 
   // The CA that signs every genuine server leaf. Device trust stores
   // include it by default (it models the public web PKI).
-  const CertificateAuthority& web_ca() const;
+  const CertificateAuthority& web_ca() const { return table_->web_ca(); }
 
-  // Attaches `server` to slot `slot` of the shared table. Issues no leaf
-  // and adds no DNS record: the table already holds both.
+  // Attaches `server` to slot `slot` of the table. Issues no leaf and
+  // adds no DNS record: the table already holds both. Throws
+  // std::out_of_range for a slot the table did not have when the
+  // network was built.
   void Bind(uint32_t slot, std::shared_ptr<Server> server);
 
-  // Registers a hostname in this network's overlay: issues a leaf, makes
-  // the name resolve to `ip` and binds the server. A name bound before,
-  // in the overlay or the shared table, is shadowed and gives up its old
-  // address. The returned record is valid until the next Host call.
-  const HostRecord& Host(std::string_view hostname, IpAddress ip,
-                         std::shared_ptr<Server> server,
-                         bool supports_h3 = false);
-
-  const HostRecord* FindByHost(std::string_view hostname) const;
-  const HostRecord* FindByIp(IpAddress ip) const;
+  const HostRecord* FindByHost(std::string_view hostname) const {
+    return table_->Find(hostname);
+  }
+  const HostRecord* FindByIp(IpAddress ip) const {
+    return table_->FindByIp(ip);
+  }
 
   // The server this network binds for `record`; nullptr when none is.
   Server* ServerFor(const HostRecord& record) const {
@@ -143,18 +137,13 @@ class Network {
   // server, or it could alter site behaviour).
   uint64_t taint_leaks() const { return taint_leaks_; }
 
-  // Every hostname currently bound, sorted.
+  // Every hostname of the table, sorted.
   std::vector<std::string> Hostnames() const;
 
  private:
-  HostTable& Overlay();
-
-  const HostTable* table_ = nullptr;
-  uint64_t seed_;
-  // Created by the first Host() call; its slots follow the table's.
-  std::unique_ptr<HostTable> overlay_;
+  const HostTable* table_;
   DnsZone zone_;
-  // Indexed by HostRecord::slot, table slots first.
+  // Indexed by HostRecord::slot.
   std::vector<std::shared_ptr<Server>> servers_;
   chaos::Injector* chaos_ = nullptr;
   uint64_t delivered_ = 0;

@@ -13,16 +13,14 @@ constexpr std::string_view kWebCaName = "SimWeb-Root-CA";
 
 }  // namespace
 
-HostTable::HostTable(uint64_t seed, uint32_t first_slot)
-    : web_ca_(std::string(kWebCaName), util::Rng(seed)),
-      first_slot_(first_slot) {}
+HostTable::HostTable(uint64_t seed)
+    : web_ca_(std::string(kWebCaName), util::Rng(seed)) {}
 
 const HostRecord& HostTable::Add(std::string_view hostname, IpAddress ip,
                                  bool supports_h3) {
   static obs::Counter& registered = obs::MetricsRegistry::Default().GetCounter(
       "panoptes_net_hosts_registered_total",
-      "Hostnames registered: shared host-table entries plus per-network "
-      "overlay bindings");
+      "Host-table entries registered (a rebind counts again)");
   registered.Inc();
 
   std::string key = util::ToLower(hostname);
@@ -31,7 +29,7 @@ const HostRecord& HostTable::Add(std::string_view hostname, IpAddress ip,
   uint32_t index = it->second;
   if (inserted) {
     records_.emplace_back();
-    records_.back().slot = first_slot_ + index;
+    records_.back().slot = index;
   } else {
     // A rebind releases the old address, unless another host has
     // claimed it since.

@@ -2,9 +2,11 @@
 // address, its genuine leaf certificate and whether it speaks HTTP/3.
 //
 // A HostTable holds no server and no per-exchange state, so one table
-// can back any number of networks at once. A testbed plans its table
-// once (core::Testbed) and hands it out read-only; each job's
-// net::Network only binds its own servers to the table's slots.
+// can back any number of networks at once. It is the only place a host
+// is registered: a testbed plans its table once (core::Testbed) and
+// hands it out read-only, and each job's net::Network and its DnsZone
+// answer from it while the network binds its own servers to the
+// table's slots.
 #pragma once
 
 #include <cstdint>
@@ -26,16 +28,15 @@ struct HostRecord {
   IpAddress ip;
   Certificate leaf;      // issued by the table's web CA
   bool supports_h3 = false;
-  // Position in its table, offset by the table's first slot; a network
-  // binds the server answering for this host at this index.
+  // Position in its table; a network binds the server answering for
+  // this host at this index.
   uint32_t slot = 0;
 };
 
 class HostTable {
  public:
-  // `seed` feeds the web CA's key-id generator; slots count up from
-  // `first_slot`.
-  explicit HostTable(uint64_t seed, uint32_t first_slot = 0);
+  // `seed` feeds the web CA's key-id generator.
+  explicit HostTable(uint64_t seed);
 
   // Registers `hostname` at `ip` and issues its leaf. A name already
   // present keeps its slot, gets a fresh leaf, and gives up its old
@@ -53,17 +54,13 @@ class HostTable {
   }
 
   const CertificateAuthority& web_ca() const { return web_ca_; }
-  // One past the last slot.
-  uint32_t end_slot() const {
-    return first_slot_ + static_cast<uint32_t>(records_.size());
-  }
+  // The number of hosts, which is one past the last slot.
   size_t size() const { return records_.size(); }
   const std::vector<HostRecord>& records() const { return records_; }
 
  private:
   CertificateAuthority web_ca_;
-  uint32_t first_slot_;
-  std::vector<HostRecord> records_;  // by slot - first_slot_
+  std::vector<HostRecord> records_;  // by slot
   std::unordered_map<std::string, uint32_t, util::StringHash,
                      std::equal_to<>>
       by_host_;  // folded name -> index into records_

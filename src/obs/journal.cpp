@@ -124,14 +124,18 @@ JournalValidation ValidateJournalJsonl(std::string_view jsonl) {
     out.error = "malformed header line";
     return out;
   }
-  if (static_cast<int>(header->Find("journal_schema")->as_number()) !=
+  if (header->Find("journal_schema")->Integer<int>() !=
       kJournalSchemaVersion) {
     out.error = "unsupported journal_schema";
     return out;
   }
+  auto declared = header->Find("events")->Integer<size_t>();
+  if (!declared) {
+    out.error = "header events is not an event count";
+    return out;
+  }
   out.header_ok = true;
-  out.declared_events =
-      static_cast<size_t>(header->Find("events")->as_number());
+  out.declared_events = *declared;
 
   std::string_view rest = jsonl.substr(pos + 1);
   while (!rest.empty()) {
@@ -155,9 +159,8 @@ JournalValidation ValidateJournalJsonl(std::string_view jsonl) {
       }
       // seq must be dense and 0-based — the merge-order fingerprint.
       if (problem.empty() &&
-          static_cast<size_t>(event->Find("seq")->as_number()) !=
-              out.valid_events) {
-        problem = "out-of-order seq";
+          event->Find("seq")->Integer<size_t>() != out.valid_events) {
+        problem = "seq is not the integer " + std::to_string(out.valid_events);
       }
     }
     if (!problem.empty()) {

@@ -112,25 +112,20 @@ std::optional<FlowStore> ImportHar(std::string_view har_json) {
         flow.request_body = text->as_string();
       }
     }
-    if (const auto* status = response->Find("status");
-        status != nullptr && status->is_number()) {
-      flow.response_status = static_cast<int>(status->as_number());
-    }
-    if (const auto* size = response->Find("bodySize");
-        size != nullptr && size->is_number()) {
-      flow.response_bytes = static_cast<size_t>(size->as_number());
-    }
-
-    auto read_i64 = [&](const char* key, int64_t fallback) {
-      const auto* field = entry.Find(key);
-      return (field != nullptr && field->is_number())
-                 ? static_cast<int64_t>(field->as_number())
-                 : fallback;
+    // A field that is missing, or no integer in its field's range, keeps
+    // the flow's default.
+    auto read = [](const util::Json& object, const char* key, auto& field) {
+      if (const auto* value = object.Find(key)) {
+        field = value->Integer<std::remove_reference_t<decltype(field)>>()
+                    .value_or(field);
+      }
     };
-    flow.id = static_cast<uint64_t>(read_i64("_id", 0));
-    flow.app_uid = static_cast<int>(read_i64("_appUid", -1));
-    flow.request_bytes = static_cast<size_t>(read_i64("_requestBytes", 0));
-    flow.time.millis = read_i64("_timeMillis", 0);
+    read(*response, "status", flow.response_status);
+    read(*response, "bodySize", flow.response_bytes);
+    read(entry, "_id", flow.id);
+    read(entry, "_appUid", flow.app_uid);
+    read(entry, "_requestBytes", flow.request_bytes);
+    read(entry, "_timeMillis", flow.time.millis);
     if (const auto* browser = entry.Find("_browser");
         browser != nullptr && browser->is_string()) {
       flow.browser = browser->as_string();

@@ -6,15 +6,35 @@
 // part of the substrate.
 #pragma once
 
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <variant>
 #include <vector>
 
 namespace panoptes::util {
+
+// `number` as a T: empty unless it is integral and within T's range.
+// Converting an out-of-range double to an integer is undefined, so a
+// double from JSON becomes an integer only through here.
+template <typename T>
+std::optional<T> ExactInteger(double number) {
+  static_assert(std::is_integral_v<T>);
+  // [min, max + 1) holds exactly the doubles that convert; both bounds
+  // are powers of two (or 0), so the doubles hold them exactly. NaN
+  // fails both comparisons.
+  constexpr double kMin = static_cast<double>(std::numeric_limits<T>::min());
+  constexpr double kEnd =
+      2.0 * static_cast<double>(std::numeric_limits<T>::max() / 2 + 1);
+  if (!(number >= kMin && number < kEnd)) return std::nullopt;
+  T integer = static_cast<T>(number);
+  if (static_cast<double>(integer) != number) return std::nullopt;
+  return integer;
+}
 
 class Json;
 using JsonArray = std::vector<Json>;
@@ -50,6 +70,15 @@ class Json {
   const JsonObject& as_object() const { return std::get<JsonObject>(value_); }
   JsonArray& as_array() { return std::get<JsonArray>(value_); }
   JsonObject& as_object() { return std::get<JsonObject>(value_); }
+
+  // The value as a T: empty unless it is a number that is integral and
+  // within T's range (ExactInteger). The one way to read an integer
+  // from JSON.
+  template <typename T>
+  std::optional<T> Integer() const {
+    if (!is_number()) return std::nullopt;
+    return ExactInteger<T>(as_number());
+  }
 
   // Object member lookup; returns nullptr when absent or not an object.
   const Json* Find(std::string_view key) const;

@@ -62,6 +62,21 @@ TEST(ManifestParse, RejectsBadInput) {
       Manifest::FromJson(
           R"({"entries":[{"browser":"Opera","mode":"idle","idle_minutes":0}]})")
           .has_value());
+  // A seed or count that is not an integer in its field's range.
+  for (std::string v : {"1e300", "-1", "2.5"}) {
+    SCOPED_TRACE(v);
+    for (const char* key : {"seed", "popular_sites", "sensitive_sites"}) {
+      EXPECT_FALSE(Manifest::FromJson("{\"" + std::string(key) + "\":" + v +
+                                      R"(,"entries":[{"browser":"Edge"}]})")
+                       .has_value())
+          << key;
+    }
+    EXPECT_FALSE(
+        Manifest::FromJson(
+            R"({"entries":[{"browser":"Opera","mode":"idle","idle_minutes":)" +
+            v + "}]}")
+            .has_value());
+  }
 }
 
 TEST(ManifestRun, ExecutesCrawlAndIdleEntries) {

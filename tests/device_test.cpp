@@ -6,6 +6,7 @@
 #include "device/device.h"
 #include "device/netstack.h"
 #include "net/fabric.h"
+#include "test_hosts.h"
 
 namespace panoptes::device {
 namespace {
@@ -131,18 +132,15 @@ class FakeDiverter : public TrafficDiverter {
 
 class NetStackTest : public ::testing::Test {
  protected:
-  NetStackTest() : stack_(&device_, &network_, &clock_), diverter_(&network_) {
-    network_.Host("site.com", net::IpAddress(1, 0, 0, 1),
-                  std::make_shared<net::FunctionServer>(
-                      [](const net::HttpRequest&, const net::ConnectionMeta&) {
-                        return net::HttpResponse::Ok("hi");
-                      }));
-    network_.Host("h3site.com", net::IpAddress(1, 0, 0, 2),
-                  std::make_shared<net::FunctionServer>(
-                      [](const net::HttpRequest&, const net::ConnectionMeta&) {
-                        return net::HttpResponse::Ok("quick");
-                      }),
-                  /*supports_h3=*/true);
+  NetStackTest()
+      : hosts_({{"site.com", net::IpAddress(1, 0, 0, 1),
+                 fixtures::Answering(net::HttpResponse::Ok("hi"))},
+                {"h3site.com", net::IpAddress(1, 0, 0, 2),
+                 fixtures::Answering(net::HttpResponse::Ok("quick")),
+                 /*supports_h3=*/true}}),
+        network_(hosts_.network()),
+        stack_(&device_, &network_, &clock_),
+        diverter_(&network_) {
     device_.trust_store().Trust(network_.web_ca().name());
     uid_ = device_.InstallApp("com.example.browser");
     resolver_ = std::make_unique<net::StubResolver>(&network_.zone());
@@ -163,7 +161,8 @@ class NetStackTest : public ::testing::Test {
   }
 
   util::SimClock clock_;
-  net::Network network_;
+  fixtures::TestNetwork hosts_;
+  net::Network& network_;
   AndroidDevice device_;
   NetworkStack stack_;
   FakeDiverter diverter_;

@@ -2,34 +2,44 @@
 #include <gtest/gtest.h>
 
 #include "net/dns.h"
+#include "net/host_table.h"
 #include "net/psl.h"
 #include "util/json.h"
 
 namespace panoptes::net {
 namespace {
 
+// A zone answers from the host table it is built over, including hosts
+// the table gains after the zone was made.
 TEST(DnsZone, AddLookup) {
-  DnsZone zone;
-  zone.AddRecord("Example.COM", IpAddress(1, 2, 3, 4));
+  HostTable table(/*seed=*/1);
+  DnsZone zone(&table);
+  EXPECT_FALSE(zone.Has("example.com"));
+  table.Add("Example.COM", IpAddress(1, 2, 3, 4), false);
   EXPECT_EQ(zone.Lookup("example.com"), IpAddress(1, 2, 3, 4));
   EXPECT_EQ(zone.Lookup("EXAMPLE.com"), IpAddress(1, 2, 3, 4));
   EXPECT_FALSE(zone.Lookup("missing.com").has_value());
   EXPECT_TRUE(zone.Has("example.com"));
-  EXPECT_EQ(zone.size(), 1u);
+  EXPECT_TRUE(zone.Has("Example.Com"));
 }
 
 TEST(DnsZone, FailureInjection) {
-  DnsZone zone;
-  zone.AddRecord("example.com", IpAddress(1, 2, 3, 4));
-  zone.SetFailing("example.com", true);
+  HostTable table(/*seed=*/1);
+  table.Add("example.com", IpAddress(1, 2, 3, 4), false);
+  DnsZone zone(&table);
+  zone.SetFailing("Example.com", true);
   EXPECT_FALSE(zone.Lookup("example.com").has_value());
+  EXPECT_FALSE(zone.Lookup("EXAMPLE.COM").has_value());
+  // A failing name still exists; only its lookups fail.
+  EXPECT_TRUE(zone.Has("example.com"));
   zone.SetFailing("example.com", false);
   EXPECT_TRUE(zone.Lookup("example.com").has_value());
 }
 
 TEST(StubResolver, AnswersFromZone) {
-  DnsZone zone;
-  zone.AddRecord("example.com", IpAddress(1, 2, 3, 4));
+  HostTable table(/*seed=*/1);
+  table.Add("example.com", IpAddress(1, 2, 3, 4), false);
+  DnsZone zone(&table);
   StubResolver resolver(&zone);
   EXPECT_EQ(resolver.Resolve("example.com"), IpAddress(1, 2, 3, 4));
   EXPECT_FALSE(resolver.Resolve("nope.com").has_value());

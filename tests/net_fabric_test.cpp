@@ -2,18 +2,27 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
+#include "test_hosts.h"
+
 namespace panoptes::net {
 namespace {
+
+using fixtures::TestNetwork;
 
 HttpResponse Echo(const HttpRequest& request, const ConnectionMeta& meta) {
   (void)meta;
   return HttpResponse::Ok("echo:" + std::string(request.url.path()));
 }
 
+std::shared_ptr<Server> EchoServer() {
+  return std::make_shared<FunctionServer>(Echo);
+}
+
 TEST(Network, HostRegistersDnsAndCert) {
-  Network network;
-  network.Host("example.com", IpAddress(1, 2, 3, 4),
-               std::make_shared<FunctionServer>(Echo));
+  TestNetwork hosts({{"example.com", IpAddress(1, 2, 3, 4), EchoServer()}});
+  Network& network = hosts.network();
   EXPECT_EQ(network.zone().Lookup("example.com"), IpAddress(1, 2, 3, 4));
   const auto* leaf = network.LeafFor("example.com");
   ASSERT_NE(leaf, nullptr);
@@ -22,9 +31,8 @@ TEST(Network, HostRegistersDnsAndCert) {
 }
 
 TEST(Network, FindByHostAndIp) {
-  Network network;
-  network.Host("a.com", IpAddress(1, 0, 0, 1),
-               std::make_shared<FunctionServer>(Echo));
+  TestNetwork hosts({{"a.com", IpAddress(1, 0, 0, 1), EchoServer()}});
+  Network& network = hosts.network();
   EXPECT_NE(network.FindByHost("a.com"), nullptr);
   EXPECT_NE(network.FindByHost("A.COM"), nullptr);
   EXPECT_EQ(network.FindByHost("b.com"), nullptr);
@@ -33,9 +41,8 @@ TEST(Network, FindByHostAndIp) {
 }
 
 TEST(Network, DeliverRoutesToServer) {
-  Network network;
-  network.Host("a.com", IpAddress(1, 0, 0, 1),
-               std::make_shared<FunctionServer>(Echo));
+  TestNetwork hosts({{"a.com", IpAddress(1, 0, 0, 1), EchoServer()}});
+  Network& network = hosts.network();
   HttpRequest request;
   request.url = Url::MustParse("https://a.com/hello");
   ConnectionMeta meta;
@@ -46,7 +53,8 @@ TEST(Network, DeliverRoutesToServer) {
 }
 
 TEST(Network, DeliverToEmptyAddressIs502) {
-  Network network;
+  TestNetwork hosts;
+  Network& network = hosts.network();
   HttpRequest request;
   request.url = Url::MustParse("https://a.com/");
   ConnectionMeta meta;
@@ -55,9 +63,8 @@ TEST(Network, DeliverToEmptyAddressIs502) {
 }
 
 TEST(Network, TaintLeakCounterFiresOnPanoptesHeaders) {
-  Network network;
-  network.Host("a.com", IpAddress(1, 0, 0, 1),
-               std::make_shared<FunctionServer>(Echo));
+  TestNetwork hosts({{"a.com", IpAddress(1, 0, 0, 1), EchoServer()}});
+  Network& network = hosts.network();
   HttpRequest clean;
   clean.url = Url::MustParse("https://a.com/");
   ConnectionMeta meta;
@@ -71,9 +78,8 @@ TEST(Network, TaintLeakCounterFiresOnPanoptesHeaders) {
 }
 
 TEST(Network, TaintLeakCanaryIsCaseInsensitive) {
-  Network network;
-  network.Host("a.com", IpAddress(1, 0, 0, 1),
-               std::make_shared<FunctionServer>(Echo));
+  TestNetwork hosts({{"a.com", IpAddress(1, 0, 0, 1), EchoServer()}});
+  Network& network = hosts.network();
   ConnectionMeta meta;
   auto deliver = [&](std::vector<std::pair<std::string, std::string>>
                          headers) {
@@ -102,9 +108,9 @@ TEST(Network, TaintLeakCanaryIsCaseInsensitive) {
 }
 
 TEST(Network, MixedCaseHostLookups) {
-  Network network;
-  network.Host("Mixed.Example.COM", IpAddress(1, 0, 0, 5),
-               std::make_shared<FunctionServer>(Echo), /*supports_h3=*/true);
+  TestNetwork hosts(
+      {{"Mixed.Example.COM", IpAddress(1, 0, 0, 5), EchoServer(), true}});
+  Network& network = hosts.network();
   for (std::string_view name :
        {"mixed.example.com", "MIXED.EXAMPLE.COM", "Mixed.Example.COM"}) {
     SCOPED_TRACE(std::string(name));
@@ -120,17 +126,6 @@ TEST(Network, MixedCaseHostLookups) {
             network.FindByHost("mixed.example.com"));
   EXPECT_EQ(network.FindByHost("other.example.com"), nullptr);
   EXPECT_FALSE(network.zone().Has("OTHER.example.com"));
-
-  // A rebound name answers on its new address only; FindByIp reaches
-  // it without a second name lookup.
-  network.Host("MIXED.example.com", IpAddress(1, 0, 0, 6),
-               std::make_shared<FunctionServer>(Echo));
-  EXPECT_EQ(network.FindByIp(IpAddress(1, 0, 0, 5)), nullptr);
-  EXPECT_EQ(network.FindByIp(IpAddress(1, 0, 0, 6)),
-            network.FindByHost("mixed.example.com"));
-  EXPECT_EQ(network.FindByIp(IpAddress(1, 0, 0, 6))->ip,
-            IpAddress(1, 0, 0, 6));
-  EXPECT_FALSE(network.SupportsH3("Mixed.Example.Com"));
 
   // The DoH cache is keyed by the folded name: "A.com" then "a.com" is
   // one transport call.
@@ -149,79 +144,101 @@ TEST(Network, MixedCaseHostLookups) {
 }
 
 TEST(Network, SupportsH3Flag) {
-  Network network;
-  network.Host("h3.com", IpAddress(1, 0, 0, 2),
-               std::make_shared<FunctionServer>(Echo), /*supports_h3=*/true);
-  network.Host("h1.com", IpAddress(1, 0, 0, 3),
-               std::make_shared<FunctionServer>(Echo));
+  TestNetwork hosts({{"h3.com", IpAddress(1, 0, 0, 2), EchoServer(), true},
+                     {"h1.com", IpAddress(1, 0, 0, 3), EchoServer()}});
+  Network& network = hosts.network();
   EXPECT_TRUE(network.SupportsH3("h3.com"));
   EXPECT_FALSE(network.SupportsH3("h1.com"));
   EXPECT_FALSE(network.SupportsH3("unknown.com"));
 }
 
-TEST(Network, RebindingReplaces) {
-  Network network;
-  network.Host("a.com", IpAddress(1, 0, 0, 1),
-               std::make_shared<FunctionServer>(Echo));
-  network.Host("a.com", IpAddress(1, 0, 0, 7),
-               std::make_shared<FunctionServer>(Echo));
-  EXPECT_EQ(network.zone().Lookup("a.com"), IpAddress(1, 0, 0, 7));
-}
-
-// A rebind gives up the old address: nothing answers there any more,
-// whether the name was bound in the network itself or in a shared table
-// the network's own binding now shadows.
+// A host the table rebinds gives up its old address: nothing answers
+// there any more, and the network delivers to the new one.
 TEST(Network, RebindingReleasesTheOldAddress) {
   HttpRequest request;
   request.url = Url::MustParse("https://a.com/");
   ConnectionMeta meta;
 
-  Network network;
-  network.Host("a.com", IpAddress(1, 0, 0, 1),
-               std::make_shared<FunctionServer>(Echo));
-  network.Host("a.com", IpAddress(1, 0, 0, 7),
-               std::make_shared<FunctionServer>(Echo));
+  HostTable table(/*seed=*/1);
+  table.Add("a.com", IpAddress(1, 0, 0, 1), false);
+  uint32_t slot = table.Add("A.com", IpAddress(1, 0, 0, 7), false).slot;
+  Network network(&table);
+  network.Bind(slot, EchoServer());
+  EXPECT_EQ(network.zone().Lookup("a.com"), IpAddress(1, 0, 0, 7));
   EXPECT_EQ(network.FindByIp(IpAddress(1, 0, 0, 1)), nullptr);
   EXPECT_EQ(network.Deliver(IpAddress(1, 0, 0, 1), request, meta).status,
             502);
   EXPECT_EQ(network.Deliver(IpAddress(1, 0, 0, 7), request, meta).status,
             200);
+  EXPECT_EQ(network.Hostnames(), std::vector<std::string>{"a.com"});
+}
 
+// A network only binds the slots its table had when it was built.
+TEST(Network, BindRejectsASlotOutsideItsTable) {
   HostTable table(/*seed=*/1);
-  uint32_t slot = table.Add("a.com", IpAddress(1, 0, 0, 1), false).slot;
-  Network shadowing(&table, /*seed=*/2);
-  Network untouched(&table, /*seed=*/3);
-  for (Network* net : {&shadowing, &untouched}) {
-    net->Bind(slot, std::make_shared<FunctionServer>(Echo));
-  }
-  EXPECT_EQ(shadowing.Deliver(IpAddress(1, 0, 0, 1), request, meta).status,
-            200);
-  shadowing.Host("A.com", IpAddress(1, 0, 0, 7),
-                 std::make_shared<FunctionServer>(Echo));
-  EXPECT_EQ(shadowing.zone().Lookup("a.com"), IpAddress(1, 0, 0, 7));
-  EXPECT_EQ(shadowing.FindByIp(IpAddress(1, 0, 0, 1)), nullptr);
-  EXPECT_EQ(shadowing.Deliver(IpAddress(1, 0, 0, 1), request, meta).status,
-            502);
-  EXPECT_EQ(shadowing.Deliver(IpAddress(1, 0, 0, 7), request, meta).status,
-            200);
-  EXPECT_EQ(shadowing.Hostnames(), std::vector<std::string>{"a.com"});
-  // The shared table, and every other network over it, is unchanged.
-  EXPECT_EQ(table.FindByIp(IpAddress(1, 0, 0, 1)), table.Find("a.com"));
-  EXPECT_EQ(untouched.zone().Lookup("a.com"), IpAddress(1, 0, 0, 1));
-  EXPECT_EQ(untouched.Deliver(IpAddress(1, 0, 0, 1), request, meta).status,
-            200);
+  table.Add("a.com", IpAddress(1, 0, 0, 1), false);
+  Network network(&table);
+  EXPECT_THROW(network.Bind(1, EchoServer()), std::out_of_range);
+  // A host added after the network was built has no slot in it: it
+  // cannot be bound, and nothing answers at its address.
+  uint32_t late = table.Add("b.com", IpAddress(1, 0, 0, 2), false).slot;
+  EXPECT_THROW(network.Bind(late, EchoServer()), std::out_of_range);
+  HttpRequest request;
+  request.url = Url::MustParse("https://b.com/");
+  EXPECT_EQ(
+      network.Deliver(IpAddress(1, 0, 0, 2), request, ConnectionMeta{})
+          .status,
+      502);
+  network.Bind(0, EchoServer());
+  EXPECT_EQ(
+      network.Deliver(IpAddress(1, 0, 0, 1), request, ConnectionMeta{})
+          .status,
+      200);
 }
 
 TEST(Network, HostnamesListing) {
-  Network network;
-  network.Host("b.com", IpAddress(1, 0, 0, 2),
-               std::make_shared<FunctionServer>(Echo));
-  network.Host("a.com", IpAddress(1, 0, 0, 1),
-               std::make_shared<FunctionServer>(Echo));
-  auto names = network.Hostnames();
+  TestNetwork hosts({{"b.com", IpAddress(1, 0, 0, 2), EchoServer()},
+                     {"a.com", IpAddress(1, 0, 0, 1), EchoServer()}});
+  auto names = hosts.network().Hostnames();
   ASSERT_EQ(names.size(), 2u);
   EXPECT_EQ(names[0], "a.com");  // stable (sorted) order
   EXPECT_EQ(names[1], "b.com");
+}
+
+// A rebind keeps the name's slot and moves it to the new address,
+// leaf and HTTP/3 support; the old address finds nothing, and every
+// other slot is untouched.
+TEST(HostTable, RebindReleasesTheOldAddress) {
+  HostTable table(/*seed=*/1);
+  const HostRecord& first =
+      table.Add("Mixed.Example.COM", IpAddress(1, 0, 0, 5), true);
+  uint32_t slot = first.slot;
+  std::string old_key = first.leaf.spki_id;
+  uint32_t other = table.Add("b.com", IpAddress(1, 0, 0, 2), false).slot;
+
+  const HostRecord& rebound =
+      table.Add("MIXED.example.com", IpAddress(1, 0, 0, 6), false);
+  EXPECT_EQ(rebound.slot, slot);
+  EXPECT_EQ(table.size(), 2u);
+  EXPECT_EQ(table.FindByIp(IpAddress(1, 0, 0, 5)), nullptr);
+  EXPECT_EQ(table.FindByIp(IpAddress(1, 0, 0, 6)),
+            table.Find("mixed.example.com"));
+  EXPECT_EQ(table.Address("Mixed.Example.Com"), IpAddress(1, 0, 0, 6));
+  EXPECT_FALSE(table.Find("mixed.example.com")->supports_h3);
+  EXPECT_NE(table.Find("mixed.example.com")->leaf.spki_id, old_key);
+
+  const HostRecord* b = table.Find("b.com");
+  ASSERT_NE(b, nullptr);
+  EXPECT_EQ(b->slot, other);
+  EXPECT_EQ(b->ip, IpAddress(1, 0, 0, 2));
+  EXPECT_EQ(table.FindByIp(IpAddress(1, 0, 0, 2)), b);
+
+  // An address another host has claimed since stays with that host.
+  table.Add("c.com", IpAddress(1, 0, 0, 6), false);
+  table.Add("mixed.example.com", IpAddress(1, 0, 0, 9), false);
+  EXPECT_EQ(table.FindByIp(IpAddress(1, 0, 0, 6)), table.Find("c.com"));
+  EXPECT_EQ(table.FindByIp(IpAddress(1, 0, 0, 9)),
+            table.Find("mixed.example.com"));
 }
 
 }  // namespace

@@ -440,5 +440,42 @@ TEST(JournalValidation, BadHeaderIsAHardError) {
   EXPECT_FALSE(wrong_schema.truncated);
 }
 
+// A header or seq that is a number of the wrong kind, or no number at
+// all, is rejected like any other bad field: never cast, never read as
+// "ok".
+TEST(JournalValidation, NonIntegerHeaderAndSeqAreHardErrors) {
+  struct Case {
+    const char* name;
+    const char* jsonl;
+    bool header_ok;
+  };
+  const Case cases[] = {
+      {"schema as a string", "{\"journal_schema\":\"1\",\"events\":0}\n",
+       false},
+      {"events out of range", "{\"journal_schema\":1,\"events\":1e300}\n",
+       false},
+      {"events negative", "{\"journal_schema\":1,\"events\":-1}\n", false},
+      {"events fractional", "{\"journal_schema\":1,\"events\":0.5}\n",
+       false},
+      {"seq as a string",
+       "{\"journal_schema\":1,\"events\":1}\n"
+       "{\"seq\":\"0\",\"t\":0,\"layer\":\"proxy\",\"kind\":\"x\"}\n",
+       true},
+      {"seq out of range",
+       "{\"journal_schema\":1,\"events\":1}\n"
+       "{\"seq\":1e300,\"t\":0,\"layer\":\"proxy\",\"kind\":\"x\"}\n",
+       true},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    JournalValidation validation = ValidateJournalJsonl(c.jsonl);
+    EXPECT_FALSE(validation.ok);
+    EXPECT_EQ(validation.header_ok, c.header_ok);
+    EXPECT_FALSE(validation.truncated);
+    EXPECT_EQ(validation.valid_events, 0u);
+    EXPECT_FALSE(validation.error.empty());
+  }
+}
+
 }  // namespace
 }  // namespace panoptes::obs

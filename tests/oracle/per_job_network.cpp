@@ -1,5 +1,7 @@
 #include "oracle/per_job_network.h"
 
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "vendors/servers.h"
@@ -10,68 +12,87 @@ namespace panoptes::oracle {
 
 namespace {
 
+// Registers each host into the job's table as it comes, and keeps the
+// server to bind at its slot once the table is complete.
+struct Install {
+  net::HostTable& table;
+  std::vector<std::pair<uint32_t, std::shared_ptr<net::Server>>> servers;
+
+  uint32_t Host(std::string_view hostname, net::IpAddress ip,
+                std::shared_ptr<net::Server> server,
+                bool supports_h3 = false) {
+    uint32_t slot = table.Add(hostname, ip, supports_h3).slot;
+    servers.emplace_back(slot, std::move(server));
+    return slot;
+  }
+};
+
 void InstallWeb(const std::shared_ptr<const web::World>& world,
-                net::Network& network,
+                Install& install,
                 std::vector<net::IpAllocator>& origin_blocks,
                 net::IpAllocator& thirdparty_block) {
   for (size_t i = 0; i < world->size(); ++i) {
     const web::Site& site = world->site(i);
     auto& block = origin_blocks[i % origin_blocks.size()];
-    network.Host(site.hostname, block.Next(),
+    install.Host(site.hostname, block.Next(),
                  std::make_shared<web::OriginServer>(world, i),
                  site.supports_h3);
   }
   for (const auto& service : web::ThirdPartyPool()) {
-    network.Host(service.request_host, thirdparty_block.Next(),
+    install.Host(service.request_host, thirdparty_block.Next(),
                  std::make_shared<web::ThirdPartyServer>(service),
                  /*supports_h3=*/true);
   }
 }
 
-vendors::VendorWorld InstallVendors(net::Network& network,
-                                    vendors::GeoPlan& plan) {
+// The DoH servers answer from the network's zone, so they are made
+// once the network exists; these are their slots.
+struct DohSlots {
+  uint32_t cloudflare = 0;
+  uint32_t google = 0;
+};
+
+DohSlots InstallVendors(Install& install, vendors::GeoPlan& plan,
+                        vendors::VendorWorld& world) {
   using namespace vendors;
-  VendorWorld world;
 
   for (const auto& spec : TelemetryHosts()) {
     auto server = std::make_shared<TelemetryServer>(spec.hostname);
-    network.Host(spec.hostname, plan.Allocator(spec.country).Next(), server,
+    install.Host(spec.hostname, plan.Allocator(spec.country).Next(), server,
                  spec.h3);
     world.telemetry.push_back(std::move(server));
   }
 
   world.sba_yandex = std::make_shared<SbaYandexServer>();
-  network.Host("sba.yandex.net", plan.Allocator("RU").Next(),
+  install.Host("sba.yandex.net", plan.Allocator("RU").Next(),
                world.sba_yandex);
 
   world.yandex_api = std::make_shared<YandexApiServer>();
-  network.Host("api.browser.yandex.ru", plan.Allocator("RU").Next(),
+  install.Host("api.browser.yandex.ru", plan.Allocator("RU").Next(),
                world.yandex_api);
 
   world.oleads = std::make_shared<OleadsServer>();
-  network.Host("s-odx.oleads.com", plan.Allocator("NO").Next(),
+  install.Host("s-odx.oleads.com", plan.Allocator("NO").Next(),
                world.oleads);
-  network.Host("s-odx-amer.oleads.com", plan.Allocator("US").Next(),
+  install.Host("s-odx-amer.oleads.com", plan.Allocator("US").Next(),
                world.oleads);
 
   world.bing = std::make_shared<BingApiServer>();
-  network.Host("www.bing.com", plan.Allocator("US").Next(), world.bing,
+  install.Host("www.bing.com", plan.Allocator("US").Next(), world.bing,
                /*supports_h3=*/true);
 
   world.sitecheck = std::make_shared<OperaSitecheckServer>();
-  network.Host("sitecheck2.opera.com", plan.Allocator("NO").Next(),
+  install.Host("sitecheck2.opera.com", plan.Allocator("NO").Next(),
                world.sitecheck);
 
-  world.cloudflare_doh = std::make_shared<DohServer>(&network);
-  network.Host("cloudflare-dns.com",
-               plan.Allocator("US-ANYCAST-CF").Next(), world.cloudflare_doh,
-               /*supports_h3=*/true);
-
-  world.google_doh = std::make_shared<DohServer>(&network);
-  network.Host("dns.google", plan.Allocator("US-ANYCAST-GOOG").Next(),
-               world.google_doh, /*supports_h3=*/true);
-
-  return world;
+  DohSlots doh;
+  doh.cloudflare = install.Host("cloudflare-dns.com",
+                                plan.Allocator("US-ANYCAST-CF").Next(),
+                                nullptr, /*supports_h3=*/true);
+  doh.google = install.Host("dns.google",
+                            plan.Allocator("US-ANYCAST-GOOG").Next(),
+                            nullptr, /*supports_h3=*/true);
+  return doh;
 }
 
 }  // namespace
@@ -79,15 +100,26 @@ vendors::VendorWorld InstallVendors(net::Network& network,
 PerJobNetwork InstallPerJobNetwork(
     const std::shared_ptr<const web::World>& world, uint64_t seed) {
   PerJobNetwork out;
-  out.network = std::make_unique<net::Network>(seed);
+  out.table = std::make_unique<net::HostTable>(seed);
+  Install install{*out.table, {}};
   std::vector<net::IpAllocator> origin_blocks = {
       out.geo.Allocator("US-HOSTING"),
       out.geo.Allocator("DE-HOSTING"),
       out.geo.Allocator("NL-HOSTING"),
   };
-  InstallWeb(world, *out.network, origin_blocks,
-             out.geo.Allocator("US-ADTECH"));
-  out.vendors = InstallVendors(*out.network, out.geo);
+  InstallWeb(world, install, origin_blocks, out.geo.Allocator("US-ADTECH"));
+  DohSlots doh = InstallVendors(install, out.geo, out.vendors);
+
+  out.network = std::make_unique<net::Network>(out.table.get());
+  for (auto& [slot, server] : install.servers) {
+    out.network->Bind(slot, std::move(server));
+  }
+  out.vendors.cloudflare_doh =
+      std::make_shared<vendors::DohServer>(out.network.get());
+  out.network->Bind(doh.cloudflare, out.vendors.cloudflare_doh);
+  out.vendors.google_doh =
+      std::make_shared<vendors::DohServer>(out.network.get());
+  out.network->Bind(doh.google, out.vendors.google_doh);
   return out;
 }
 

@@ -105,5 +105,22 @@ TEST(Har, ImportRejectsGarbage) {
           .has_value());
 }
 
+// A numeric field that is no integer in its range is read as missing,
+// not cast: the entry imports with that field's default.
+TEST(Har, ImportTreatsOutOfRangeNumbersAsMissing) {
+  auto store = ImportHar(
+      R"({"log":{"entries":[{"request":{"url":"https://a.example/"},)"
+      R"("response":{"status":1e300,"bodySize":-1},)"
+      R"("_id":2.5,"_appUid":1e300,"_timeMillis":-1e300}]}})");
+  ASSERT_TRUE(store.has_value());
+  ASSERT_EQ(store->size(), 1u);
+  const FlowView& flow = store->flow(0);
+  EXPECT_EQ(flow.response_status, 0);
+  EXPECT_EQ(flow.response_bytes, 0u);
+  EXPECT_EQ(flow.id, 0u);
+  EXPECT_EQ(flow.app_uid, -1);
+  EXPECT_EQ(flow.time.millis, 0);
+}
+
 }  // namespace
 }  // namespace panoptes::proxy

@@ -7,6 +7,7 @@
 #include "net/fabric.h"
 #include "proxy/flowstore.h"
 #include "proxy/mitm.h"
+#include "test_hosts.h"
 
 namespace panoptes::proxy {
 namespace {
@@ -200,16 +201,16 @@ class RecordingAddon : public Addon {
 
 class MitmTest : public ::testing::Test {
  protected:
-  MitmTest() : proxy_(&network_) {
-    network_.Host("site.com", net::IpAddress(1, 0, 0, 1),
-                  std::make_shared<net::FunctionServer>(
-                      [this](const net::HttpRequest& request,
-                             const net::ConnectionMeta& meta) {
-                        last_request_ = request;
-                        last_meta_ = meta;
-                        return net::HttpResponse::Ok("served");
-                      }));
-  }
+  MitmTest()
+      : hosts_({{"site.com", net::IpAddress(1, 0, 0, 1),
+                 std::make_shared<net::FunctionServer>(
+                     [this](const net::HttpRequest& request,
+                            const net::ConnectionMeta& meta) {
+                       last_request_ = request;
+                       last_meta_ = meta;
+                       return net::HttpResponse::Ok("served");
+                     })}}),
+        proxy_(&hosts_.network()) {}
 
   net::ConnectionMeta Meta() {
     net::ConnectionMeta meta;
@@ -219,7 +220,7 @@ class MitmTest : public ::testing::Test {
     return meta;
   }
 
-  net::Network network_;
+  fixtures::TestNetwork hosts_;
   MitmProxy proxy_;
   net::HttpRequest last_request_;
   net::ConnectionMeta last_meta_;

@@ -13,11 +13,16 @@
 #include "analysis/uid_smuggling.h"
 #include "browser/engine.h"
 #include "browser/profiles.h"
+#include "browser/runtime.h"
 #include "core/campaign.h"
 #include "core/framework.h"
+#include "device/device.h"
+#include "device/netstack.h"
 #include "net/fabric.h"
 #include "proxy/flowstore.h"
+#include "test_hosts.h"
 #include "util/binio.h"
+#include "vendors/servers.h"
 #include "web/origin_server.h"
 #include "web/sitegen.h"
 #include "web/world.h"
@@ -157,19 +162,26 @@ TEST(EngineRedirect, FollowsBounceChainAndCommitsDecoratedLanding) {
             bouncer->smuggle_uid);
 }
 
+// A host that redirects every request to itself, on a hand-built
+// network the device reaches directly (plus the DoH provider Chrome
+// resolves through): the engine gives up after the hop bound.
 TEST(EngineRedirect, HopBoundFailsLoopingNavigation) {
-  core::FrameworkOptions options;
-  options.catalog.popular_count = 1;
-  options.catalog.sensitive_count = 0;
-  core::Framework framework(options);
-  framework.network().Host(
-      "loop.example", net::IpAddress(198, 51, 100, 200),
-      std::make_shared<net::FunctionServer>(
-          [](const net::HttpRequest&, const net::ConnectionMeta&) {
-            return net::HttpResponse::Redirect("https://loop.example/again");
-          }));
+  fixtures::TestNetwork hosts(
+      {{"loop.example", net::IpAddress(198, 51, 100, 200),
+        fixtures::Answering(
+            net::HttpResponse::Redirect("https://loop.example/again"))},
+       {"dns.google", net::IpAddress(8, 8, 8, 8), nullptr}});
+  hosts.network().Bind(
+      hosts.table().Find("dns.google")->slot,
+      std::make_shared<vendors::DohServer>(&hosts.network()));
+  util::SimClock clock;
+  device::AndroidDevice device;
+  device.trust_store().Trust(hosts.network().web_ca().name());
+  device::NetworkStack netstack(&device, &hosts.network(), &clock);
+  browser::BrowserRuntime runtime(*browser::FindSpec("Chrome"), &device,
+                                  &netstack, &hosts.network(), &clock,
+                                  /*seed=*/1);
 
-  auto& runtime = framework.PrepareBrowser(*browser::FindSpec("Chrome"));
   auto outcome =
       runtime.Navigate(net::Url::MustParse("https://loop.example/"));
   EXPECT_FALSE(outcome.page.ok);

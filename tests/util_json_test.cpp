@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <limits>
+
 #include "util/rng.h"
 
 namespace panoptes::util {
@@ -76,6 +80,31 @@ TEST(Json, ParseRejectsGarbage) {
   EXPECT_FALSE(Json::Parse("1 2").has_value());   // trailing garbage
   EXPECT_FALSE(Json::Parse("\"open").has_value());
   EXPECT_FALSE(Json::Parse("{'a':1}").has_value());
+}
+
+TEST(Json, IntegerReadsOnlyIntegralNumbersInRange) {
+  EXPECT_EQ(Json(42).Integer<int>(), 42);
+  EXPECT_EQ(Json(-7).Integer<int64_t>(), -7);
+  EXPECT_EQ(Json(-0.0).Integer<int>(), 0);
+  EXPECT_EQ(Json(0.0).Integer<size_t>(), 0u);
+  EXPECT_FALSE(Json(2.5).Integer<int>().has_value());
+  EXPECT_FALSE(Json(-1).Integer<size_t>().has_value());
+  EXPECT_FALSE(Json(1e300).Integer<int64_t>().has_value());
+  EXPECT_FALSE(Json(-1e300).Integer<int64_t>().has_value());
+  EXPECT_FALSE(Json("1").Integer<int>().has_value());
+  EXPECT_FALSE(Json().Integer<int>().has_value());
+  // Each type's edges: the largest value in range, the first beyond it.
+  EXPECT_EQ(Json(2147483647.0).Integer<int>(), 2147483647);
+  EXPECT_FALSE(Json(2147483648.0).Integer<int>().has_value());
+  EXPECT_EQ(Json(-2147483648.0).Integer<int>(), -2147483647 - 1);
+  EXPECT_FALSE(Json(-2147483649.0).Integer<int>().has_value());
+  EXPECT_FALSE(Json(9223372036854775808.0).Integer<int64_t>().has_value());
+  EXPECT_EQ(Json(-9223372036854775808.0).Integer<int64_t>(),
+            std::numeric_limits<int64_t>::min());
+  EXPECT_EQ(Json(18446744073709549568.0).Integer<uint64_t>(),
+            18446744073709549568ull);
+  EXPECT_FALSE(Json(18446744073709551616.0).Integer<uint64_t>().has_value());
+  EXPECT_FALSE(ExactInteger<int>(std::nan("")).has_value());
 }
 
 TEST(Json, RoundTripListing1Shape) {

@@ -1,6 +1,7 @@
 // Vendor backends and the geo address plan.
 #include <gtest/gtest.h>
 
+#include "test_hosts.h"
 #include "util/base64.h"
 #include "util/json.h"
 #include "util/uuid.h"
@@ -19,7 +20,7 @@ struct Vendors {
   GeoPlan geo = GeoPlan::Default();
   net::HostTable table{/*seed=*/1};
   VendorPlan plan = PlanVendors(table, geo);
-  net::Network network{&table, /*seed=*/2};
+  net::Network network{&table};
   VendorWorld world = BindVendors(plan, network);
 };
 
@@ -139,13 +140,10 @@ TEST(Oleads, ValidatesListing1Fields) {
 }
 
 TEST(Doh, AnswersFromAuthoritativeZone) {
-  net::Network network;
-  network.Host("example.com", net::IpAddress(4, 3, 2, 1),
-               std::make_shared<net::FunctionServer>(
-                   [](const net::HttpRequest&, const net::ConnectionMeta&) {
-                     return net::HttpResponse::Ok("x");
-                   }));
-  DohServer server(&network);
+  fixtures::TestNetwork hosts(
+      {{"example.com", net::IpAddress(4, 3, 2, 1),
+        fixtures::Answering(net::HttpResponse::Ok("x"))}});
+  DohServer server(&hosts.network());
   net::HttpRequest query;
   query.url =
       net::Url::MustParse("https://cloudflare-dns.com/dns-query?name=example.com&type=A");

@@ -244,7 +244,7 @@ TEST(InstallWeb, BindsEverySiteAndService) {
       net::IpAllocator(*net::Cidr::Parse("104.16.0.0/16"))};
   net::IpAllocator third(*net::Cidr::Parse("142.250.0.0/16"));
   WebPlan plan = PlanWeb(*world, table, origins, third);
-  net::Network network(&table, /*seed=*/2);
+  net::Network network(&table);
   BindWeb(world, plan, network);
 
   for (size_t i = 0; i < world->size(); ++i) {
