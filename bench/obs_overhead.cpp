@@ -14,6 +14,7 @@
 #include "core/fleet.h"
 #include "obs/journal.h"
 #include "obs/metrics.h"
+#include "obs/telemetry.h"
 #include "obs/tracer.h"
 #include "util/rng.h"
 
@@ -134,6 +135,25 @@ void BM_CounterInc(benchmark::State& state) {
   benchmark::DoNotOptimize(counter.Value());
 }
 BENCHMARK(BM_CounterInc);
+
+// What the metrics toggle gates per fleet run besides a few fleet
+// gauge and timer updates per job: the one publish of the run's folded
+// job scopes. Resolvable where BM_MetricsOverhead's run-to-run noise is
+// not.
+void BM_PublishFoldedScope(benchmark::State& state) {
+  obs::JobTelemetry fold;
+  for (const auto& result : MakeExecutor().Run(MakeJobs())) {
+    fold.Accumulate(result.telemetry);
+  }
+  obs::MetricsRegistry registry;
+  const obs::Families families(registry);
+  for (auto _ : state) {
+    families.Publish(fold);
+  }
+  benchmark::DoNotOptimize(
+      registry.GetCounter("panoptes_proxy_flows_total").Value());
+}
+BENCHMARK(BM_PublishFoldedScope);
 
 void BM_HistogramObserve(benchmark::State& state) {
   obs::MetricsRegistry registry;

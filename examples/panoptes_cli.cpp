@@ -42,6 +42,7 @@
 #include "obs/baseline.h"
 #include "obs/journal.h"
 #include "obs/metrics.h"
+#include "obs/telemetry.h"
 #include "obs/tracer.h"
 #include "analysis/report.h"
 #include "analysis/stats.h"
@@ -52,7 +53,6 @@
 #include "core/campaign.h"
 #include "core/fleet.h"
 #include "core/framework.h"
-#include "core/result_cache.h"
 #include "core/run_manifest.h"
 #include "core/testbed.h"
 #include "device/population.h"
@@ -356,6 +356,9 @@ int CmdFleet(const util::Args& args) {
     base_fw.catalog_seed = options.base_seed;
     const auto testbed =
         core::Testbed::Build(base_fw.CatalogSeed(), base_fw.catalog);
+    // Each window framework's scope, folded in browser order and
+    // published once, as the fleet executor does.
+    obs::JobTelemetry run_telemetry;
     for (const auto& spec : browsers) {
       core::FrameworkOptions fw = base_fw;
       fw.seed = core::DeriveJobSeed(options.base_seed, spec.name,
@@ -378,8 +381,10 @@ int CmdFleet(const util::Args& args) {
       combined += analysis::WindowReportJson(
           spec.name, result.native_index, framework.options().device_profile);
       if (window_journal_path) run_journal.Append(job_journal);
+      run_telemetry.Accumulate(framework.Accounting());
     }
     combined += "]}";
+    obs::Families().Publish(run_telemetry);
     if (auto json_path = args.Option("json")) {
       if (!WriteFile(*json_path, combined)) {
         std::fprintf(stderr, "cannot write %s\n", json_path->c_str());
@@ -473,10 +478,7 @@ int CmdFleet(const util::Args& args) {
   auto results = executor.Run(jobs, &stats);
   // The manifest is built from the un-merged results (plan order), so
   // quarantined shards are accounted before salvage drops them.
-  core::CacheStats cache_stats;
-  if (executor.cache() != nullptr) cache_stats = executor.cache()->Stats();
-  core::RunManifest manifest = core::BuildRunManifest(
-      options, results, executor.cache() != nullptr ? &cache_stats : nullptr);
+  core::RunManifest manifest = core::BuildRunManifest(options, results);
   // The journal merges from the un-merged results (plan order) —
   // MergeShards drops per-job identity.
   obs::Journal run_journal;

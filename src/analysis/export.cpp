@@ -7,6 +7,7 @@
 #include "analysis/pii.h"
 #include "analysis/uid_smuggling.h"
 #include "obs/metrics.h"
+#include "obs/telemetry.h"
 #include "obs/tracer.h"
 #include "util/clock.h"
 #include "util/hex.h"
@@ -25,14 +26,9 @@ class ReportTimer {
   explicit ReportTimer(const char* name)
       : span_(name, "analysis"), start_ns_(util::SteadyNowNanos()) {}
   ~ReportTimer() {
-    auto& registry = obs::MetricsRegistry::Default();
-    static obs::Counter& reports = registry.GetCounter(
-        "panoptes_analysis_reports_total", "Fleet reports rendered");
-    static obs::Histogram& seconds = registry.GetHistogram(
-        "panoptes_analysis_report_seconds",
-        "Wall-clock time to render one fleet report");
-    reports.Inc();
-    seconds.Observe(
+    obs::Families families;
+    families.reports.Inc();
+    families.report_seconds.Observe(
         static_cast<double>(util::SteadyNowNanos() - start_ns_) * 1e-9);
   }
 

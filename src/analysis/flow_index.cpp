@@ -5,45 +5,12 @@
 
 #include "net/psl.h"
 #include "net/url.h"
-#include "obs/metrics.h"
 #include "obs/tracer.h"
 #include "util/base64.h"
-#include "util/clock.h"
 #include "util/json.h"
 #include "util/strings.h"
 
 namespace panoptes::analysis {
-
-namespace {
-
-struct IndexMetrics {
-  obs::Counter& builds;
-  obs::Counter& indexed_flows;
-  obs::Counter& appends;
-  obs::Counter& host_lookups;
-  obs::Histogram& build_seconds;
-};
-
-IndexMetrics& Metrics() {
-  auto& registry = obs::MetricsRegistry::Default();
-  static IndexMetrics* metrics = new IndexMetrics{
-      registry.GetCounter("panoptes_index_builds_total",
-                          "FlowIndex single-pass builds (captures, merges "
-                          "and snapshot-restore rebuilds)"),
-      registry.GetCounter("panoptes_index_indexed_flows_total",
-                          "Flows folded into a FlowIndex by Build/Append"),
-      registry.GetCounter("panoptes_index_appends_total",
-                          "FlowIndex shard merges via Append"),
-      registry.GetCounter("panoptes_index_host_lookups_total",
-                          "Host-id/postings lookups served by a FlowIndex"),
-      registry.GetHistogram("panoptes_index_build_seconds",
-                            "Wall time of FlowIndex::Build",
-                            obs::Histogram::LatencyBounds()),
-  };
-  return *metrics;
-}
-
-}  // namespace
 
 uint32_t FlowIndex::InternHost(std::string_view raw) {
   if (auto it = host_ids_.find(raw); it != host_ids_.end()) {
@@ -226,7 +193,6 @@ void FlowIndex::AddPostings(uint32_t flow_id, PostingsCache& cache) {
 
 FlowIndex FlowIndex::Build(const proxy::FlowStore& store) {
   obs::ScopedSpan span("index.build", "index");
-  int64_t start_ns = util::SteadyNowNanos();
 
   FlowIndex index;
   index.entries_.reserve(store.size());
@@ -247,11 +213,6 @@ FlowIndex FlowIndex::Build(const proxy::FlowStore& store) {
     index.IndexFlow(flow, mapped, cache);
   }
 
-  auto& metrics = Metrics();
-  metrics.builds.Inc();
-  metrics.indexed_flows.Inc(index.entries_.size());
-  metrics.build_seconds.Observe(
-      static_cast<double>(util::SteadyNowNanos() - start_ns) * 1e-9);
   span.Arg("flows", static_cast<int64_t>(index.entries_.size()));
   span.Arg("hosts", static_cast<int64_t>(index.hosts_.size()));
   return index;
@@ -269,7 +230,6 @@ void FlowIndex::AddFlow(const proxy::FlowStore& store, size_t i,
   uint32_t& mapped = cursor.host_map[flow.host_id];
   if (mapped == kUnmapped) mapped = InternHost(flow.Host());
   IndexFlow(flow, mapped, cursor.cache);
-  Metrics().indexed_flows.Inc();
 }
 
 FlowIndex::Checkpoint FlowIndex::MakeCheckpoint() const {
@@ -381,14 +341,10 @@ void FlowIndex::Append(const FlowIndex& other) {
     AddPostings(static_cast<uint32_t>(entries_.size() - 1), cache);
   }
 
-  auto& metrics = Metrics();
-  metrics.appends.Inc();
-  metrics.indexed_flows.Inc(entry_count);
   span.Arg("flows", static_cast<int64_t>(entry_count));
 }
 
 std::optional<uint32_t> FlowIndex::HostId(std::string_view raw_host) const {
-  Metrics().host_lookups.Inc();
   if (auto it = host_ids_.find(raw_host); it != host_ids_.end()) {
     return it->second;
   }
@@ -528,7 +484,6 @@ std::unique_ptr<FlowIndex> FlowIndex::Deserialize(util::BinReader& in) {
   }
   if (!in.ok()) return nullptr;
 
-  Metrics().builds.Inc();
   span.Arg("flows", static_cast<int64_t>(index->entries_.size()));
   return index;
 }

@@ -82,7 +82,7 @@ std::optional<Manifest> Manifest::FromJson(std::string_view text) {
 
 std::string Manifest::ToJson() const {
   util::JsonObject root;
-  root["seed"] = static_cast<int64_t>(seed);
+  root["seed"] = util::Json::ExactNumber(seed, "seed");
   root["popular_sites"] = popular_sites;
   root["sensitive_sites"] = sensitive_sites;
   util::JsonArray entry_array;

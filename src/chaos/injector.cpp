@@ -1,22 +1,10 @@
 #include "chaos/injector.h"
 
 #include "obs/journal.h"
-#include "obs/metrics.h"
 #include "util/rng.h"
 #include "util/strings.h"
 
 namespace panoptes::chaos {
-
-namespace {
-
-obs::Counter& FaultsInjectedCounter() {
-  static obs::Counter& counter = obs::MetricsRegistry::Default().GetCounter(
-      "panoptes_chaos_faults_injected_total",
-      "Faults injected by the chaos subsystem across all kinds");
-  return counter;
-}
-
-}  // namespace
 
 Injector::Injector(uint64_t seed, FaultProfile profile,
                    const util::SimClock* clock)
@@ -40,7 +28,6 @@ void Injector::Record(FaultKind kind, std::string_view host) {
   }
   events_.push_back(std::move(event));
   ++counts_[static_cast<size_t>(kind)];
-  FaultsInjectedCounter().Inc();
 }
 
 bool Injector::Draw(FaultKind kind, std::string_view host, double p,

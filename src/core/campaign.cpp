@@ -1,5 +1,6 @@
 #include "core/campaign.h"
 
+#include <algorithm>
 #include <cmath>
 #include <optional>
 #include <string_view>
@@ -7,7 +8,7 @@
 #include "analysis/flow_index.h"
 #include "browser/cdp.h"
 #include "obs/journal.h"
-#include "obs/metrics.h"
+#include "obs/telemetry.h"
 #include "obs/tracer.h"
 #include "util/logging.h"
 #include "util/rng.h"
@@ -15,33 +16,6 @@
 namespace panoptes::core {
 
 namespace {
-
-// Campaign-layer metrics. The native/engine split mirrors the paper's
-// taint split; counts are bulk-added from the job's private stores so
-// the per-flow hot path stays untouched.
-struct CampaignMetrics {
-  obs::Counter& visits_total;
-  obs::Counter& idle_ticks_total;
-  obs::Counter& engine_flows_total;
-  obs::Counter& native_flows_total;
-
-  static CampaignMetrics& Get() {
-    auto& registry = obs::MetricsRegistry::Default();
-    static CampaignMetrics* metrics = new CampaignMetrics{
-        registry.GetCounter("panoptes_core_visits_total",
-                            "Site visits across all crawl campaigns"),
-        registry.GetCounter("panoptes_core_idle_ticks_total",
-                            "Idle-campaign monitor ticks"),
-        registry.GetCounter(
-            "panoptes_core_engine_flows_total",
-            "Flows attributed to the web engine (tainted)"),
-        registry.GetCounter(
-            "panoptes_core_native_flows_total",
-            "Flows attributed to the browser app (untainted)"),
-    };
-    return *metrics;
-  }
-};
 
 // Bounded exponential backoff with deterministic jitter. `failures` is
 // the number of failed attempts so far (>= 1). Advances only the
@@ -97,6 +71,7 @@ class CaptureSession {
     config.stream = stream;
     config.chaos = framework.chaos();
     config.journal = framework.journal();
+    config.telemetry = framework.telemetry();
     config.clock = &framework.clock();
     if (engine != EngineCapture::kNone) {
       config.compact = engine == EngineCapture::kCompact;
@@ -138,11 +113,6 @@ class CaptureSession {
                      std::string_view progress_key, int64_t progress) {
     if (deadline.millis <= 0 || elapsed < deadline) return false;
     watchdog_cancelled_ = true;
-    static obs::Counter& watchdog_fires =
-        obs::MetricsRegistry::Default().GetCounter(
-            "panoptes_ingest_watchdog_cancels_total",
-            "Campaigns cancelled by the per-job watchdog deadline");
-    watchdog_fires.Inc();
     if (auto event = Event("watchdog_cancel")) {
       event->Num(progress_key, progress)
           .Num("deadline_millis", deadline.millis);
@@ -176,16 +146,37 @@ class CaptureSession {
 // the live remainder, into one store — byte-identical to an unbounded
 // batch capture — and the incremental index rides along (rebuilt from
 // the salvaged prefix if a segment was corrupt). The store outlives the
-// job's framework, so it is cut loose from its injector and journal.
-void Drain(StreamBuffer& buffer, IngestStats* ingest,
-           std::unique_ptr<proxy::FlowStore>* flows,
+// job's framework, so it is cut loose from its injector, journal and
+// telemetry; the writes chaos dropped, in any segment, are counted first.
+void Drain(StreamBuffer& buffer, obs::JobTelemetry* telemetry,
+           IngestStats* ingest, std::unique_ptr<proxy::FlowStore>* flows,
            std::unique_ptr<analysis::FlowIndex>* index) {
+  telemetry->flow_writes_dropped += buffer.dropped_writes();
   auto out = buffer.Materialize();
   ingest->Accumulate(buffer.stats());
   *flows = std::move(out.store);
   (*flows)->SetChaos(nullptr);
   (*flows)->SetJournal(nullptr);
+  (*flows)->SetTelemetry(nullptr);
   *index = std::make_unique<analysis::FlowIndex>(std::move(out.index));
+}
+
+// Fills the job's scope from the counts a finished capture keeps itself:
+// its ingest stats, whether the watchdog cancelled it, and the native
+// flows it kept.
+void AccountCapture(const IngestStats& ingest, bool watchdog_cancelled,
+                    uint64_t native_flows, obs::JobTelemetry* telemetry) {
+  telemetry->flows_pushed += ingest.flows_pushed;
+  telemetry->flows_shed += ingest.flows_shed;
+  telemetry->spill_segments += ingest.spill_segments;
+  telemetry->spill_bytes += ingest.spill_bytes;
+  telemetry->spill_failures += ingest.spill_failures;
+  telemetry->backpressure_stalls += ingest.backpressure_stalls;
+  telemetry->segments_quarantined += ingest.segments_quarantined;
+  telemetry->peak_live_bytes =
+      std::max(telemetry->peak_live_bytes, ingest.peak_live_bytes);
+  telemetry->watchdog_cancels += watchdog_cancelled ? 1 : 0;
+  telemetry->native_flows += native_flows;
 }
 
 }  // namespace
@@ -227,7 +218,6 @@ std::array<CrawlResult::Side, 2> CrawlResult::Sides() const {
 CrawlResult RunCrawl(Framework& framework, const browser::BrowserSpec& spec,
                      const std::vector<const web::Site*>& sites,
                      const CrawlOptions& options) {
-  CampaignMetrics& metrics = CampaignMetrics::Get();
   obs::ScopedSpan crawl_span("campaign.crawl", "campaign");
   crawl_span.Arg("browser", spec.name);
   crawl_span.Arg("sites", static_cast<int64_t>(sites.size()));
@@ -277,7 +267,6 @@ CrawlResult RunCrawl(Framework& framework, const browser::BrowserSpec& spec,
     }
     obs::ScopedSpan visit_span("campaign.visit", "campaign");
     visit_span.Arg("host", site->hostname);
-    metrics.visits_total.Inc();
 
     VisitRecord record;
     record.hostname = site->hostname;
@@ -323,10 +312,6 @@ CrawlResult RunCrawl(Framework& framework, const browser::BrowserSpec& spec,
       }
       engine_buffer.RollbackTransaction();
       native_buffer.RollbackTransaction();
-      static obs::Counter& retries = obs::MetricsRegistry::Default().GetCounter(
-          "panoptes_fleet_visit_retries_total",
-          "Visit attempts retried after a failure");
-      retries.Inc();
       util::Duration delay =
           BackoffDelay(options.retry, failures, backoff_rng);
       if (journal != nullptr) {
@@ -339,12 +324,7 @@ CrawlResult RunCrawl(Framework& framework, const browser::BrowserSpec& spec,
       }
       framework.clock().Advance(delay);
       record.backoff_millis += delay.millis;
-      static obs::Histogram& backoff_hist =
-          obs::MetricsRegistry::Default().GetHistogram(
-              "panoptes_fleet_backoff_delay_seconds",
-              "Simulated backoff delay before a retry",
-              obs::Histogram::LatencyBounds());
-      backoff_hist.Observe(static_cast<double>(delay.millis) / 1000.0);
+      framework.telemetry()->backoff_millis.push_back(delay.millis);
     }
 
     // Close the visit transaction; commit releases the spill deferral,
@@ -382,9 +362,10 @@ CrawlResult RunCrawl(Framework& framework, const browser::BrowserSpec& spec,
 
   result.stack_stats = framework.netstack().stats();
   session.Stop(&result);
-  Drain(engine_buffer, &result.ingest, &result.engine_flows,
+  obs::JobTelemetry* telemetry = framework.telemetry();
+  Drain(engine_buffer, telemetry, &result.ingest, &result.engine_flows,
         &result.engine_index);
-  Drain(native_buffer, &result.ingest, &result.native_flows,
+  Drain(native_buffer, telemetry, &result.ingest, &result.native_flows,
         &result.native_index);
   if (auto event = session.Event("crawl_end")) {
     event
@@ -395,8 +376,13 @@ CrawlResult RunCrawl(Framework& framework, const browser::BrowserSpec& spec,
   }
   framework.TeardownBrowser();
 
-  metrics.engine_flows_total.Inc(result.engine_flows->size());
-  metrics.native_flows_total.Inc(result.native_flows->size());
+  AccountCapture(result.ingest, result.watchdog_cancelled,
+                 result.native_flows->size(), telemetry);
+  telemetry->engine_flows += result.engine_flows->size();
+  telemetry->visits += result.visits.size();
+  for (const VisitRecord& visit : result.visits) {
+    telemetry->visit_retries += static_cast<uint64_t>(visit.attempts - 1);
+  }
 
   PANOPTES_LOG(kInfo, "crawl")
       << spec.name << ": " << result.visits.size() << " visits, "
@@ -407,7 +393,6 @@ CrawlResult RunCrawl(Framework& framework, const browser::BrowserSpec& spec,
 
 IdleResult RunIdle(Framework& framework, const browser::BrowserSpec& spec,
                    const IdleOptions& options) {
-  CampaignMetrics& metrics = CampaignMetrics::Get();
   obs::ScopedSpan idle_span("campaign.idle", "campaign");
   idle_span.Arg("browser", spec.name);
 
@@ -434,7 +419,7 @@ IdleResult RunIdle(Framework& framework, const browser::BrowserSpec& spec,
       break;
     }
     obs::ScopedSpan tick_span("campaign.idle_tick", "campaign");
-    metrics.idle_ticks_total.Inc();
+    ++framework.telemetry()->idle_ticks;
     framework.clock().Advance(options.tick);
     elapsed = framework.clock().Now() - start;
     session.runtime().IdleTick(elapsed);
@@ -450,20 +435,20 @@ IdleResult RunIdle(Framework& framework, const browser::BrowserSpec& spec,
   }
 
   session.Stop(&result);
-  Drain(session.native(), &result.ingest, &result.native_flows,
-        &result.native_index);
+  Drain(session.native(), framework.telemetry(), &result.ingest,
+        &result.native_flows, &result.native_index);
   if (auto event = session.Event("idle_end")) {
     event->Num("native_flows",
                static_cast<uint64_t>(result.native_flows->size()));
   }
   framework.TeardownBrowser();
-  metrics.native_flows_total.Inc(result.native_flows->size());
+  AccountCapture(result.ingest, result.watchdog_cancelled,
+                 result.native_flows->size(), framework.telemetry());
   return result;
 }
 
 WindowResult RunWindow(Framework& framework, const browser::BrowserSpec& spec,
                        const WindowOptions& options) {
-  CampaignMetrics& metrics = CampaignMetrics::Get();
   obs::ScopedSpan window_span("campaign.window", "campaign");
   window_span.Arg("browser", spec.name);
 
@@ -486,7 +471,7 @@ WindowResult RunWindow(Framework& framework, const browser::BrowserSpec& spec,
                               "elapsed_millis", elapsed.millis)) {
       break;
     }
-    metrics.idle_ticks_total.Inc();
+    ++framework.telemetry()->idle_ticks;
     framework.clock().Advance(options.tick);
     elapsed = framework.clock().Now() - start;
     session.runtime().IdleTick(elapsed);
@@ -499,12 +484,15 @@ WindowResult RunWindow(Framework& framework, const browser::BrowserSpec& spec,
   result.native_flows = session.native().FlowCount();
   result.ingest = session.native().stats();
   result.native_index = session.native().TakeIndex();
+  framework.telemetry()->flow_writes_dropped +=
+      session.native().dropped_writes();
   if (auto event = session.Event("window_end")) {
     event->Num("native_flows", result.native_flows)
         .Num("flows_shed", result.ingest.flows_shed);
   }
   framework.TeardownBrowser();
-  metrics.native_flows_total.Inc(result.native_index.flow_count());
+  AccountCapture(result.ingest, result.watchdog_cancelled,
+                 result.native_index.flow_count(), framework.telemetry());
   return result;
 }
 

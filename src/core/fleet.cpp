@@ -41,33 +41,6 @@ device::NetworkStackStats SumStats(const device::NetworkStackStats& a,
   return out;
 }
 
-// Fleet-layer metrics, registered once. References stay valid for the
-// process lifetime; the hot path is pure atomics.
-struct FleetMetrics {
-  obs::Counter& jobs_total;
-  obs::Gauge& queue_depth;
-  obs::Gauge& workers_busy;
-  obs::Histogram& job_seconds;
-  obs::Counter& world_builds;
-
-  static FleetMetrics& Get() {
-    auto& registry = obs::MetricsRegistry::Default();
-    static FleetMetrics* metrics = new FleetMetrics{
-        registry.GetCounter("panoptes_fleet_jobs_total",
-                            "Fleet jobs executed"),
-        registry.GetGauge("panoptes_fleet_queue_depth",
-                          "Fleet jobs not yet claimed by a worker"),
-        registry.GetGauge("panoptes_fleet_workers_busy",
-                          "Workers currently executing a job"),
-        registry.GetHistogram("panoptes_fleet_job_duration_seconds",
-                              "Wall-clock time per fleet job"),
-        registry.GetCounter("panoptes_fleet_world_builds_total",
-                            "Generated webs built by fleet executors"),
-    };
-    return *metrics;
-  }
-};
-
 // A job is dead when it attempted visits and every one of them failed
 // (a fully-dead host, a catastrophic fault episode). Idle runs and
 // empty shards never fail — there is nothing to retry.
@@ -153,7 +126,7 @@ const std::shared_ptr<const Testbed>& FleetExecutor::testbed() const {
     testbed_ = Testbed::Build(
         options_.framework.catalog_seed.value_or(options_.base_seed),
         options_.framework.catalog);
-    FleetMetrics::Get().world_builds.Inc();
+    families_.world_builds.Inc();
   });
   return testbed_;
 }
@@ -272,6 +245,7 @@ FleetJobResult FleetExecutor::ExecuteJob(const FleetJob& job, int attempt,
   if (framework.chaos() != nullptr) {
     out.faults = framework.chaos()->events();
   }
+  out.telemetry = framework.Accounting();
   if (journal != nullptr) {
     journal->Emit(framework.clock().Now().millis, "fleet", "job_finish")
         .Str("browser", job.spec.name)
@@ -285,10 +259,16 @@ FleetJobResult FleetExecutor::ExecuteJob(const FleetJob& job, int attempt,
 
 FleetJobResult FleetExecutor::ExecuteJobWithRetry(const FleetJob& job,
                                                   obs::Journal* journal) const {
+  // Every attempt counts, the failed ones included.
+  obs::JobTelemetry telemetry;
   for (int attempt = 0;; ++attempt) {
     FleetJobResult result = ExecuteJob(job, attempt, journal);
     result.attempts = attempt + 1;
-    if (!JobFailed(result)) return result;
+    telemetry.Accumulate(result.telemetry);
+    if (!JobFailed(result)) {
+      result.telemetry = std::move(telemetry);
+      return result;
+    }
     if (attempt >= options_.max_job_retries) {
       result.quarantined = true;
       if (journal != nullptr) {
@@ -298,21 +278,15 @@ FleetJobResult FleetExecutor::ExecuteJobWithRetry(const FleetJob& job,
             .Num("shard", static_cast<int64_t>(job.shard))
             .Num("attempts", static_cast<int64_t>(result.attempts));
       }
-      static obs::Counter& quarantined =
-          obs::MetricsRegistry::Default().GetCounter(
-              "panoptes_fleet_quarantined_jobs_total",
-              "Fleet jobs quarantined after exhausting the retry budget");
-      quarantined.Inc();
+      ++telemetry.quarantined_jobs;
+      result.telemetry = std::move(telemetry);
       PANOPTES_LOG(kWarn, "fleet")
           << job.spec.name << "/" << CampaignKindName(job.kind) << " shard "
           << job.shard << " quarantined after " << result.attempts
           << " attempts";
       return result;
     }
-    static obs::Counter& retries = obs::MetricsRegistry::Default().GetCounter(
-        "panoptes_fleet_job_retries_total",
-        "Fleet jobs re-executed with a fresh attempt seed");
-    retries.Inc();
+    ++telemetry.job_retries;
     if (journal != nullptr) {
       journal->Emit(0, "fleet", "job_retry")
           .Str("browser", job.spec.name)
@@ -331,8 +305,11 @@ FleetJobResult FleetExecutor::RunJobCached(const FleetJob& job) const {
   FleetJobResult result;
   if (cache_ != nullptr) {
     uint64_t fingerprint = ResultCache::FingerprintJob(options_, job);
+    // What the cache did for this job, added to whatever it executed.
+    obs::JobTelemetry cache_telemetry;
     auto cached = cache_->Load(job, fingerprint,
-                               /*skip_quarantined=*/options_.resume);
+                               /*skip_quarantined=*/options_.resume,
+                               &cache_telemetry);
     if (cached.has_value()) {
       result = std::move(*cached);
       if (journal != nullptr) {
@@ -344,8 +321,9 @@ FleetJobResult FleetExecutor::RunJobCached(const FleetJob& job) const {
       }
     } else {
       result = ExecuteJobWithRetry(job, journal);
-      cache_->Store(result, fingerprint);
+      cache_->Store(result, fingerprint, &cache_telemetry);
     }
+    result.telemetry.Accumulate(cache_telemetry);
   } else {
     result = ExecuteJobWithRetry(job, journal);
   }
@@ -361,13 +339,11 @@ std::vector<FleetJobResult> FleetExecutor::Run(
   std::vector<FleetJobResult> results(jobs.size());
   size_t worker_count = options_.jobs < 1 ? 1 : options_.jobs;
   if (worker_count > jobs.size()) worker_count = jobs.size();
-  // Registered before the zero-job early return: an empty plan must
-  // still export its gauges/counters (at zero), or downstream telemetry
-  // validation sees an empty registry and cannot tell "nothing ran"
-  // from "metrics broke".
-  FleetMetrics& metrics = FleetMetrics::Get();
+  // Every family is registered with the executor, so an empty plan
+  // still exports its gauges and counters (at zero): downstream
+  // telemetry validation can tell "nothing ran" from "metrics broke".
   if (jobs.empty()) {
-    metrics.queue_depth.Set(0);
+    families_.fleet_queue_depth.Set(0);
     if (stats != nullptr) *stats = FleetRunStats{};
     return results;
   }
@@ -377,10 +353,11 @@ std::vector<FleetJobResult> FleetExecutor::Run(
   int64_t run_start = util::SteadyNowNanos();
 
   // Telemetry side-tables: disjoint slots per worker / per job, so the
-  // only cross-thread accounting is the atomics inside the metrics.
+  // only cross-thread accounting is the fleet gauges and the job-time
+  // histogram; each job counts into its own scope.
   std::vector<int> jobs_per_worker(worker_count, 0);
   std::vector<double> job_seconds(jobs.size(), 0.0);
-  metrics.queue_depth.Set(static_cast<int64_t>(jobs.size()));
+  families_.fleet_queue_depth.Set(static_cast<int64_t>(jobs.size()));
 
   // Workers claim job indices from a shared counter and write into
   // disjoint slots of `results`; job identity (not scheduling) decides
@@ -390,17 +367,16 @@ std::vector<FleetJobResult> FleetExecutor::Run(
     while (true) {
       size_t index = next.fetch_add(1, std::memory_order_relaxed);
       if (index >= jobs.size()) return;
-      metrics.queue_depth.Set(
+      families_.fleet_queue_depth.Set(
           static_cast<int64_t>(jobs.size() - index - 1));
-      metrics.workers_busy.Add(1);
+      families_.fleet_workers_busy.Add(1);
       int64_t start = util::SteadyNowNanos();
       results[index] = RunJobCached(jobs[index]);
       double seconds =
           static_cast<double>(util::SteadyNowNanos() - start) * 1e-9;
       job_seconds[index] = seconds;
-      metrics.job_seconds.Observe(seconds);
-      metrics.jobs_total.Inc();
-      metrics.workers_busy.Add(-1);
+      families_.fleet_job_seconds.Observe(seconds);
+      families_.fleet_workers_busy.Add(-1);
       ++jobs_per_worker[worker];
     }
   };
@@ -409,7 +385,16 @@ std::vector<FleetJobResult> FleetExecutor::Run(
   pool.reserve(worker_count);
   for (size_t i = 0; i < worker_count; ++i) pool.emplace_back(work, i);
   for (auto& thread : pool) thread.join();
-  metrics.queue_depth.Set(0);
+  families_.fleet_queue_depth.Set(0);
+
+  // One publish per run, folded in plan order: the registry's counters
+  // are the same at any worker count.
+  obs::JobTelemetry run;
+  for (const FleetJobResult& result : results) {
+    run.Accumulate(result.telemetry);
+  }
+  families_.Publish(run);
+  families_.fleet_jobs.Inc(jobs.size());
 
   if (stats != nullptr) {
     stats->workers = static_cast<int>(worker_count);
@@ -435,6 +420,8 @@ void FleetExecutor::MergeJournal(const std::vector<FleetJobResult>& results,
 std::vector<FleetJobResult> FleetExecutor::MergeShards(
     std::vector<FleetJobResult> results) {
   std::vector<FleetJobResult> merged;
+  uint64_t index_appends = 0;
+  obs::JobTelemetry appended;  // flows folded into the merged indexes
   for (auto& result : results) {
     // Salvage: quarantined shards never reach the findings — the
     // merged result covers the surviving shards only (the run manifest
@@ -462,6 +449,9 @@ std::vector<FleetJobResult> FleetExecutor::MergeShards(
     // each merged index serializes exactly like a Build over its store.
     into.engine_index->Append(*from.engine_index);
     into.native_index->Append(*from.native_index);
+    index_appends += 2;
+    appended.indexed_flows +=
+        from.engine_index->flow_count() + from.native_index->flow_count();
     into.visits.insert(into.visits.end(),
                        std::make_move_iterator(from.visits.begin()),
                        std::make_move_iterator(from.visits.end()));
@@ -475,6 +465,9 @@ std::vector<FleetJobResult> FleetExecutor::MergeShards(
         std::make_move_iterator(result.faults.begin()),
         std::make_move_iterator(result.faults.end()));
   }
+  obs::Families families;
+  families.index_appends.Inc(index_appends);
+  families.Publish(appended);
   return merged;
 }
 

@@ -42,6 +42,7 @@
 #include "core/testbed.h"
 #include "device/population.h"
 #include "obs/journal.h"
+#include "obs/telemetry.h"
 
 namespace panoptes::core {
 
@@ -109,6 +110,11 @@ struct FleetJobResult {
   // cache_hit event. Merged in plan order by MergeJournal, so the
   // merged journal is byte-identical at any worker count.
   obs::Journal journal;
+  // What the job counted, summed over its attempts (a replayed job
+  // carries only the cache hit and the indexes it decoded). Never
+  // serialized; Run folds every job's scope in plan order and publishes
+  // the sum once.
+  obs::JobTelemetry telemetry;
 
   // The capture both campaign kinds share: whichever of crawl / idle is
   // set, or null when neither is.
@@ -194,6 +200,8 @@ class FleetExecutor {
   // Runs every job on `options.jobs` worker threads. Results come back
   // indexed exactly like `jobs`, independent of scheduling. When
   // `stats` is given it is filled with this run's wall-clock telemetry.
+  // Every job's telemetry scope is folded in plan order and published
+  // to the default metrics registry once, before Run returns.
   std::vector<FleetJobResult> Run(const std::vector<FleetJob>& jobs,
                                   FleetRunStats* stats = nullptr) const;
 
@@ -216,6 +224,7 @@ class FleetExecutor {
   // Folds shard results of the same (browser, kind) back into one
   // per-browser result: flows appended in shard order (contiguous
   // shards ⇒ catalog order), visits concatenated, stack stats summed.
+  // The index appends are published to the default registry.
   // Quarantined shards are skipped (salvage: the merged result covers
   // the surviving shards only — degraded, never fabricated). Input must
   // be in PlanCampaign order; merged entries report shard = 0,
@@ -243,6 +252,7 @@ class FleetExecutor {
   FleetJobResult RunJobCached(const FleetJob& job) const;
 
   FleetOptions options_;
+  obs::Families families_;  // resolved once; Run publishes through it
   std::unique_ptr<ResultCache> cache_;
   mutable std::once_flag testbed_once_;
   mutable std::shared_ptr<const Testbed> testbed_;

@@ -40,7 +40,8 @@ Framework::Framework(std::shared_ptr<const Testbed> testbed,
       netstack_(&device_, &network_, &clock_) {
   // This testbed's own servers at the shared table's slots: an origin
   // per site over the shared world, and the vendor backends.
-  web::BindWeb(testbed_->world(), testbed_->web_plan(), network_);
+  web::BindWeb(testbed_->world(), testbed_->web_plan(), network_,
+               &telemetry_);
   vendor_world_ = vendors::BindVendors(testbed_->vendor_plan(), network_);
 
   // The proxy and its addon chain.
@@ -49,6 +50,8 @@ Framework::Framework(std::shared_ptr<const Testbed> testbed,
   taint_addon_ = std::make_shared<TaintFilterAddon>();
   proxy_->AddAddon(taint_addon_);
   proxy_->SetJournal(options_.journal);
+  proxy_->SetTelemetry(&telemetry_);
+  netstack_.SetTelemetry(&telemetry_);
   netstack_.SetDiverter(proxy_.get());
   netstack_.SetLatency(options_.latency);
 
@@ -95,6 +98,17 @@ Framework::Framework(std::shared_ptr<const Testbed> testbed,
   if (options_.block_quic) {
     device_.iptables().Append(device::Iptables::BlockQuic());
   }
+}
+
+obs::JobTelemetry Framework::Accounting() const {
+  obs::JobTelemetry out = telemetry_;
+  out.dns_failures += netstack_.stats().dns_failures;
+  out.tls_failures += netstack_.stats().tls_failures;
+  out.proxy_flows += proxy_->flows_processed();
+  out.forged_certs += proxy_->forged_cert_count();
+  out.blocked_flows += proxy_->blocked_count();
+  if (chaos_ != nullptr) out.faults_injected += chaos_->injected_total();
+  return out;
 }
 
 browser::BrowserRuntime& Framework::PrepareBrowser(

@@ -25,6 +25,7 @@
 #include "device/device.h"
 #include "device/netstack.h"
 #include "net/fabric.h"
+#include "obs/telemetry.h"
 #include "proxy/mitm.h"
 #include "util/clock.h"
 #include "vendors/world.h"
@@ -113,6 +114,14 @@ class Framework {
   chaos::Injector* chaos() { return chaos_.get(); }
   // Null when no journal was configured (FrameworkOptions::journal).
   obs::Journal* journal() { return options_.journal; }
+  // The job's telemetry scope its layers count into (never null).
+  obs::JobTelemetry* telemetry() { return &telemetry_; }
+  // The scope with the counts this framework's layers keep themselves
+  // filled in: DNS/TLS failures, proxy flows, forged certificates,
+  // blocked flows and faults injected. Read once, when the campaign is
+  // done: the DNS/TLS counts are the netstack's since its last
+  // ResetStats, which RunCrawl calls as it starts.
+  obs::JobTelemetry Accounting() const;
 
   // Prepares a browser for a campaign: factory-resets the app (Appium
   // reset in the paper), builds a fresh runtime, installs the per-UID
@@ -134,6 +143,7 @@ class Framework {
 
   std::shared_ptr<const Testbed> testbed_;  // before network_: it reads it
   FrameworkOptions options_;
+  obs::JobTelemetry telemetry_;  // before the layers that point at it
   util::SimClock clock_;
   std::unique_ptr<chaos::Injector> chaos_;
   net::Network network_;

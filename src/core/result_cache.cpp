@@ -10,6 +10,7 @@
 
 #include "core/snapshot.h"
 #include "obs/metrics.h"
+#include "obs/telemetry.h"
 #include "util/clock.h"
 #include "util/rng.h"
 
@@ -183,37 +184,6 @@ std::string SanitizeName(std::string_view name) {
   return out;
 }
 
-struct CacheMetrics {
-  obs::Counter& hits;
-  obs::Counter& misses;
-  obs::Counter& writes;
-  obs::Counter& invalidations;
-  obs::Histogram& read_seconds;
-  obs::Histogram& write_seconds;
-
-  static CacheMetrics& Get() {
-    auto& registry = obs::MetricsRegistry::Default();
-    static CacheMetrics metrics{
-        registry.GetCounter("panoptes_cache_hits_total",
-                            "Fleet jobs replayed from a result-cache "
-                            "snapshot instead of executing"),
-        registry.GetCounter("panoptes_cache_misses_total",
-                            "Fleet jobs executed because no usable "
-                            "snapshot existed"),
-        registry.GetCounter("panoptes_cache_writes_total",
-                            "Job snapshots persisted to the result cache"),
-        registry.GetCounter("panoptes_cache_invalidations_total",
-                            "Cached snapshots rejected for a stale "
-                            "fingerprint, schema or corruption"),
-        registry.GetHistogram("panoptes_cache_snapshot_read_seconds",
-                              "Snapshot load + decode latency"),
-        registry.GetHistogram("panoptes_cache_snapshot_write_seconds",
-                              "Snapshot encode + persist latency"),
-    };
-    return metrics;
-  }
-};
-
 }  // namespace
 
 ResultCache::ResultCache(std::filesystem::path dir) : dir_(std::move(dir)) {
@@ -252,23 +222,20 @@ std::filesystem::path ResultCache::PathFor(const FleetJob& job) const {
   return dir_ / name.str();
 }
 
-std::optional<FleetJobResult> ResultCache::Load(const FleetJob& job,
-                                                uint64_t fingerprint,
-                                                bool skip_quarantined) const {
-  auto& metrics = CacheMetrics::Get();
+std::optional<FleetJobResult> ResultCache::Load(
+    const FleetJob& job, uint64_t fingerprint, bool skip_quarantined,
+    obs::JobTelemetry* telemetry) const {
   int64_t start_ns = util::SteadyNowNanos();
   std::ifstream file(PathFor(job), std::ios::binary);
   if (!file) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    metrics.misses.Inc();
+    ++telemetry->cache_misses;
     return std::nullopt;
   }
   std::string bytes((std::istreambuf_iterator<char>(file)),
                     std::istreambuf_iterator<char>());
 
   auto invalidate = [&]() -> std::optional<FleetJobResult> {
-    invalidated_.fetch_add(1, std::memory_order_relaxed);
-    metrics.invalidations.Inc();
+    ++telemetry->cache_invalidations;
     return std::nullopt;
   };
 
@@ -278,25 +245,27 @@ std::optional<FleetJobResult> ResultCache::Load(const FleetJob& job,
     return invalidate();
   }
   FleetJobResult result;
-  if (!snapshot::Read(bytes, job, &result)) return invalidate();
+  const bool read = snapshot::Read(bytes, job, &result);
+  // The indexes decoded count even when the snapshot is then rejected;
+  // the replayed job carries nothing else but its hit.
+  telemetry->index_builds += result.telemetry.index_builds;
+  result.telemetry = obs::JobTelemetry();
+  if (!read) return invalidate();
   if (skip_quarantined && result.quarantined) {
     // Resume: the snapshot faithfully records that the job died, but a
     // restarted run should retry it rather than replay the failure.
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    metrics.misses.Inc();
+    ++telemetry->cache_misses;
     return std::nullopt;
   }
-  hits_.fetch_add(1, std::memory_order_relaxed);
-  metrics.hits.Inc();
-  metrics.read_seconds.Observe(
+  ++telemetry->cache_hits;
+  families_.cache_read_seconds.Observe(
       static_cast<double>(util::SteadyNowNanos() - start_ns) * 1e-9);
   result.cache_hit = true;
   return result;
 }
 
-void ResultCache::Store(const FleetJobResult& result,
-                        uint64_t fingerprint) const {
-  auto& metrics = CacheMetrics::Get();
+void ResultCache::Store(const FleetJobResult& result, uint64_t fingerprint,
+                        obs::JobTelemetry* telemetry) const {
   int64_t start_ns = util::SteadyNowNanos();
   std::string bytes = snapshot::Write(result, fingerprint);
   std::filesystem::path final_path = PathFor(result.job);
@@ -321,19 +290,9 @@ void ResultCache::Store(const FleetJobResult& result,
     std::filesystem::remove(temp_path, ec);
     return;
   }
-  writes_.fetch_add(1, std::memory_order_relaxed);
-  metrics.writes.Inc();
-  metrics.write_seconds.Observe(
+  ++telemetry->cache_writes;
+  families_.cache_write_seconds.Observe(
       static_cast<double>(util::SteadyNowNanos() - start_ns) * 1e-9);
-}
-
-CacheStats ResultCache::Stats() const {
-  CacheStats stats;
-  stats.hits = hits_.load(std::memory_order_relaxed);
-  stats.misses = misses_.load(std::memory_order_relaxed);
-  stats.writes = writes_.load(std::memory_order_relaxed);
-  stats.invalidated = invalidated_.load(std::memory_order_relaxed);
-  return stats;
 }
 
 }  // namespace panoptes::core

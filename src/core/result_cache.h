@@ -26,7 +26,6 @@
 // finished before the kill.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <optional>
@@ -35,15 +34,6 @@
 #include "core/fleet.h"
 
 namespace panoptes::core {
-
-// Point-in-time cache accounting for the run manifest. hits + misses +
-// invalidated = jobs probed; writes = snapshots persisted.
-struct CacheStats {
-  uint64_t hits = 0;
-  uint64_t misses = 0;
-  uint64_t writes = 0;
-  uint64_t invalidated = 0;
-};
 
 class ResultCache {
  public:
@@ -66,25 +56,24 @@ class ResultCache {
   // nullopt on a miss (no file), an invalidation (stale fingerprint or
   // undecodable snapshot) or — when `skip_quarantined` is set — a
   // cached quarantine (resume semantics: a restarted run gives dead
-  // jobs a fresh chance instead of replaying the failure). Accounting
-  // and cache metrics are updated; thread-safe.
+  // jobs a fresh chance instead of replaying the failure). The outcome
+  // and every index decoded are counted into the job's `telemetry`
+  // (never null), the one place cache accounting is kept; thread-safe.
   std::optional<FleetJobResult> Load(const FleetJob& job,
                                      uint64_t fingerprint,
-                                     bool skip_quarantined) const;
+                                     bool skip_quarantined,
+                                     obs::JobTelemetry* telemetry) const;
 
-  // Persists `result` atomically (temp file + rename). Failures to
-  // write are swallowed — the cache is an accelerator, never a
-  // correctness dependency. Thread-safe.
-  void Store(const FleetJobResult& result, uint64_t fingerprint) const;
-
-  CacheStats Stats() const;
+  // Persists `result` atomically (temp file + rename), counting the
+  // write into `telemetry` (never null). Failures to write are
+  // swallowed — the cache is an accelerator, never a correctness
+  // dependency. Thread-safe.
+  void Store(const FleetJobResult& result, uint64_t fingerprint,
+             obs::JobTelemetry* telemetry) const;
 
  private:
   std::filesystem::path dir_;
-  mutable std::atomic<uint64_t> hits_{0};
-  mutable std::atomic<uint64_t> misses_{0};
-  mutable std::atomic<uint64_t> writes_{0};
-  mutable std::atomic<uint64_t> invalidated_{0};
+  obs::Families families_;  // the snapshot read/write timers
 };
 
 }  // namespace panoptes::core

@@ -25,18 +25,12 @@ util::JsonObject IngestJson(const IngestStats& ingest) {
 }  // namespace
 
 RunManifest BuildRunManifest(const FleetOptions& options,
-                             const std::vector<FleetJobResult>& results,
-                             const CacheStats* cache) {
+                             const std::vector<FleetJobResult>& results) {
   RunManifest manifest;
   manifest.base_seed = options.base_seed;
   manifest.chaos_profile = options.framework.chaos.name;
   manifest.max_job_retries = options.max_job_retries;
   manifest.cache_enabled = !options.cache_dir.empty();
-  if (cache != nullptr) {
-    manifest.cache_misses = cache->misses;
-    manifest.cache_writes = cache->writes;
-    manifest.cache_invalidated = cache->invalidated;
-  }
 
   for (const auto& result : results) {
     ManifestJob job;
@@ -52,7 +46,10 @@ RunManifest BuildRunManifest(const FleetOptions& options,
     }
     job.flow_writes_dropped = result.flow_writes_dropped;
     job.cache_hit = result.cache_hit;
-    if (job.cache_hit) ++manifest.cache_hits;
+    manifest.cache_hits += result.telemetry.cache_hits;
+    manifest.cache_misses += result.telemetry.cache_misses;
+    manifest.cache_writes += result.telemetry.cache_writes;
+    manifest.cache_invalidated += result.telemetry.cache_invalidations;
     if (const CaptureResult* capture = result.capture()) {
       job.fault_injected_flows = capture->fault_injected_flows;
       job.ingest = capture->ingest;

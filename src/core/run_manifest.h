@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "core/fleet.h"
-#include "core/result_cache.h"
 #include "core/stream_buffer.h"
 
 namespace panoptes::core {
@@ -100,12 +99,9 @@ struct RunManifest {
 };
 
 // Builds the manifest from an un-merged fleet result list in plan
-// order. Pure: depends only on the options and the results. When the
-// run used a result cache, pass its Stats() so the manifest carries the
-// probe totals (hit counts alone are recoverable from the results; the
-// miss/write/invalidation breakdown is not).
+// order. Pure: depends only on the options and the results (the cache
+// totals are the jobs' own telemetry counts, summed).
 RunManifest BuildRunManifest(const FleetOptions& options,
-                             const std::vector<FleetJobResult>& results,
-                             const CacheStats* cache = nullptr);
+                             const std::vector<FleetJobResult>& results);
 
 }  // namespace panoptes::core

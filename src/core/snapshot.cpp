@@ -13,16 +13,19 @@ namespace {
 
 // The presence byte is always 1; a 0, or an index whose flow count
 // disagrees with the store just read, is corruption — never a cue to
-// rebuild (see the index note in snapshot.h).
+// rebuild (see the index note in snapshot.h). Every index decoded counts
+// as a build in `builds`, even in a snapshot rejected later.
 void WriteIndex(const analysis::FlowIndex& index, util::BinWriter& out) {
   out.Bool(true);
   index.SerializeTo(out);
 }
 
 bool ReadIndex(util::BinReader& in, const proxy::FlowStore& store,
-               std::unique_ptr<analysis::FlowIndex>* index) {
+               std::unique_ptr<analysis::FlowIndex>* index,
+               uint64_t* builds) {
   if (!in.Bool()) return false;
   *index = analysis::FlowIndex::Deserialize(in);
+  if (*index != nullptr) ++*builds;
   return *index != nullptr && (*index)->flow_count() == store.size() &&
          in.ok();
 }
@@ -124,11 +127,13 @@ void WriteCapture(const CaptureResult& capture, util::BinWriter& out) {
   out.Bool(capture.watchdog_cancelled);
 }
 
-bool ReadCapture(util::BinReader& in, CaptureResult* capture) {
+bool ReadCapture(util::BinReader& in, CaptureResult* capture,
+                 uint64_t* index_builds) {
   capture->browser = in.Str();
   capture->native_flows = proxy::FlowStore::Deserialize(in);
   if (capture->native_flows == nullptr) return false;
-  if (!ReadIndex(in, *capture->native_flows, &capture->native_index)) {
+  if (!ReadIndex(in, *capture->native_flows, &capture->native_index,
+                 index_builds)) {
     return false;
   }
   capture->fault_injected_flows = in.U64();
@@ -148,12 +153,16 @@ void WriteCrawlTail(const CrawlResult& crawl, util::BinWriter& out) {
   WriteStackStats(crawl.stack_stats, out);
 }
 
-bool ReadCrawlTail(util::BinReader& in, CrawlResult* crawl) {
+bool ReadCrawlTail(util::BinReader& in, CrawlResult* crawl,
+                   uint64_t* index_builds) {
   crawl->incognito_requested = in.Bool();
   crawl->incognito_effective = in.Bool();
   crawl->engine_flows = proxy::FlowStore::Deserialize(in);
   if (crawl->engine_flows == nullptr) return false;
-  if (!ReadIndex(in, *crawl->engine_flows, &crawl->engine_index)) return false;
+  if (!ReadIndex(in, *crawl->engine_flows, &crawl->engine_index,
+                 index_builds)) {
+    return false;
+  }
   uint32_t visit_count = in.U32();
   if (!in.ok() || visit_count > in.remaining()) return false;
   crawl->visits.reserve(visit_count);
@@ -309,12 +318,18 @@ bool ReadPayload(util::BinReader& in, FleetJobResult* result) {
   result->quarantined = in.Bool();
   if (!ReadFaults(in, &result->faults)) return false;
   result->flow_writes_dropped = in.U64();
+  uint64_t* index_builds = &result->telemetry.index_builds;
   if (result->job.kind == CampaignKind::kIdle) {
     IdleResult& idle = result->idle.emplace();
-    if (!ReadCapture(in, &idle) || !ReadIdleTail(in, &idle)) return false;
+    if (!ReadCapture(in, &idle, index_builds) || !ReadIdleTail(in, &idle)) {
+      return false;
+    }
   } else {
     CrawlResult& crawl = result->crawl.emplace();
-    if (!ReadCapture(in, &crawl) || !ReadCrawlTail(in, &crawl)) return false;
+    if (!ReadCapture(in, &crawl, index_builds) ||
+        !ReadCrawlTail(in, &crawl, index_builds)) {
+      return false;
+    }
   }
   // Trailing garbage is corruption too — the snapshot is the whole file.
   return in.ok() && in.AtEnd();

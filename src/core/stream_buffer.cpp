@@ -8,6 +8,8 @@
 #include "chaos/injector.h"
 #include "obs/journal.h"
 #include "obs/metrics.h"
+#include "obs/telemetry.h"
+#include "util/clock.h"
 #include "util/binio.h"
 #include "util/strings.h"
 
@@ -35,45 +37,6 @@ constexpr uint32_t kSpillSchema = 2;
 // shed and a seeded 1-in-8 trickle is kept, so a saturated run still
 // observes a deterministic sample of late traffic.
 constexpr double kShedProbability = 0.875;
-
-struct IngestMetrics {
-  obs::Counter& pushed;
-  obs::Counter& shed;
-  obs::Counter& spill_segments;
-  obs::Counter& spill_bytes;
-  obs::Counter& spill_failures;
-  obs::Counter& stalls;
-  obs::Counter& quarantined;
-  obs::Gauge& live_bytes;
-
-  static IngestMetrics& Get() {
-    auto& registry = obs::MetricsRegistry::Default();
-    static IngestMetrics* metrics = new IngestMetrics{
-        registry.GetCounter("panoptes_ingest_flows_pushed_total",
-                            "Flows accepted by streaming ingest buffers"),
-        registry.GetCounter("panoptes_ingest_flows_shed_total",
-                            "Flows shed under memory pressure (never "
-                            "stored or indexed)"),
-        registry.GetCounter("panoptes_ingest_spill_segments_total",
-                            "PANOSPILL segments sealed to disk"),
-        registry.GetCounter("panoptes_ingest_spill_bytes_total",
-                            "Bytes written into sealed spill segments"),
-        registry.GetCounter("panoptes_ingest_spill_failures_total",
-                            "Spill segment writes that failed (flows "
-                            "kept in memory)"),
-        registry.GetCounter("panoptes_ingest_backpressure_stalls_total",
-                            "Pushes that found the buffer over budget "
-                            "with no way to spill or shed"),
-        registry.GetCounter("panoptes_ingest_segments_quarantined_total",
-                            "Corrupt spill segments quarantined at "
-                            "materialize time"),
-        registry.GetGauge("panoptes_ingest_live_bytes",
-                          "Live (unspilled) bytes held by the most "
-                          "recently updated ingest buffer"),
-    };
-    return *metrics;
-  }
-};
 
 // Creates `path` holding `parts` back to back: one open and one
 // gathering write. A short write is a failure.
@@ -150,6 +113,7 @@ std::unique_ptr<proxy::FlowStore> StreamBuffer::NewLiveStore(
   store->SetOrdinalBase(ordinal_base);
   store->SetChaos(config_.chaos);
   store->SetJournal(config_.journal);
+  store->SetTelemetry(config_.telemetry);
   return store;
 }
 
@@ -163,7 +127,6 @@ bool StreamBuffer::OverBudget() const {
 }
 
 bool StreamBuffer::Push(const proxy::Flow& flow) {
-  auto& metrics = IngestMetrics::Get();
   MaybeSpill();
   if (OverBudget()) {
     // Spilling was impossible (disabled, failing, or deferred by an
@@ -173,7 +136,6 @@ bool StreamBuffer::Push(const proxy::Flow& flow) {
     if (config_.stream.shed_when_full &&
         shed_rng_.NextBool(kShedProbability)) {
       ++stats_.flows_shed;
-      metrics.shed.Inc();
       if (config_.journal != nullptr) {
         config_.journal->Emit(NowMillis(), "ingest", "flow_shed")
             .Str("stream", config_.role)
@@ -184,21 +146,19 @@ bool StreamBuffer::Push(const proxy::Flow& flow) {
     }
     if (!config_.stream.shed_when_full) {
       ++stats_.backpressure_stalls;
-      metrics.stalls.Inc();
     }
   }
   const size_t before = live_->size();
   live_->Add(flow);
   ++stats_.flows_pushed;
-  metrics.pushed.Inc();
   // A chaos flow-write-drop inside Add leaves the store unchanged; the
   // index must mirror the store exactly, so only landed flows index.
   if (live_->size() > before) {
     index_.AddFlow(*live_, before, cursor_);
+    if (config_.telemetry != nullptr) ++config_.telemetry->indexed_flows;
   }
-  const uint64_t live_bytes = live_->MemoryUsage();
-  stats_.peak_live_bytes = std::max(stats_.peak_live_bytes, live_bytes);
-  metrics.live_bytes.Set(static_cast<int64_t>(live_bytes));
+  stats_.peak_live_bytes =
+      std::max(stats_.peak_live_bytes, live_->MemoryUsage());
   return true;
 }
 
@@ -227,7 +187,6 @@ void StreamBuffer::MaybeSpill() {
 }
 
 void StreamBuffer::SpillLive() {
-  auto& metrics = IngestMetrics::Get();
   const uint64_t segment_index = segments_.size();
   if (config_.journal != nullptr) {
     config_.journal->Emit(NowMillis(), "ingest", "spill_open")
@@ -237,7 +196,6 @@ void StreamBuffer::SpillLive() {
   }
   auto fail = [&]() {
     ++stats_.spill_failures;
-    metrics.spill_failures.Inc();
     if (config_.journal != nullptr) {
       config_.journal->Emit(NowMillis(), "ingest", "spill_fail")
           .Str("stream", config_.role)
@@ -295,8 +253,6 @@ void StreamBuffer::SpillLive() {
 
   ++stats_.spill_segments;
   stats_.spill_bytes += segment.bytes;
-  metrics.spill_segments.Inc();
-  metrics.spill_bytes.Inc(segment.bytes);
   if (config_.journal != nullptr) {
     config_.journal->Emit(NowMillis(), "ingest", "spill_seal")
         .Str("stream", config_.role)
@@ -362,9 +318,9 @@ StreamBuffer::Materialized StreamBuffer::Materialize() {
     out.store = std::move(live_);
     out.index = std::move(index_);
   } else {
-    auto& metrics = IngestMetrics::Get();
     auto merged = std::make_unique<proxy::FlowStore>(config_.compact);
     merged->SetProvenance(config_.provenance_tag);
+    merged->SetTelemetry(config_.telemetry);
     size_t consumed = 0;
     for (; consumed < segments_.size(); ++consumed) {
       if (!ConsumeSegment(segments_[consumed], merged.get())) break;
@@ -387,7 +343,6 @@ StreamBuffer::Materialized StreamBuffer::Materialize() {
         const Segment& segment = segments_[i];
         ++stats_.segments_quarantined;
         stats_.flows_lost += segment.flows;
-        metrics.quarantined.Inc();
         std::filesystem::path quarantine = segment.path;
         quarantine += ".quarantined";
         std::filesystem::rename(segment.path, quarantine, ec);
@@ -400,7 +355,16 @@ StreamBuffer::Materialized StreamBuffer::Materialize() {
         }
       }
       stats_.flows_lost += live_->size();
+      const int64_t start_ns = util::SteadyNowNanos();
       out.index = analysis::FlowIndex::Build(*merged);
+      // A wall-clock timer is no part of the job's plan-pure scope: the
+      // rebuild's owner observes it directly (a rare, salvage-only path).
+      obs::Families().index_build_seconds.Observe(
+          static_cast<double>(util::SteadyNowNanos() - start_ns) * 1e-9);
+      if (config_.telemetry != nullptr) {
+        ++config_.telemetry->index_builds;
+        config_.telemetry->indexed_flows += out.index.flow_count();
+      }
     }
     out.store = std::move(merged);
   }

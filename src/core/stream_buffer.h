@@ -50,6 +50,7 @@ class Injector;
 
 namespace panoptes::obs {
 class Journal;
+struct JobTelemetry;
 }  // namespace panoptes::obs
 
 namespace panoptes::core {
@@ -96,6 +97,9 @@ class StreamBuffer : public proxy::FlowSink {
     StreamOptions stream;
     chaos::Injector* chaos = nullptr;
     obs::Journal* journal = nullptr;
+    // Counts indexed flows, index rebuilds and every store's writes and
+    // rollbacks; the IngestStats below stay the buffer's own.
+    obs::JobTelemetry* telemetry = nullptr;
     const util::SimClock* clock = nullptr;
     // "engine" / "native": names the stream in journal events, chaos
     // draws and segment files. Must be a static-storage literal (the

@@ -2,12 +2,17 @@
 
 #include <vector>
 
+#include "obs/metrics.h"
+#include "obs/telemetry.h"
+
 namespace panoptes::core {
 
 std::shared_ptr<const Testbed> Testbed::Build(
     uint64_t catalog_seed, const web::CatalogOptions& options) {
-  return std::shared_ptr<const Testbed>(
+  std::shared_ptr<const Testbed> testbed(
       new Testbed(web::World::Build(catalog_seed, options), catalog_seed));
+  obs::Families().hosts_registered.Inc(testbed->hosts().size());
+  return testbed;
 }
 
 Testbed::Testbed(std::shared_ptr<const web::World> world,

@@ -28,7 +28,8 @@ namespace panoptes::core {
 
 class Testbed {
  public:
-  // Generates the web and plans every web, third-party and vendor host.
+  // Generates the web and plans every web, third-party and vendor host,
+  // publishing the host-table size to the default metrics registry.
   static std::shared_ptr<const Testbed> Build(
       uint64_t catalog_seed, const web::CatalogOptions& options);
 

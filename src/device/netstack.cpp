@@ -1,30 +1,11 @@
 #include "device/netstack.h"
 
 #include "chaos/injector.h"
-#include "obs/metrics.h"
+#include "obs/telemetry.h"
 
 namespace panoptes::device {
 
 namespace {
-
-// Device-side failure counters promoted into the metrics registry so a
-// degraded run is visible in the Prometheus export, not only in the
-// per-framework NetworkStackStats snapshot.
-void CountDnsFailure() {
-  static obs::Counter& dns_failures =
-      obs::MetricsRegistry::Default().GetCounter(
-          "panoptes_device_dns_failures_total",
-          "Device-side sends aborted by a failed DNS lookup");
-  dns_failures.Inc();
-}
-
-void CountTlsFailure() {
-  static obs::Counter& tls_failures =
-      obs::MetricsRegistry::Default().GetCounter(
-          "panoptes_device_tls_failures_total",
-          "Device-side sends aborted during the TLS handshake");
-  tls_failures.Inc();
-}
 
 SendError FromVerify(net::TlsVerifyResult result) {
   switch (result) {
@@ -73,7 +54,6 @@ SendOutcome NetworkStack::Send(net::HttpRequest request,
     // A failed lookup still costs a resolver round trip.
     clock_->Advance(latency_);
     ++stats_.dns_failures;
-    CountDnsFailure();
     traffic_.RecordFailure(ctx.app->uid);
     outcome.error = SendError::kDnsFailure;
     return outcome;
@@ -116,7 +96,6 @@ SendOutcome NetworkStack::Send(net::HttpRequest request,
         // nothing for the proxy to record, exactly like a pinning
         // failure from the flow ledger's point of view.
         ++stats_.tls_failures;
-        CountTlsFailure();
         traffic_.RecordFailure(uid);
         outcome.error = SendError::kTlsHandshakeDrop;
         outcome.quic_fallback = quic_fallback;
@@ -128,17 +107,11 @@ SendOutcome NetworkStack::Send(net::HttpRequest request,
           presented, host, device_->trust_store(), ctx.app->pins);
       if (verdict != net::TlsVerifyResult::kOk) {
         ++stats_.tls_failures;
-        CountTlsFailure();
         if (verdict == net::TlsVerifyResult::kUntrustedIssuer) {
           // The diverter presented a certificate the device rejects:
           // the MITM CA is not in the trust store, so interception
           // fails (the paper's "no CA" failure mode).
-          static obs::Counter& ca_failures =
-              obs::MetricsRegistry::Default().GetCounter(
-                  "panoptes_proxy_ca_failures_total",
-                  "Intercepted TLS handshakes rejected because the "
-                  "MITM CA is untrusted");
-          ca_failures.Inc();
+          if (telemetry_ != nullptr) ++telemetry_->ca_failures;
         }
         if (verdict == net::TlsVerifyResult::kPinMismatch) {
           ++stats_.pin_failures;
@@ -200,7 +173,6 @@ SendOutcome NetworkStack::DirectExchange(const net::HttpRequest& request,
   if (https) {
     if (chaos_ != nullptr && chaos_->TlsDrop(host)) {
       ++stats_.tls_failures;
-      CountTlsFailure();
       traffic_.RecordFailure(ctx.app->uid);
       outcome.error = SendError::kTlsHandshakeDrop;
       return outcome;
@@ -215,7 +187,6 @@ SendOutcome NetworkStack::DirectExchange(const net::HttpRequest& request,
                                           ctx.app->pins);
     if (verdict != net::TlsVerifyResult::kOk) {
       ++stats_.tls_failures;
-      CountTlsFailure();
       if (verdict == net::TlsVerifyResult::kPinMismatch) {
         ++stats_.pin_failures;
       }

@@ -30,6 +30,10 @@ namespace panoptes::chaos {
 class Injector;
 }  // namespace panoptes::chaos
 
+namespace panoptes::obs {
+struct JobTelemetry;
+}  // namespace panoptes::obs
+
 namespace panoptes::device {
 
 enum class SendError {
@@ -123,6 +127,11 @@ class NetworkStack {
   // detach.
   void SetChaos(chaos::Injector* injector) { chaos_ = injector; }
 
+  // Counts intercepted handshakes the device rejects for an untrusted
+  // MITM CA into `telemetry` (the stats above keep the rest). Pass
+  // nullptr to detach.
+  void SetTelemetry(obs::JobTelemetry* telemetry) { telemetry_ = telemetry; }
+
   // Takes the request by value: a diverted request moves on into the
   // diverter, so callers should move theirs in.
   SendOutcome Send(net::HttpRequest request, const SendContext& ctx);
@@ -145,6 +154,7 @@ class NetworkStack {
   util::SimClock* clock_;
   TrafficDiverter* diverter_ = nullptr;
   chaos::Injector* chaos_ = nullptr;
+  obs::JobTelemetry* telemetry_ = nullptr;
   util::Duration latency_ = util::Duration::Millis(25);
   std::shared_ptr<const net::LatencyModel> latency_model_;
   NetworkStackStats stats_;

@@ -1,6 +1,5 @@
 #include "net/host_table.h"
 
-#include "obs/metrics.h"
 #include "util/rng.h"
 
 namespace panoptes::net {
@@ -18,11 +17,6 @@ HostTable::HostTable(uint64_t seed)
 
 const HostRecord& HostTable::Add(std::string_view hostname, IpAddress ip,
                                  bool supports_h3) {
-  static obs::Counter& registered = obs::MetricsRegistry::Default().GetCounter(
-      "panoptes_net_hosts_registered_total",
-      "Host-table entries registered (a rebind counts again)");
-  registered.Inc();
-
   std::string key = util::ToLower(hostname);
   auto [it, inserted] =
       by_host_.try_emplace(key, static_cast<uint32_t>(records_.size()));

@@ -7,7 +7,7 @@
 #include "chaos/injector.h"
 #include "net/psl.h"
 #include "obs/journal.h"
-#include "obs/metrics.h"
+#include "obs/telemetry.h"
 #include "util/rng.h"
 
 namespace panoptes::proxy {
@@ -42,17 +42,9 @@ uint32_t MakeProvenanceTag(uint64_t job_seed, uint32_t role) {
 void FlowStore::Add(const Flow& flow) {
   if (chaos_ != nullptr && chaos_->FlowWriteDrop(flow.Host())) {
     ++dropped_writes_;
-    static obs::Counter& dropped = obs::MetricsRegistry::Default().GetCounter(
-        "panoptes_proxy_flow_writes_dropped_total",
-        "Flow database writes lost to injected write faults");
-    dropped.Inc();
     return;
   }
-  static obs::Counter& stored = obs::MetricsRegistry::Default().GetCounter(
-      "panoptes_proxy_flows_stored_total",
-      "Flows stored into a flow database (first capture; shard merges "
-      "are not re-counted)");
-  stored.Inc();
+  if (telemetry_ != nullptr) ++telemetry_->flows_stored;
   StoreFlow(flow);
   if (journal_ != nullptr) {
     const FlowView& rec = recs_.back();
@@ -71,11 +63,9 @@ void FlowStore::Add(const Flow& flow) {
 
 void FlowStore::TruncateTo(size_t size) {
   if (size >= recs_.size()) return;
-  static obs::Counter& rolled_back = obs::MetricsRegistry::Default().GetCounter(
-      "panoptes_proxy_flows_rolled_back_total",
-      "Stored flows discarded by visit-retry rollback (stored - "
-      "rolled_back reconciles with final store sizes)");
-  rolled_back.Inc(recs_.size() - size);
+  if (telemetry_ != nullptr) {
+    telemetry_->flows_rolled_back += recs_.size() - size;
+  }
   recs_.resize(size);
 }
 

@@ -41,6 +41,7 @@ class Injector;
 
 namespace panoptes::obs {
 class Journal;
+struct JobTelemetry;
 }  // namespace panoptes::obs
 
 namespace panoptes::proxy {
@@ -125,11 +126,15 @@ class FlowStore : public FlowSink {
   // byte-identical with or without a journal attached.
   void SetJournal(obs::Journal* journal) { journal_ = journal; }
 
+  // Counts every first-capture Add into `telemetry`'s flows_stored and
+  // every flow TruncateTo discards into its flows_rolled_back, so
+  // stored − rolled_back reconciles with the final store sizes. Pass
+  // nullptr to detach.
+  void SetTelemetry(obs::JobTelemetry* telemetry) { telemetry_ = telemetry; }
+
   // Truncates the store back to `size` flows. Used by the visit retry
   // loop to discard the partial flows of a failed attempt so retries
-  // never double-count traffic. Discarded flows are counted into
-  // panoptes_proxy_flows_rolled_back_total so stored-flow metrics keep
-  // reconciling with report totals (stored - rolled_back == final).
+  // never double-count traffic.
   // Arena bytes of discarded flows stay allocated until Clear — views
   // handed out earlier never dangle — and serialization writes only
   // live flows, so the leak never reaches a snapshot.
@@ -245,6 +250,7 @@ class FlowStore : public FlowSink {
   bool compact_;
   chaos::Injector* chaos_ = nullptr;
   obs::Journal* journal_ = nullptr;
+  obs::JobTelemetry* telemetry_ = nullptr;
   uint32_t provenance_tag_ = 0;
   uint64_t ordinal_base_ = 0;
   uint64_t dropped_writes_ = 0;

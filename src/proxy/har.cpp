@@ -28,19 +28,22 @@ util::Json EntryFor(const FlowView& flow) {
 
   util::JsonObject response;
   response["status"] = flow.response_status;
-  response["bodySize"] = static_cast<int64_t>(flow.response_bytes);
+  response["bodySize"] =
+      util::Json::ExactNumber(flow.response_bytes, "bodySize");
 
   util::JsonObject entry;
   entry["startedDateTime"] = util::FormatTimestamp(flow.time);
   entry["request"] = std::move(request);
   entry["response"] = std::move(response);
-  entry["_id"] = static_cast<int64_t>(flow.id);
+  entry["_id"] = util::Json::ExactNumber(flow.id, "_id");
   entry["_browser"] = std::string(flow.browser);
   entry["_appUid"] = flow.app_uid;
   entry["_origin"] = std::string(TrafficOriginName(flow.origin));
   entry["_serverIp"] = flow.server_ip.ToString();
-  entry["_requestBytes"] = static_cast<int64_t>(flow.request_bytes);
-  entry["_timeMillis"] = static_cast<int64_t>(flow.time.millis);
+  entry["_requestBytes"] =
+      util::Json::ExactNumber(flow.request_bytes, "_requestBytes");
+  entry["_timeMillis"] =
+      util::Json::ExactNumber(flow.time.millis, "_timeMillis");
   if (!flow.taint.empty()) entry["_taint"] = std::string(flow.taint);
   return util::Json(std::move(entry));
 }

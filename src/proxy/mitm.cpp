@@ -2,41 +2,10 @@
 
 #include "chaos/injector.h"
 #include "obs/journal.h"
-#include "obs/metrics.h"
+#include "obs/telemetry.h"
 #include "util/rng.h"
 
 namespace panoptes::proxy {
-
-namespace {
-
-// Proxy-layer metrics, shared by every MitmProxy instance (fleet jobs
-// each own a private proxy; the registry aggregates across them).
-struct ProxyMetrics {
-  obs::Counter& flows_total;
-  obs::Counter& request_bytes_total;
-  obs::Counter& response_bytes_total;
-  obs::Counter& blocked_total;
-  obs::Counter& forged_certs_total;
-
-  static ProxyMetrics& Get() {
-    auto& registry = obs::MetricsRegistry::Default();
-    static ProxyMetrics* metrics = new ProxyMetrics{
-        registry.GetCounter("panoptes_proxy_flows_total",
-                            "Flows intercepted by the MITM proxy"),
-        registry.GetCounter("panoptes_proxy_request_bytes_total",
-                            "Request wire bytes through the proxy"),
-        registry.GetCounter("panoptes_proxy_response_bytes_total",
-                            "Response wire bytes through the proxy"),
-        registry.GetCounter("panoptes_proxy_blocked_total",
-                            "Flows answered locally by a blocking addon"),
-        registry.GetCounter("panoptes_proxy_forged_certs_total",
-                            "Leaf certificates forged under the MITM CA"),
-    };
-    return *metrics;
-  }
-};
-
-}  // namespace
 
 MitmProxy::MitmProxy(net::Network* network, uint64_t seed)
     : network_(network), ca_("Panoptes-MITM-CA", util::Rng(seed)) {}
@@ -48,7 +17,6 @@ void MitmProxy::AddAddon(std::shared_ptr<Addon> addon) {
 const net::Certificate& MitmProxy::PresentCertificate(std::string_view sni) {
   auto it = cert_cache_.find(sni);
   if (it != cert_cache_.end()) return it->second;
-  ProxyMetrics::Get().forged_certs_total.Inc();
   auto [inserted, _] =
       cert_cache_.emplace(std::string(sni), ca_.IssueLeaf(sni));
   return inserted->second;
@@ -56,7 +24,6 @@ const net::Certificate& MitmProxy::PresentCertificate(std::string_view sni) {
 
 net::HttpResponse MitmProxy::Forward(net::HttpRequest request,
                                      net::ConnectionMeta meta) {
-  ProxyMetrics& metrics = ProxyMetrics::Get();
   Flow flow;
   flow.id = next_flow_id_++;
   flow.time = meta.time;
@@ -89,7 +56,6 @@ net::HttpResponse MitmProxy::Forward(net::HttpRequest request,
     // contact the upstream (the NoMoAds/ReCon-style countermeasure).
     response = net::HttpResponse::Error(403, "blocked by " + flow.blocked_by);
     ++blocked_count_;
-    metrics.blocked_total.Inc();
   } else if (chaos_ != nullptr && chaos_->UpstreamReset(flow.Host())) {
     // The proxy→server connection is reset before the upstream
     // answers; the client sees a 502 from the proxy, and the flow is
@@ -119,9 +85,10 @@ net::HttpResponse MitmProxy::Forward(net::HttpRequest request,
     addon->OnFlowComplete(flow);
   }
 
-  metrics.flows_total.Inc();
-  metrics.request_bytes_total.Inc(flow.request_bytes);
-  metrics.response_bytes_total.Inc(flow.response_bytes);
+  if (telemetry_ != nullptr) {
+    telemetry_->request_bytes += flow.request_bytes;
+    telemetry_->response_bytes += flow.response_bytes;
+  }
   if (journal_ != nullptr) {
     journal_->Emit(flow.time.millis, "proxy", "flow_close")
         .Num("proxy_id", flow.id)

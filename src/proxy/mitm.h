@@ -24,6 +24,7 @@ class Injector;
 
 namespace panoptes::obs {
 class Journal;
+struct JobTelemetry;
 }  // namespace panoptes::obs
 
 namespace panoptes::proxy {
@@ -53,6 +54,10 @@ class MitmProxy : public device::TrafficDiverter {
   // Strictly additive; pass nullptr to detach.
   void SetJournal(obs::Journal* journal) { journal_ = journal; }
 
+  // Counts every flow's request and response wire bytes into
+  // `telemetry`. Pass nullptr to detach.
+  void SetTelemetry(obs::JobTelemetry* telemetry) { telemetry_ = telemetry; }
+
   // device::TrafficDiverter:
   const net::Certificate& PresentCertificate(std::string_view sni) override;
   net::HttpResponse Forward(net::HttpRequest request,
@@ -67,6 +72,7 @@ class MitmProxy : public device::TrafficDiverter {
   net::Network* network_;
   chaos::Injector* chaos_ = nullptr;
   obs::Journal* journal_ = nullptr;
+  obs::JobTelemetry* telemetry_ = nullptr;
   net::CertificateAuthority ca_;
   std::unordered_map<std::string, net::Certificate, util::StringHash,
                      std::equal_to<>>

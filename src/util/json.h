@@ -10,6 +10,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -35,6 +36,11 @@ std::optional<T> ExactInteger(double number) {
   if (static_cast<double>(integer) != number) return std::nullopt;
   return integer;
 }
+
+// The largest magnitude at which a double (every JSON number) stands for
+// exactly one integer, 2^53 − 1. From 2^53 on it stands for several:
+// "9007199254740993" parses to the same double as 2^53.
+inline constexpr double kMaxExactJsonInteger = 9007199254740991.0;
 
 class Json;
 using JsonArray = std::vector<Json>;
@@ -72,12 +78,38 @@ class Json {
   JsonObject& as_object() { return std::get<JsonObject>(value_); }
 
   // The value as a T: empty unless it is a number that is integral and
-  // within T's range (ExactInteger). The one way to read an integer
-  // from JSON.
+  // within T's range (ExactInteger). A 64-bit T reads at most
+  // ±(2^53 − 1): past that the number may have been another integer
+  // when written.
+  // The one way to read an integer from JSON.
   template <typename T>
   std::optional<T> Integer() const {
     if (!is_number()) return std::nullopt;
+    if constexpr (sizeof(T) >= 8) {
+      const double number = as_number();
+      if (number > kMaxExactJsonInteger || number < -kMaxExactJsonInteger) {
+        return std::nullopt;
+      }
+    }
     return ExactInteger<T>(as_number());
+  }
+
+  // A 64-bit integer as a JSON number, which holds it exactly only up to
+  // ±(2^53 − 1): past that throws std::invalid_argument naming `field`
+  // rather than writing a number that reads back as another integer.
+  template <typename T>
+  static Json ExactNumber(T value, std::string_view field) {
+    static_assert(std::is_integral_v<T> && sizeof(T) == 8);
+    // Compared as integers: 2^53 + 1 converts to the double 2^53.
+    constexpr T kMax = static_cast<T>(kMaxExactJsonInteger);
+    bool exact = value <= kMax;
+    if constexpr (std::is_signed_v<T>) exact = exact && value >= -kMax;
+    if (!exact) {
+      throw std::invalid_argument(std::string(field) +
+                                  " is 2^53 or more in magnitude, which a "
+                                  "JSON number cannot hold exactly");
+    }
+    return Json(static_cast<double>(value));
   }
 
   // Object member lookup; returns nullptr when absent or not an object.

@@ -1,6 +1,5 @@
 #include "web/origin_server.h"
 
-#include "obs/metrics.h"
 #include "util/json.h"
 #include "util/rng.h"
 
@@ -30,24 +29,25 @@ std::string BounceLocation(const Site& site) {
 // Counts the body bytes the generated web's servers allocate: landing
 // HTML, bid heads and error bodies. Sized bytes are never allocated, so
 // they are not counted.
-net::HttpResponse CountMaterialized(net::HttpResponse response) {
-  static obs::Counter& bytes = obs::MetricsRegistry::Default().GetCounter(
-      "panoptes_web_body_bytes_materialized_total",
-      "Response body bytes allocated by the generated web's servers");
-  bytes.Inc(response.body.size());
+net::HttpResponse CountMaterialized(net::HttpResponse response,
+                                    obs::JobTelemetry* telemetry) {
+  if (telemetry != nullptr) {
+    telemetry->body_bytes_materialized += response.body.size();
+  }
   return response;
 }
 
 }  // namespace
 
-OriginServer::OriginServer(std::shared_ptr<const World> world, size_t index)
-    : world_(std::move(world)), index_(index) {}
+OriginServer::OriginServer(std::shared_ptr<const World> world, size_t index,
+                           obs::JobTelemetry* telemetry)
+    : world_(std::move(world)), index_(index), telemetry_(telemetry) {}
 
 net::HttpResponse OriginServer::Handle(const net::HttpRequest& request,
                                        const net::ConnectionMeta& meta) {
   (void)meta;
   ++hits_;
-  return CountMaterialized(Respond(request));
+  return CountMaterialized(Respond(request), telemetry_);
 }
 
 net::HttpResponse OriginServer::Respond(
@@ -86,14 +86,15 @@ net::HttpResponse OriginServer::Respond(
   return net::HttpResponse::NotFound();
 }
 
-ThirdPartyServer::ThirdPartyServer(ThirdPartyService service)
-    : service_(std::move(service)) {}
+ThirdPartyServer::ThirdPartyServer(ThirdPartyService service,
+                                   obs::JobTelemetry* telemetry)
+    : service_(std::move(service)), telemetry_(telemetry) {}
 
 net::HttpResponse ThirdPartyServer::Handle(const net::HttpRequest& request,
                                            const net::ConnectionMeta& meta) {
   (void)meta;
   ++hits_;
-  return CountMaterialized(Respond(request));
+  return CountMaterialized(Respond(request), telemetry_);
 }
 
 net::HttpResponse ThirdPartyServer::Respond(

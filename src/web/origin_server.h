@@ -6,6 +6,7 @@
 #include <string>
 
 #include "net/fabric.h"
+#include "obs/telemetry.h"
 #include "web/site.h"
 #include "web/thirdparty.h"
 #include "web/world.h"
@@ -16,10 +17,13 @@ namespace panoptes::web {
 // site and its rendered landing HTML are read from the shared, immutable
 // world; only the hit counter belongs to this server. Subresource bodies
 // are sized (net::HttpResponse::Sized): counted on the wire, never held.
+// Both servers count the body bytes they allocate (landing HTML, bid
+// heads, error bodies) into `telemetry` when one is given.
 class OriginServer : public net::Server {
  public:
   // Serves site `index` of `world`.
-  OriginServer(std::shared_ptr<const World> world, size_t index);
+  OriginServer(std::shared_ptr<const World> world, size_t index,
+               obs::JobTelemetry* telemetry = nullptr);
 
   net::HttpResponse Handle(const net::HttpRequest& request,
                            const net::ConnectionMeta& meta) override;
@@ -34,6 +38,7 @@ class OriginServer : public net::Server {
 
   std::shared_ptr<const World> world_;
   size_t index_;
+  obs::JobTelemetry* telemetry_;
   uint64_t hits_ = 0;
 };
 
@@ -43,7 +48,8 @@ class OriginServer : public net::Server {
 // bids' ad creatives are sized; only a bid's JSON head is held.
 class ThirdPartyServer : public net::Server {
  public:
-  explicit ThirdPartyServer(ThirdPartyService service);
+  explicit ThirdPartyServer(ThirdPartyService service,
+                            obs::JobTelemetry* telemetry = nullptr);
 
   net::HttpResponse Handle(const net::HttpRequest& request,
                            const net::ConnectionMeta& meta) override;
@@ -55,6 +61,7 @@ class ThirdPartyServer : public net::Server {
   net::HttpResponse Respond(const net::HttpRequest& request) const;
 
   ThirdPartyService service_;
+  obs::JobTelemetry* telemetry_;
   uint64_t hits_ = 0;
 };
 

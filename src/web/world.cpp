@@ -54,14 +54,15 @@ WebPlan PlanWeb(const World& world, net::HostTable& table,
 }
 
 void BindWeb(const std::shared_ptr<const World>& world, const WebPlan& plan,
-             net::Network& network) {
+             net::Network& network, obs::JobTelemetry* telemetry) {
   for (size_t i = 0; i < plan.site_slots.size(); ++i) {
-    network.Bind(plan.site_slots[i], std::make_shared<OriginServer>(world, i));
+    network.Bind(plan.site_slots[i],
+                 std::make_shared<OriginServer>(world, i, telemetry));
   }
   const auto& pool = ThirdPartyPool();
   for (size_t k = 0; k < plan.service_slots.size(); ++k) {
     network.Bind(plan.service_slots[k],
-                 std::make_shared<ThirdPartyServer>(pool[k]));
+                 std::make_shared<ThirdPartyServer>(pool[k], telemetry));
   }
 }
 

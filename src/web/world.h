@@ -20,6 +20,7 @@
 
 #include "net/fabric.h"
 #include "net/ipalloc.h"
+#include "obs/telemetry.h"
 #include "web/catalog.h"
 
 namespace panoptes::web {
@@ -76,8 +77,9 @@ WebPlan PlanWeb(const World& world, net::HostTable& table,
 // Binds a fresh origin server for every site and a generic server for
 // every third-party service into `network`, at the slots `plan` holds.
 // The origin servers share `world`, which stays alive as long as any of
-// them is bound.
+// them is bound. Every server counts the body bytes it allocates into
+// `telemetry` when one is given.
 void BindWeb(const std::shared_ptr<const World>& world, const WebPlan& plan,
-             net::Network& network);
+             net::Network& network, obs::JobTelemetry* telemetry = nullptr);
 
 }  // namespace panoptes::web

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "util/json.h"
 
 namespace panoptes::analysis {
@@ -38,6 +41,39 @@ TEST(ManifestParse, RoundTripsThroughToJson) {
   auto again = Manifest::FromJson(manifest->ToJson());
   ASSERT_TRUE(again.has_value());
   EXPECT_EQ(again->ToJson(), manifest->ToJson());
+}
+
+// A seed either round-trips exactly or is refused: a JSON number holds a
+// 64-bit integer exactly only below 2^53 (2^53 + 1 parses to the same
+// double as 2^53).
+TEST(ManifestParse, SeedRoundTripsExactlyOrIsRejected) {
+  constexpr uint64_t kTwo53 = uint64_t{1} << 53;
+  for (uint64_t seed : {uint64_t{0}, kTwo53 - 1}) {
+    SCOPED_TRACE(seed);
+    auto manifest = Manifest::FromJson(kManifestJson);
+    ASSERT_TRUE(manifest.has_value());
+    manifest->seed = seed;
+    auto again = Manifest::FromJson(manifest->ToJson());
+    ASSERT_TRUE(again.has_value());
+    EXPECT_EQ(again->seed, seed);
+  }
+  for (uint64_t seed :
+       {kTwo53, kTwo53 + 1, uint64_t{1} << 63, ~uint64_t{0}}) {
+    SCOPED_TRACE(seed);
+    auto manifest = Manifest::FromJson(kManifestJson);
+    ASSERT_TRUE(manifest.has_value());
+    manifest->seed = seed;
+    EXPECT_THROW(manifest->ToJson(), std::invalid_argument);
+  }
+  // Read side: a number from 2^53 on may have been another integer when
+  // it was written, so the manifest is rejected rather than rounded.
+  for (const char* seed : {"9007199254740992", "9007199254740993",
+                           "9223372036854775808", "18446744073709551615"}) {
+    SCOPED_TRACE(seed);
+    std::string text = kManifestJson;
+    text.replace(text.find("7,"), 1, seed);
+    EXPECT_FALSE(Manifest::FromJson(text).has_value());
+  }
 }
 
 TEST(ManifestParse, RejectsBadInput) {

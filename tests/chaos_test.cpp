@@ -26,7 +26,7 @@
 #include "core/framework.h"
 #include "core/run_manifest.h"
 #include "net/url.h"
-#include "obs/metrics.h"
+#include "obs/telemetry.h"
 #include "proxy/flowstore.h"
 
 namespace panoptes {
@@ -342,13 +342,11 @@ TEST(ChaosFlowStore, TruncateToDiscardsTail) {
   EXPECT_EQ(store.size(), 2u);
 }
 
-// Metric reconciliation: rollbacks emit their own counter, so the
+// Metric reconciliation: rollbacks are counted on their own, so the
 // stored-flows total keeps adding up — stored − rolled_back must equal
-// the number of flows actually sitting in the stores at the end.
-// (Before the rolled-back counter existed, TruncateTo silently made
-// panoptes_proxy_flows_stored_total overcount retry-heavy runs.)
+// the number of flows actually sitting in the stores at the end. Read
+// from the job's own telemetry scope.
 TEST(ChaosMetrics, StoredMinusRolledBackReconcilesWithFinalStores) {
-  obs::MetricsRegistry::Default().Reset();
   core::FrameworkOptions options;
   options.catalog.popular_count = 4;
   options.catalog.sensitive_count = 0;
@@ -361,16 +359,16 @@ TEST(ChaosMetrics, StoredMinusRolledBackReconcilesWithFinalStores) {
   auto result =
       core::RunCrawl(framework, *browser::FindSpec("Yandex"), sites, crawl);
 
-  auto& registry = obs::MetricsRegistry::Default();
-  uint64_t stored =
-      registry.GetCounter("panoptes_proxy_flows_stored_total").Value();
-  uint64_t rolled =
-      registry.GetCounter("panoptes_proxy_flows_rolled_back_total").Value();
+  const obs::JobTelemetry telemetry = framework.Accounting();
   // The broken site's failed attempts left partial traffic behind and
   // the retry loop rolled it back.
-  EXPECT_GT(rolled, 0u);
-  EXPECT_EQ(stored - rolled,
+  EXPECT_GT(telemetry.flows_rolled_back, 0u);
+  EXPECT_EQ(telemetry.flows_stored - telemetry.flows_rolled_back,
             result.engine_flows->size() + result.native_flows->size());
+  // Both retries of the broken site were counted, and the DNS failures
+  // behind them.
+  EXPECT_EQ(telemetry.visit_retries, 2u);
+  EXPECT_GT(telemetry.dns_failures, 0u);
 }
 
 // Disabled chaos is bit-identical to the pre-chaos build: the golden

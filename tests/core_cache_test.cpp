@@ -64,6 +64,14 @@ std::string ReportOf(std::vector<core::FleetJobResult> results) {
       core::FleetExecutor::MergeShards(std::move(results)));
 }
 
+// What the cache did over a run: its jobs' own counts, summed.
+obs::JobTelemetry CacheCounts(
+    const std::vector<core::FleetJobResult>& results) {
+  obs::JobTelemetry sum;
+  for (const auto& result : results) sum.Accumulate(result.telemetry);
+  return sum;
+}
+
 TEST(Snapshot, RoundTripIsByteFaithful) {
   core::FleetExecutor executor(SmallFleet());
   auto jobs = SmallPlan();
@@ -343,24 +351,25 @@ TEST(ResultCache, WarmRunIsAllHitsAndByteIdentical) {
   core::FleetExecutor cold(SmallFleet(dir));
   auto cold_results = cold.Run(jobs);
   ASSERT_NE(cold.cache(), nullptr);
-  EXPECT_EQ(cold.cache()->Stats().misses, jobs.size());
-  EXPECT_EQ(cold.cache()->Stats().writes, jobs.size());
-  EXPECT_EQ(cold.cache()->Stats().hits, 0u);
+  obs::JobTelemetry cold_counts = CacheCounts(cold_results);
+  EXPECT_EQ(cold_counts.cache_misses, jobs.size());
+  EXPECT_EQ(cold_counts.cache_writes, jobs.size());
+  EXPECT_EQ(cold_counts.cache_hits, 0u);
   for (const auto& result : cold_results) EXPECT_FALSE(result.cache_hit);
   std::string cold_report = ReportOf(std::move(cold_results));
 
   // Warm: a new executor over the same inputs replays everything.
   core::FleetExecutor warm(SmallFleet(dir));
   auto warm_results = warm.Run(jobs);
-  auto stats = warm.cache()->Stats();
-  EXPECT_EQ(stats.hits, jobs.size());
-  EXPECT_EQ(stats.misses, 0u);
-  EXPECT_EQ(stats.invalidated, 0u);
-  EXPECT_EQ(stats.writes, 0u);
+  obs::JobTelemetry stats = CacheCounts(warm_results);
+  EXPECT_EQ(stats.cache_hits, jobs.size());
+  EXPECT_EQ(stats.cache_misses, 0u);
+  EXPECT_EQ(stats.cache_invalidations, 0u);
+  EXPECT_EQ(stats.cache_writes, 0u);
   for (const auto& result : warm_results) EXPECT_TRUE(result.cache_hit);
 
   core::RunManifest manifest =
-      core::BuildRunManifest(warm.options(), warm_results, &stats);
+      core::BuildRunManifest(warm.options(), warm_results);
   EXPECT_TRUE(manifest.cache_enabled);
   EXPECT_EQ(manifest.cache_hits, jobs.size());
   EXPECT_EQ(manifest.cache_misses, 0u);
@@ -389,10 +398,10 @@ TEST(ResultCache, SpecChangeInvalidatesOnlyThatBrowsersJobs) {
 
   core::FleetExecutor warm(SmallFleet(dir));
   auto results = warm.Run(changed_jobs);
-  auto stats = warm.cache()->Stats();
-  EXPECT_EQ(stats.invalidated, changed);
-  EXPECT_EQ(stats.hits, changed_jobs.size() - changed);
-  EXPECT_EQ(stats.misses, 0u);
+  obs::JobTelemetry stats = CacheCounts(results);
+  EXPECT_EQ(stats.cache_invalidations, changed);
+  EXPECT_EQ(stats.cache_hits, changed_jobs.size() - changed);
+  EXPECT_EQ(stats.cache_misses, 0u);
   for (const auto& result : results) {
     EXPECT_EQ(result.cache_hit, result.job.spec.name != "Yandex")
         << result.job.spec.name;
@@ -408,9 +417,9 @@ TEST(ResultCache, SeedOrChaosChangeInvalidatesEverything) {
   core::FleetOptions reseeded = SmallFleet(dir);
   reseeded.base_seed += 1;
   core::FleetExecutor warm_seed(reseeded);
-  warm_seed.Run(jobs);
-  EXPECT_EQ(warm_seed.cache()->Stats().hits, 0u);
-  EXPECT_EQ(warm_seed.cache()->Stats().invalidated, jobs.size());
+  obs::JobTelemetry reseeded_counts = CacheCounts(warm_seed.Run(jobs));
+  EXPECT_EQ(reseeded_counts.cache_hits, 0u);
+  EXPECT_EQ(reseeded_counts.cache_invalidations, jobs.size());
 
   // The reseeded run overwrote the snapshots; a chaos-profile change on
   // top invalidates them all again.
@@ -418,9 +427,9 @@ TEST(ResultCache, SeedOrChaosChangeInvalidatesEverything) {
   chaotic.base_seed = reseeded.base_seed;
   chaotic.framework.chaos = *chaos::FaultProfile::Named("flaky");
   core::FleetExecutor warm_chaos(chaotic);
-  warm_chaos.Run(jobs);
-  EXPECT_EQ(warm_chaos.cache()->Stats().hits, 0u);
-  EXPECT_EQ(warm_chaos.cache()->Stats().invalidated, jobs.size());
+  obs::JobTelemetry chaos_counts = CacheCounts(warm_chaos.Run(jobs));
+  EXPECT_EQ(chaos_counts.cache_hits, 0u);
+  EXPECT_EQ(chaos_counts.cache_invalidations, jobs.size());
 }
 
 TEST(ResultCache, MissingOrCorruptSnapshotReexecutesJustThatJob) {
@@ -440,11 +449,11 @@ TEST(ResultCache, MissingOrCorruptSnapshotReexecutesJustThatJob) {
 
   core::FleetExecutor warm(SmallFleet(dir));
   auto results = warm.Run(jobs);
-  auto stats = warm.cache()->Stats();
-  EXPECT_EQ(stats.misses, 1u);       // the deleted file
-  EXPECT_EQ(stats.invalidated, 1u);  // the corrupt file
-  EXPECT_EQ(stats.hits, jobs.size() - 2);
-  EXPECT_EQ(stats.writes, 2u);  // both repaired
+  obs::JobTelemetry stats = CacheCounts(results);
+  EXPECT_EQ(stats.cache_misses, 1u);         // the deleted file
+  EXPECT_EQ(stats.cache_invalidations, 1u);  // the corrupt file
+  EXPECT_EQ(stats.cache_hits, jobs.size() - 2);
+  EXPECT_EQ(stats.cache_writes, 2u);  // both repaired
   EXPECT_EQ(ReportOf(std::move(results)), cold_report);
 }
 
@@ -469,10 +478,10 @@ TEST(ResultCache, V7SnapshotReexecutesThatJob) {
 
   core::FleetExecutor warm(SmallFleet(dir));
   auto results = warm.Run(jobs);
-  auto stats = warm.cache()->Stats();
-  EXPECT_EQ(stats.invalidated, 1u);
-  EXPECT_EQ(stats.hits, jobs.size() - 1);
-  EXPECT_EQ(stats.writes, 1u);
+  obs::JobTelemetry stats = CacheCounts(results);
+  EXPECT_EQ(stats.cache_invalidations, 1u);
+  EXPECT_EQ(stats.cache_hits, jobs.size() - 1);
+  EXPECT_EQ(stats.cache_writes, 1u);
   EXPECT_FALSE(results[0].cache_hit);
   EXPECT_EQ(ReportOf(std::move(results)), cold_report);
 }
@@ -492,7 +501,7 @@ TEST(ResultCache, ResumeReexecutesCachedQuarantines) {
   // stays byte-identical on re-render, failures included).
   core::FleetExecutor warm(options);
   auto warm_results = warm.Run(jobs);
-  EXPECT_EQ(warm.cache()->Stats().hits, jobs.size());
+  EXPECT_EQ(CacheCounts(warm_results).cache_hits, jobs.size());
   for (const auto& result : warm_results) {
     EXPECT_TRUE(result.quarantined);
     EXPECT_TRUE(result.cache_hit);
@@ -505,8 +514,8 @@ TEST(ResultCache, ResumeReexecutesCachedQuarantines) {
   resume_options.resume = true;
   core::FleetExecutor resumed(resume_options);
   auto resumed_results = resumed.Run(jobs);
-  EXPECT_EQ(resumed.cache()->Stats().hits, 0u);
-  EXPECT_EQ(resumed.cache()->Stats().misses, jobs.size());
+  EXPECT_EQ(CacheCounts(resumed_results).cache_hits, 0u);
+  EXPECT_EQ(CacheCounts(resumed_results).cache_misses, jobs.size());
   for (const auto& result : resumed_results) {
     EXPECT_FALSE(result.cache_hit);
     EXPECT_TRUE(result.quarantined);

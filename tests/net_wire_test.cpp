@@ -1,4 +1,4 @@
-#include "net/wire.h"
+#include "oracle/wire.h"
 
 #include <gtest/gtest.h>
 

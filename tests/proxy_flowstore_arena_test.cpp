@@ -14,7 +14,7 @@
 #include <string>
 #include <vector>
 
-#include "obs/metrics.h"
+#include "obs/telemetry.h"
 #include "proxy/flowstore.h"
 #include "util/binio.h"
 
@@ -123,18 +123,14 @@ TEST(FlowStoreArena, SelfAppendDuplicatesAndPreservesViews) {
 }
 
 // TruncateTo must keep the metric reconciliation invariant
-// stored − rolled_back == final size, and must not free the payload
-// bytes of discarded flows: views handed out before the rollback stay
-// readable (ASan would catch the use-after-free otherwise).
+// stored − rolled_back == final size in the store's telemetry scope, and
+// must not free the payload bytes of discarded flows: views handed out
+// before the rollback stay readable (ASan would catch the use-after-free
+// otherwise).
 TEST(FlowStoreArena, TruncateToReconcilesMetricsAndKeepsViewsAlive) {
-  obs::Counter& stored = obs::MetricsRegistry::Default().GetCounter(
-      "panoptes_proxy_flows_stored_total");
-  obs::Counter& rolled_back = obs::MetricsRegistry::Default().GetCounter(
-      "panoptes_proxy_flows_rolled_back_total");
-  uint64_t stored_before = stored.Value();
-  uint64_t rolled_back_before = rolled_back.Value();
-
+  obs::JobTelemetry telemetry;
   FlowStore store;
+  store.SetTelemetry(&telemetry);
   for (uint64_t i = 0; i < 30; ++i) {
     store.Add(MakeFlow(i, "https://trunc.example.com/" + std::to_string(i)));
   }
@@ -144,10 +140,9 @@ TEST(FlowStoreArena, TruncateToReconcilesMetricsAndKeepsViewsAlive) {
 
   store.TruncateTo(10);
   ASSERT_EQ(store.size(), 10u);
-  EXPECT_EQ(stored.Value() - stored_before, 30u);
-  EXPECT_EQ(rolled_back.Value() - rolled_back_before, 20u);
-  EXPECT_EQ((stored.Value() - stored_before) -
-                (rolled_back.Value() - rolled_back_before),
+  EXPECT_EQ(telemetry.flows_stored, 30u);
+  EXPECT_EQ(telemetry.flows_rolled_back, 20u);
+  EXPECT_EQ(telemetry.flows_stored - telemetry.flows_rolled_back,
             store.size());
 
   // The discarded flow's bytes are still alive in the arena.
@@ -156,11 +151,10 @@ TEST(FlowStoreArena, TruncateToReconcilesMetricsAndKeepsViewsAlive) {
   // A second rollback on top composes; truncating to a larger size is
   // a no-op and counts nothing.
   store.TruncateTo(10);
-  EXPECT_EQ(rolled_back.Value() - rolled_back_before, 20u);
+  EXPECT_EQ(telemetry.flows_rolled_back, 20u);
   store.TruncateTo(4);
-  EXPECT_EQ(rolled_back.Value() - rolled_back_before, 26u);
-  EXPECT_EQ((stored.Value() - stored_before) -
-                (rolled_back.Value() - rolled_back_before),
+  EXPECT_EQ(telemetry.flows_rolled_back, 26u);
+  EXPECT_EQ(telemetry.flows_stored - telemetry.flows_rolled_back,
             store.size());
 
   // Serialization writes only live flows: a truncated store encodes

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "util/json.h"
 
 namespace panoptes::proxy {
@@ -120,6 +122,45 @@ TEST(Har, ImportTreatsOutOfRangeNumbersAsMissing) {
   EXPECT_EQ(flow.id, 0u);
   EXPECT_EQ(flow.app_uid, -1);
   EXPECT_EQ(flow.time.millis, 0);
+}
+
+// The 64-bit fields round-trip exactly or are refused: export throws on
+// a value a JSON number cannot hold, and import reads a number from 2^53
+// on as missing, because it may have been another integer when written.
+TEST(Har, SixtyFourBitFieldsRoundTripExactlyOrAreRejected) {
+  constexpr uint64_t kTwo53 = uint64_t{1} << 53;
+  for (uint64_t value : {uint64_t{0}, kTwo53 - 1}) {
+    SCOPED_TRACE(value);
+    FlowStore store;
+    Flow flow = SampleFlow(1);
+    flow.id = value;
+    flow.request_bytes = value;
+    store.Add(flow);
+    auto imported = ImportHar(ExportHar(store));
+    ASSERT_TRUE(imported.has_value());
+    ASSERT_EQ(imported->size(), 1u);
+    EXPECT_EQ(imported->flow(0).id, value);
+    EXPECT_EQ(imported->flow(0).request_bytes, value);
+  }
+  for (uint64_t value :
+       {kTwo53, kTwo53 + 1, uint64_t{1} << 63, ~uint64_t{0}}) {
+    SCOPED_TRACE(value);
+    for (bool id : {true, false}) {
+      FlowStore store;
+      Flow flow = SampleFlow(1);
+      (id ? flow.id : flow.request_bytes) = value;
+      store.Add(flow);
+      EXPECT_THROW(ExportHar(store), std::invalid_argument);
+    }
+  }
+  auto store = ImportHar(
+      R"({"log":{"entries":[{"request":{"url":"https://a.example/"},)"
+      R"("response":{},"_id":9007199254740992,)"
+      R"("_requestBytes":18446744073709551615}]}})");
+  ASSERT_TRUE(store.has_value());
+  ASSERT_EQ(store->size(), 1u);
+  EXPECT_EQ(store->flow(0).id, 0u);
+  EXPECT_EQ(store->flow(0).request_bytes, 0u);
 }
 
 }  // namespace

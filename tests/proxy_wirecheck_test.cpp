@@ -1,4 +1,4 @@
-#include "proxy/wirecheck.h"
+#include "oracle/wirecheck.h"
 
 #include <gtest/gtest.h>
 

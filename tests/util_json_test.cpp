@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <stdexcept>
 
 #include "util/rng.h"
 
@@ -98,13 +99,35 @@ TEST(Json, IntegerReadsOnlyIntegralNumbersInRange) {
   EXPECT_FALSE(Json(2147483648.0).Integer<int>().has_value());
   EXPECT_EQ(Json(-2147483648.0).Integer<int>(), -2147483647 - 1);
   EXPECT_FALSE(Json(-2147483649.0).Integer<int>().has_value());
-  EXPECT_FALSE(Json(9223372036854775808.0).Integer<int64_t>().has_value());
-  EXPECT_EQ(Json(-9223372036854775808.0).Integer<int64_t>(),
+  // ExactInteger itself converts every double in a 64-bit type's range.
+  EXPECT_FALSE(ExactInteger<int64_t>(9223372036854775808.0).has_value());
+  EXPECT_EQ(ExactInteger<int64_t>(-9223372036854775808.0),
             std::numeric_limits<int64_t>::min());
-  EXPECT_EQ(Json(18446744073709549568.0).Integer<uint64_t>(),
+  EXPECT_EQ(ExactInteger<uint64_t>(18446744073709549568.0),
             18446744073709549568ull);
-  EXPECT_FALSE(Json(18446744073709551616.0).Integer<uint64_t>().has_value());
+  EXPECT_FALSE(ExactInteger<uint64_t>(18446744073709551616.0).has_value());
   EXPECT_FALSE(ExactInteger<int>(std::nan("")).has_value());
+  // A JSON number read as a 64-bit type stops at ±(2^53 − 1): from 2^53
+  // on the double stands for more than one integer.
+  EXPECT_EQ(Json(9007199254740991.0).Integer<uint64_t>(), 9007199254740991ull);
+  EXPECT_EQ(Json(-9007199254740991.0).Integer<int64_t>(), -9007199254740991ll);
+  EXPECT_FALSE(Json(9007199254740992.0).Integer<uint64_t>().has_value());
+  EXPECT_FALSE(Json(-9007199254740992.0).Integer<int64_t>().has_value());
+  EXPECT_FALSE(Json(9223372036854775808.0).Integer<int64_t>().has_value());
+  EXPECT_FALSE(Json(-9223372036854775808.0).Integer<int64_t>().has_value());
+  EXPECT_FALSE(Json(18446744073709549568.0).Integer<uint64_t>().has_value());
+}
+
+TEST(Json, ExactNumberWritesOnlyWhatReadsBack) {
+  constexpr uint64_t kTwo53 = uint64_t{1} << 53;
+  constexpr int64_t kSafe = static_cast<int64_t>(kTwo53) - 1;
+  EXPECT_EQ(Json::ExactNumber(uint64_t{0}, "x").Integer<uint64_t>(), 0u);
+  EXPECT_EQ(Json::ExactNumber(kSafe, "x").Integer<int64_t>(), kSafe);
+  EXPECT_EQ(Json::ExactNumber(-kSafe, "x").Integer<int64_t>(), -kSafe);
+  EXPECT_THROW(Json::ExactNumber(kTwo53, "x"), std::invalid_argument);
+  EXPECT_THROW(Json::ExactNumber(kTwo53 + 1, "x"), std::invalid_argument);
+  EXPECT_THROW(Json::ExactNumber(-kSafe - 1, "x"), std::invalid_argument);
+  EXPECT_THROW(Json::ExactNumber(~uint64_t{0}, "x"), std::invalid_argument);
 }
 
 TEST(Json, RoundTripListing1Shape) {
