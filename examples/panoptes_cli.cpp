@@ -98,11 +98,20 @@ int Usage() {
   return 2;
 }
 
-bool WriteFile(const std::string& path, const std::string& content) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return false;
-  out << content;
-  return static_cast<bool>(out);
+// Writes one artifact and says so: "wrote <what><path>" on stdout, or
+// "cannot write <path>" on stderr and false, on which the command exits 1.
+bool WriteArtifact(const std::string& path, const std::string& content,
+                   const std::string& what = "") {
+  {
+    std::ofstream out(path, std::ios::binary);
+    if (out) out << content;
+    if (!out) {
+      std::fprintf(stderr, "cannot write %s\n", path.c_str());
+      return false;
+    }
+  }
+  std::printf("wrote %s%s\n", what.c_str(), path.c_str());
+  return true;
 }
 
 core::Framework MakeFramework(int sites) {
@@ -191,21 +200,15 @@ int CmdCrawl(const util::Args& args) {
   for (const auto& flow : result.native_flows->flows()) {
     combined.Add(flow.Materialize());
   }
-  if (har_path) {
-    if (!WriteFile(*har_path, proxy::ExportHar(combined, "panoptes_cli"))) {
-      std::fprintf(stderr, "cannot write %s\n", har_path->c_str());
-      return 1;
-    }
-    std::printf("wrote %zu flows to %s\n", combined.size(),
-                har_path->c_str());
+  const std::string flows = std::to_string(combined.size()) + " flows to ";
+  if (har_path &&
+      !WriteArtifact(*har_path, proxy::ExportHar(combined, "panoptes_cli"),
+                     flows)) {
+    return 1;
   }
-  if (csv_path) {
-    if (!WriteFile(*csv_path, analysis::FlowStoreCsv(combined))) {
-      std::fprintf(stderr, "cannot write %s\n", csv_path->c_str());
-      return 1;
-    }
-    std::printf("wrote %zu flows to %s\n", combined.size(),
-                csv_path->c_str());
+  if (csv_path &&
+      !WriteArtifact(*csv_path, analysis::FlowStoreCsv(combined), flows)) {
+    return 1;
   }
   return 0;
 }
@@ -385,29 +388,19 @@ int CmdFleet(const util::Args& args) {
     }
     combined += "]}";
     obs::Families().Publish(run_telemetry);
-    if (auto json_path = args.Option("json")) {
-      if (!WriteFile(*json_path, combined)) {
-        std::fprintf(stderr, "cannot write %s\n", json_path->c_str());
-        return 1;
-      }
-      std::printf("wrote %s\n", json_path->c_str());
+    auto json_path = args.Option("json");
+    if (json_path && !WriteArtifact(*json_path, combined)) return 1;
+    auto metrics_path = args.Option("metrics-out");
+    if (metrics_path &&
+        !WriteArtifact(*metrics_path,
+                       obs::MetricsRegistry::Default().PrometheusText())) {
+      return 1;
     }
-    if (auto metrics_path = args.Option("metrics-out")) {
-      if (!WriteFile(*metrics_path,
-                     obs::MetricsRegistry::Default().PrometheusText())) {
-        std::fprintf(stderr, "cannot write %s\n", metrics_path->c_str());
-        return 1;
-      }
-      std::printf("wrote %s\n", metrics_path->c_str());
-    }
-    if (window_journal_path) {
-      if (!WriteFile(*window_journal_path, run_journal.Jsonl())) {
-        std::fprintf(stderr, "cannot write %s\n",
-                     window_journal_path->c_str());
-        return 1;
-      }
-      std::printf("wrote %zu journal events to %s\n", run_journal.size(),
-                  window_journal_path->c_str());
+    if (window_journal_path &&
+        !WriteArtifact(*window_journal_path, run_journal.Jsonl(),
+                       std::to_string(run_journal.size()) +
+                           " journal events to ")) {
+      return 1;
     }
     return 0;
   }
@@ -489,68 +482,45 @@ int CmdFleet(const util::Args& args) {
   std::printf("%s",
               analysis::FleetSummaryTable(merged, &stats, &manifest).c_str());
 
-  if (auto manifest_path = args.Option("manifest-out")) {
-    if (!WriteFile(*manifest_path, analysis::RunManifestJson(manifest))) {
-      std::fprintf(stderr, "cannot write %s\n", manifest_path->c_str());
-      return 1;
-    }
-    std::printf("wrote %s\n", manifest_path->c_str());
+  if (auto manifest_path = args.Option("manifest-out");
+      manifest_path &&
+      !WriteArtifact(*manifest_path, analysis::RunManifestJson(manifest))) {
+    return 1;
   }
-  if (auto json_path = args.Option("json")) {
-    if (!WriteFile(*json_path, analysis::FleetReportJson(merged))) {
-      std::fprintf(stderr, "cannot write %s\n", json_path->c_str());
-      return 1;
-    }
-    std::printf("wrote %s\n", json_path->c_str());
-  }
-  if (auto csv_path = args.Option("csv")) {
-    if (!WriteFile(*csv_path, analysis::FleetSummaryCsv(merged))) {
-      std::fprintf(stderr, "cannot write %s\n", csv_path->c_str());
-      return 1;
-    }
-    std::printf("wrote %s\n", csv_path->c_str());
-  }
-  if (auto smuggling_json = args.Option("smuggling-json")) {
-    if (!WriteFile(*smuggling_json,
-                   analysis::UidSmugglingReportJson(merged))) {
-      std::fprintf(stderr, "cannot write %s\n", smuggling_json->c_str());
-      return 1;
-    }
-    std::printf("wrote %s\n", smuggling_json->c_str());
-  }
-  if (auto smuggling_csv = args.Option("smuggling-csv")) {
-    if (!WriteFile(*smuggling_csv, analysis::UidSmugglingCsv(merged))) {
-      std::fprintf(stderr, "cannot write %s\n", smuggling_csv->c_str());
-      return 1;
-    }
-    std::printf("wrote %s\n", smuggling_csv->c_str());
+  // Each report renders only when its file is asked for, in this order.
+  struct Report {
+    const char* option;
+    std::string (*render)(const std::vector<core::FleetJobResult>&);
+  };
+  for (const Report& report :
+       {Report{"json", analysis::FleetReportJson},
+        Report{"csv", analysis::FleetSummaryCsv},
+        Report{"smuggling-json", analysis::UidSmugglingReportJson},
+        Report{"smuggling-csv", analysis::UidSmugglingCsv}}) {
+    auto path = args.Option(report.option);
+    if (path && !WriteArtifact(*path, report.render(merged))) return 1;
   }
 
   // Telemetry files go last so report-rendering spans are included.
-  if (metrics_path) {
-    if (!WriteFile(*metrics_path,
-                   obs::MetricsRegistry::Default().PrometheusText())) {
-      std::fprintf(stderr, "cannot write %s\n", metrics_path->c_str());
-      return 1;
-    }
-    std::printf("wrote %s\n", metrics_path->c_str());
+  if (metrics_path &&
+      !WriteArtifact(*metrics_path,
+                     obs::MetricsRegistry::Default().PrometheusText())) {
+    return 1;
   }
   if (trace_path) {
     obs::Tracer::Default().SetEnabled(false);
-    if (!WriteFile(*trace_path, obs::Tracer::Default().ChromeTraceJson())) {
-      std::fprintf(stderr, "cannot write %s\n", trace_path->c_str());
+    const std::string trace = obs::Tracer::Default().ChromeTraceJson();
+    if (!WriteArtifact(*trace_path, trace,
+                       std::to_string(obs::Tracer::Default().EventCount()) +
+                           " spans to ")) {
       return 1;
     }
-    std::printf("wrote %zu spans to %s\n",
-                obs::Tracer::Default().EventCount(), trace_path->c_str());
   }
-  if (journal_path) {
-    if (!WriteFile(*journal_path, run_journal.Jsonl())) {
-      std::fprintf(stderr, "cannot write %s\n", journal_path->c_str());
-      return 1;
-    }
-    std::printf("wrote %zu journal events to %s\n", run_journal.size(),
-                journal_path->c_str());
+  if (journal_path &&
+      !WriteArtifact(*journal_path, run_journal.Jsonl(),
+                     std::to_string(run_journal.size()) +
+                         " journal events to ")) {
+    return 1;
   }
   return 0;
 }
@@ -792,8 +762,6 @@ int CmdExplain(const util::Args& args) {
   }
   std::sort(snaps.begin(), snaps.end());
 
-  const uint32_t tag = static_cast<uint32_t>(uid >> 32);
-  const uint32_t ordinal = static_cast<uint32_t>(uid);
   for (const auto& path : snaps) {
     std::ifstream in(path, std::ios::binary);
     if (!in) continue;
@@ -829,24 +797,16 @@ int CmdExplain(const util::Args& args) {
         std::printf("  snapshot: %s\n", path.filename().string().c_str());
         if (result.crawl.has_value()) {
           const auto& visits = result.crawl->visits;
-          for (size_t v = 0; v < visits.size(); ++v) {
+          if (int64_t v = core::VisitOfFlow(uid, visits); v >= 0) {
             const core::VisitRecord& rec = visits[v];
-            const bool in_native = rec.native_tag == tag &&
-                                   ordinal >= rec.native_flow_begin &&
-                                   ordinal < rec.native_flow_end;
-            const bool in_engine = rec.engine_tag == tag &&
-                                   ordinal >= rec.engine_flow_begin &&
-                                   ordinal < rec.engine_flow_end;
-            if (!in_native && !in_engine) continue;
             std::string fault = rec.fault_cause.empty()
                                     ? std::string()
                                     : ", fault=" + rec.fault_cause;
             std::printf(
-                "  visit: #%zu %s (%s, attempts=%d%s%s)\n", v,
-                rec.hostname.c_str(), rec.ok ? "ok" : "failed",
-                rec.attempts, fault.c_str(),
+                "  visit: #%zu %s (%s, attempts=%d%s%s)\n",
+                static_cast<size_t>(v), rec.hostname.c_str(),
+                rec.ok ? "ok" : "failed", rec.attempts, fault.c_str(),
                 rec.incognito_honored ? "" : ", incognito NOT honored");
-            break;
           }
         }
         std::printf(
@@ -927,12 +887,12 @@ int CmdSitelist(const util::Args& args) {
       static_cast<int>(args.IntOptionOr("sites", 1000)));
   std::string list = web::SaveSiteList(framework.catalog());
   if (auto out = args.Option("out")) {
-    if (!WriteFile(*out, list)) {
-      std::fprintf(stderr, "cannot write %s\n", out->c_str());
+    if (!WriteArtifact(
+            *out, list,
+            std::to_string(framework.catalog().sites().size()) +
+                " sites to ")) {
       return 1;
     }
-    std::printf("wrote %zu sites to %s\n",
-                framework.catalog().sites().size(), out->c_str());
   } else {
     std::printf("%s", list.c_str());
   }
@@ -963,11 +923,7 @@ int CmdRunManifest(const util::Args& args) {
   auto result = analysis::RunManifest(*manifest);
   std::string rendered = result.ToJson();
   if (auto out_path = args.Option("out")) {
-    if (!WriteFile(*out_path, rendered)) {
-      std::fprintf(stderr, "cannot write %s\n", out_path->c_str());
-      return 1;
-    }
-    std::printf("wrote %s\n", out_path->c_str());
+    if (!WriteArtifact(*out_path, rendered)) return 1;
   } else {
     std::printf("%s\n", rendered.c_str());
   }

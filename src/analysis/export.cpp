@@ -1,7 +1,7 @@
 #include "analysis/export.h"
 
+#include <initializer_list>
 #include <set>
-#include <unordered_map>
 
 #include "analysis/flow_index.h"
 #include "analysis/pii.h"
@@ -145,61 +145,111 @@ bool HasPopulation(const std::vector<core::FleetJobResult>& results) {
   return false;
 }
 
-// Fig 2's native share of a job's capture. Idle traffic is all native,
-// so an idle run scores 1 once it has any flow at all.
-double NativeRatio(const core::FleetJobResult& result) {
-  if (result.crawl.has_value()) return result.crawl->NativeRatio();
-  return result.idle->native_flows->empty() ? 0.0 : 1.0;
-}
-
-// The visits a job's flow uids resolve against; null for idle runs.
-const std::vector<core::VisitRecord>* VisitsOf(
+// The visits a job's flow uids resolve against; none for idle runs.
+const std::vector<core::VisitRecord>& VisitsOf(
     const core::FleetJobResult& result) {
-  return result.crawl.has_value() ? &result.crawl->visits : nullptr;
+  static const std::vector<core::VisitRecord> none;
+  return result.crawl.has_value() ? result.crawl->visits : none;
 }
 
-// Resolves a finding's flow_uid to the visit (index into `visits`) that
-// captured it: the uid's provenance tag picks the store (engine or
-// native role of one job attempt) and the ordinal falls in exactly one
-// visit's recorded flow range. -1 when no visit matches (idle traffic,
-// or uid 0 from a store without provenance tags). Ranges survive
-// MergeShards because each VisitRecord keeps its original tag and
-// store-local ordinals.
-int64_t VisitOfUid(uint64_t uid,
-                   const std::vector<core::VisitRecord>& visits) {
-  if (uid == 0) return -1;
-  const uint32_t tag = static_cast<uint32_t>(uid >> 32);
-  const uint32_t ord = static_cast<uint32_t>(uid);
-  for (size_t v = 0; v < visits.size(); ++v) {
-    const core::VisitRecord& rec = visits[v];
-    if (rec.native_tag == tag && ord >= rec.native_flow_begin &&
-        ord < rec.native_flow_end) {
-      return static_cast<int64_t>(v);
-    }
-    if (rec.engine_tag == tag && ord >= rec.engine_flow_begin &&
-        ord < rec.engine_flow_end) {
-      return static_cast<int64_t>(v);
-    }
+// Appends the population columns both fleet CSVs end with (cohort
+// label, device model, weight) to a row; with no cohort, their names to
+// the header.
+void AppendCohortColumns(std::vector<std::string>& cells,
+                         const device::DeviceCohort* cohort) {
+  if (cohort == nullptr) {
+    cells.insert(cells.end(), {"cohort", "device", "cohort_weight"});
+    return;
   }
-  return -1;
+  cells.push_back(cohort->Label());
+  cells.push_back(cohort->profile.model);
+  cells.push_back(util::FormatDouble(cohort->weight, 6));
 }
+
+// The population-weighted view both fleet reports end with: one group
+// per (browser, campaign), in plan order. Each member job adds its
+// cohort weight w, w times each of its figures, and its values to the
+// group's union. Render divides every figure by the group's weight
+// mass, so a sharded or partial run still reports what the average
+// synthetic user of the population sees.
+class PopulationGroups {
+ public:
+  // `figure_keys` name the weighted figures in the order Add takes
+  // them; `union_key` names the sorted union of the members' values.
+  PopulationGroups(std::vector<std::string> figure_keys,
+                   std::string union_key)
+      : figure_keys_(std::move(figure_keys)),
+        union_key_(std::move(union_key)) {}
+
+  // Folds one job's figures in and returns its group's value union, for
+  // the caller to add the job's values to.
+  std::set<std::string>& Add(const core::FleetJobResult& result,
+                             std::initializer_list<double> figures) {
+    Group& group = GroupOf(result.job);
+    const double w = result.job.cohort.weight;
+    group.weight += w;
+    size_t i = 0;
+    for (double figure : figures) group.sums[i++] += w * figure;
+    ++group.cohorts;
+    return group.values;
+  }
+
+  util::JsonArray Render() const {
+    util::JsonArray out;
+    for (const Group& group : groups_) {
+      util::JsonObject json;
+      json["browser"] = group.browser;
+      json["campaign"] = std::string(core::CampaignKindName(group.kind));
+      json["cohorts"] = group.cohorts;
+      json["weight"] = group.weight;
+      const double norm = group.weight > 0 ? group.weight : 1.0;
+      for (size_t i = 0; i < figure_keys_.size(); ++i) {
+        json[figure_keys_[i]] = group.sums[i] / norm;
+      }
+      util::JsonArray values;
+      for (const std::string& value : group.values) values.emplace_back(value);
+      json[union_key_] = std::move(values);
+      out.push_back(util::Json(std::move(json)));
+    }
+    return out;
+  }
+
+ private:
+  struct Group {
+    std::string browser;
+    core::CampaignKind kind;
+    double weight;
+    std::vector<double> sums;  // w_i * figure_i, in figure_keys_ order
+    std::set<std::string> values;
+    uint64_t cohorts;
+  };
+
+  Group& GroupOf(const core::FleetJob& job) {
+    for (Group& group : groups_) {
+      if (group.kind == job.kind && group.browser == job.spec.name) {
+        return group;
+      }
+    }
+    groups_.push_back(Group{job.spec.name, job.kind, 0,
+                            std::vector<double>(figure_keys_.size()), {}, 0});
+    return groups_.back();
+  }
+
+  std::vector<std::string> figure_keys_;
+  std::string union_key_;
+  std::vector<Group> groups_;
+};
 
 // The per-result findings array: one entry per PII evidence record,
-// each carrying the full provenance chain of the ISSUE's observatory
+// each carrying the full provenance chain of the observatory's
 // contract — flow_id, job (result index), visit, attempt,
 // fault_injected. Everything is computed from data the result always
 // carries (stores, visits, attempt count), never from the journal, so
 // the report stays byte-identical with journaling on or off.
 util::JsonArray FindingsJson(const PiiReport& report,
                              const proxy::FlowStore& store,
-                             const std::vector<core::VisitRecord>* visits,
+                             const std::vector<core::VisitRecord>& visits,
                              size_t job_index, int attempts) {
-  std::unordered_map<uint64_t, uint32_t> ordinal_by_uid;
-  ordinal_by_uid.reserve(store.size());
-  for (uint32_t i = 0; i < store.size(); ++i) {
-    ordinal_by_uid.emplace(store.flow(i).uid, i);
-  }
-
   util::JsonArray findings;
   for (const PiiEvidence& evidence : report.evidence) {
     util::JsonObject finding;
@@ -210,12 +260,10 @@ util::JsonArray FindingsJson(const PiiReport& report,
     finding["flow_id"] = util::Hex64(evidence.flow_uid);
     finding["job"] = static_cast<uint64_t>(job_index);
     finding["attempt"] = static_cast<int64_t>(attempts);
-    int64_t visit =
-        visits != nullptr ? VisitOfUid(evidence.flow_uid, *visits) : -1;
-    finding["visit"] = visit;
-    auto it = ordinal_by_uid.find(evidence.flow_uid);
+    finding["visit"] = core::VisitOfFlow(evidence.flow_uid, visits);
     finding["fault_injected"] =
-        it != ordinal_by_uid.end() && store.flow(it->second).fault_injected;
+        evidence.store_position < store.size() &&
+        store.flow(evidence.store_position).fault_injected;
     findings.push_back(util::Json(std::move(finding)));
   }
   return findings;
@@ -229,68 +277,47 @@ std::string FleetSummaryCsv(
   const bool population = HasPopulation(results);
   std::vector<std::vector<std::string>> rows;
   for (const auto& result : results) {
-    const device::DeviceProfile& profile = result.job.cohort.profile;
-    uint64_t engine = 0, native = 0, engine_bytes = 0, native_bytes = 0;
-    double ratio = 0;
+    const core::JobFigures figures = result.Figures();
     size_t pii = 0;
     if (const core::CaptureResult* capture = result.capture()) {
-      if (result.crawl.has_value()) {
-        engine = result.crawl->EngineRequestCount();
-        engine_bytes = result.crawl->engine_index->request_bytes_total();
-      }
-      native = capture->native_flows->size();
-      native_bytes = capture->native_index->request_bytes_total();
-      ratio = NativeRatio(result);
-      pii = PiiFieldNames(PiiScanner(profile).Scan(*capture->native_index))
-                .size();
+      pii = PiiScanner(result.job.cohort.profile)
+                .Scan(*capture->native_index)
+                .LeakCount();
     }
     std::vector<std::string> row = {
         result.job.spec.name,
         std::string(core::CampaignKindName(result.job.kind)),
-        util::Hex64(result.seed), std::to_string(engine), std::to_string(native),
-        util::FormatDouble(ratio, 4), std::to_string(engine_bytes),
-        std::to_string(native_bytes), std::to_string(pii)};
-    if (population) {
-      row.push_back(result.job.cohort.Label());
-      row.push_back(profile.model);
-      row.push_back(util::FormatDouble(result.job.cohort.weight, 6));
-    }
+        util::Hex64(result.seed),
+        std::to_string(figures.engine_requests),
+        std::to_string(figures.native_requests),
+        util::FormatDouble(figures.native_ratio, 4),
+        std::to_string(figures.engine_request_bytes),
+        std::to_string(figures.native_request_bytes),
+        std::to_string(pii)};
+    if (population) AppendCohortColumns(row, &result.job.cohort);
     rows.push_back(std::move(row));
   }
   std::vector<std::string> header = {
       "browser", "campaign", "seed", "engine_requests", "native_requests",
       "native_ratio", "engine_bytes", "native_bytes", "pii_fields"};
-  if (population) {
-    header.insert(header.end(), {"cohort", "device", "cohort_weight"});
-  }
+  if (population) AppendCohortColumns(header, nullptr);
   return RenderCsv(header, rows);
 }
 
 namespace {
 
-// Population-weighted accumulator for one (browser, campaign) group.
-struct PopulationAggregate {
-  std::string browser;
-  std::string campaign;
-  double weight = 0;
-  double native_requests = 0;  // sum of w_i * count_i
-  double native_ratio = 0;
-  double pii_fields = 0;
-  std::set<std::string> pii_union;
-  uint64_t cohorts = 0;
-};
-
 // One job's capture as report fields — the crawl or idle extras, then
-// the native counts, PII fields and findings every campaign reports —
-// folded into `agg` too for population runs.
+// the native figures, PII fields and findings every campaign reports —
+// folded into `population` too for population runs.
 void CaptureJson(const core::FleetJobResult& result, size_t job_index,
-                 util::JsonObject& entry, PopulationAggregate* agg) {
+                 util::JsonObject& entry, PopulationGroups* population) {
   const core::CaptureResult& capture = *result.capture();
+  const core::JobFigures figures = result.Figures();
   if (result.crawl.has_value()) {
     const core::CrawlResult& crawl = *result.crawl;
-    entry["engine_requests"] = crawl.EngineRequestCount();
-    entry["native_ratio"] = crawl.NativeRatio();
-    entry["engine_request_bytes"] = crawl.engine_index->request_bytes_total();
+    entry["engine_requests"] = figures.engine_requests;
+    entry["native_ratio"] = figures.native_ratio;
+    entry["engine_request_bytes"] = figures.engine_request_bytes;
     entry["incognito_effective"] = crawl.incognito_effective;
     entry["visits"] = static_cast<uint64_t>(crawl.visits.size());
     uint64_t ok = 0;
@@ -308,23 +335,19 @@ void CaptureJson(const core::FleetJobResult& result, size_t job_index,
     }
     entry["cumulative_by_bucket"] = std::move(buckets);
   }
-  const uint64_t native = capture.native_flows->size();
-  entry["native_requests"] = native;
-  entry["native_request_bytes"] = capture.native_index->request_bytes_total();
+  entry["native_requests"] = figures.native_requests;
+  entry["native_request_bytes"] = figures.native_request_bytes;
   PiiReport pii_report =
       PiiScanner(result.job.cohort.profile).Scan(*capture.native_index);
   std::vector<std::string> pii = PiiFieldNames(pii_report);
   entry["findings"] = FindingsJson(pii_report, *capture.native_flows,
                                    VisitsOf(result), job_index,
                                    result.attempts);
-  if (agg != nullptr) {
-    double w = result.job.cohort.weight;
-    agg->weight += w;
-    agg->native_requests += w * static_cast<double>(native);
-    agg->native_ratio += w * NativeRatio(result);
-    agg->pii_fields += w * static_cast<double>(pii.size());
-    agg->pii_union.insert(pii.begin(), pii.end());
-    ++agg->cohorts;
+  if (population != nullptr) {
+    population
+        ->Add(result, {static_cast<double>(figures.native_requests),
+                       figures.native_ratio, static_cast<double>(pii.size())})
+        .insert(pii.begin(), pii.end());
   }
   util::JsonArray pii_json;
   for (std::string& field : pii) pii_json.emplace_back(std::move(field));
@@ -337,20 +360,11 @@ std::string FleetReportJson(
     const std::vector<core::FleetJobResult>& results) {
   ReportTimer timer("analysis.fleet_report_json");
   const bool population = HasPopulation(results);
-  // (browser, campaign) → aggregate, in first-appearance (plan) order.
-  std::vector<PopulationAggregate> aggregates;
-  auto aggregate_for = [&](const core::FleetJobResult& r)
-      -> PopulationAggregate& {
-    std::string campaign(core::CampaignKindName(r.job.kind));
-    for (auto& agg : aggregates) {
-      if (agg.browser == r.job.spec.name && agg.campaign == campaign) {
-        return agg;
-      }
-    }
-    aggregates.push_back(
-        PopulationAggregate{r.job.spec.name, std::move(campaign)});
-    return aggregates.back();
-  };
+  // Population-weighted view: what the *average synthetic user* of this
+  // population leaks, per browser and campaign.
+  PopulationGroups groups({"weighted_native_requests",
+                           "weighted_native_ratio", "weighted_pii_fields"},
+                          "pii_field_union");
   util::JsonArray entries;
   for (size_t job_index = 0; job_index < results.size(); ++job_index) {
     const auto& result = results[job_index];
@@ -374,38 +388,13 @@ std::string FleetReportJson(
       entry["cohort"] = util::Json(std::move(cohort_json));
     }
     if (result.capture() != nullptr) {
-      CaptureJson(result, job_index, entry,
-                  population ? &aggregate_for(result) : nullptr);
+      CaptureJson(result, job_index, entry, population ? &groups : nullptr);
     }
     entries.push_back(util::Json(std::move(entry)));
   }
   util::JsonObject root;
   root["results"] = std::move(entries);
-  if (population) {
-    // Population-weighted view: what the *average synthetic user* of
-    // this population leaks, per browser and campaign. Weighted means
-    // normalize by the group's weight mass so a sharded or partial run
-    // still reports per-user expectations.
-    util::JsonArray population_json;
-    for (const PopulationAggregate& agg : aggregates) {
-      util::JsonObject group;
-      group["browser"] = agg.browser;
-      group["campaign"] = agg.campaign;
-      group["cohorts"] = agg.cohorts;
-      group["weight"] = agg.weight;
-      double norm = agg.weight > 0 ? agg.weight : 1.0;
-      group["weighted_native_requests"] = agg.native_requests / norm;
-      group["weighted_native_ratio"] = agg.native_ratio / norm;
-      group["weighted_pii_fields"] = agg.pii_fields / norm;
-      util::JsonArray pii_union;
-      for (const std::string& field : agg.pii_union) {
-        pii_union.emplace_back(field);
-      }
-      group["pii_field_union"] = std::move(pii_union);
-      population_json.push_back(util::Json(std::move(group)));
-    }
-    root["population"] = std::move(population_json);
-  }
+  if (population) root["population"] = groups.Render();
   return util::Json(std::move(root)).Dump();
 }
 
@@ -438,7 +427,7 @@ std::optional<UidSmugglingReport> SmugglingFor(
 }
 
 util::JsonObject SightingJson(const UidSighting& sighting,
-                              const std::vector<core::VisitRecord>* visits) {
+                              const std::vector<core::VisitRecord>& visits) {
   util::JsonObject out;
   out["flow_id"] = util::Hex64(sighting.flow_uid);
   out["host"] = sighting.host;
@@ -446,8 +435,7 @@ util::JsonObject SightingJson(const UidSighting& sighting,
   out["key"] = sighting.key;
   out["carrier"] = std::string(UidCarrierName(sighting.carrier));
   out["embedded"] = sighting.embedded;
-  out["visit"] =
-      visits != nullptr ? VisitOfUid(sighting.flow_uid, *visits) : -1;
+  out["visit"] = core::VisitOfFlow(sighting.flow_uid, visits);
   if (sighting.redirect_hop > 0) {
     out["hop"] = static_cast<uint64_t>(sighting.redirect_hop);
     out["redirect_of"] = util::Hex64(sighting.redirect_of);
@@ -462,30 +450,8 @@ std::string UidSmugglingReportJson(
     const std::vector<core::FleetJobResult>& results) {
   ReportTimer timer("analysis.uid_smuggling_json");
   const bool population = HasPopulation(results);
-
-  struct SmugglingAggregate {
-    std::string browser;
-    std::string campaign;
-    double weight = 0;
-    double findings = 0;   // sum of w_i * finding-count_i
-    double sightings = 0;  // sum of w_i * sighting-count_i
-    std::set<std::string> value_union;
-    uint64_t cohorts = 0;
-  };
-  std::vector<SmugglingAggregate> aggregates;
-  auto aggregate_for =
-      [&](const core::FleetJobResult& r) -> SmugglingAggregate& {
-    std::string campaign(core::CampaignKindName(r.job.kind));
-    for (auto& agg : aggregates) {
-      if (agg.browser == r.job.spec.name && agg.campaign == campaign) {
-        return agg;
-      }
-    }
-    aggregates.push_back(
-        SmugglingAggregate{r.job.spec.name, std::move(campaign)});
-    return aggregates.back();
-  };
-
+  PopulationGroups groups({"weighted_findings", "weighted_sightings"},
+                          "value_union");
   util::JsonArray entries;
   for (const auto& result : results) {
     auto smuggling = SmugglingFor(result);
@@ -505,7 +471,7 @@ std::string UidSmugglingReportJson(
     }
     entry["values_examined"] = smuggling->values_examined;
     entry["flows_with_chains"] = smuggling->flows_with_chains;
-    const std::vector<core::VisitRecord>* visits = VisitsOf(result);
+    const std::vector<core::VisitRecord>& visits = VisitsOf(result);
     util::JsonArray findings;
     for (const UidSmugglingFinding& finding : smuggling->findings) {
       util::JsonObject finding_json;
@@ -530,40 +496,18 @@ std::string UidSmugglingReportJson(
     entries.push_back(util::Json(std::move(entry)));
 
     if (population) {
-      SmugglingAggregate& agg = aggregate_for(result);
-      double w = result.job.cohort.weight;
-      agg.weight += w;
-      agg.findings += w * static_cast<double>(smuggling->findings.size());
-      agg.sightings += w * static_cast<double>(smuggling->TotalSightings());
+      std::set<std::string>& values = groups.Add(
+          result, {static_cast<double>(smuggling->findings.size()),
+                   static_cast<double>(smuggling->TotalSightings())});
       for (const UidSmugglingFinding& finding : smuggling->findings) {
-        agg.value_union.insert(finding.value);
+        values.insert(finding.value);
       }
-      ++agg.cohorts;
     }
   }
 
   util::JsonObject root;
   root["results"] = std::move(entries);
-  if (population) {
-    util::JsonArray population_json;
-    for (const SmugglingAggregate& agg : aggregates) {
-      util::JsonObject group;
-      group["browser"] = agg.browser;
-      group["campaign"] = agg.campaign;
-      group["cohorts"] = agg.cohorts;
-      group["weight"] = agg.weight;
-      double norm = agg.weight > 0 ? agg.weight : 1.0;
-      group["weighted_findings"] = agg.findings / norm;
-      group["weighted_sightings"] = agg.sightings / norm;
-      util::JsonArray values;
-      for (const std::string& value : agg.value_union) {
-        values.emplace_back(value);
-      }
-      group["value_union"] = std::move(values);
-      population_json.push_back(util::Json(std::move(group)));
-    }
-    root["population"] = std::move(population_json);
-  }
+  if (population) root["population"] = groups.Render();
   return util::Json(std::move(root)).Dump();
 }
 
@@ -587,11 +531,7 @@ std::string UidSmugglingCsv(
           std::to_string(finding.embedded_sightings),
           std::to_string(finding.chained_sightings),
           std::to_string(finding.max_chain_hops)};
-      if (population) {
-        row.push_back(result.job.cohort.Label());
-        row.push_back(result.job.cohort.profile.model);
-        row.push_back(util::FormatDouble(result.job.cohort.weight, 6));
-      }
+      if (population) AppendCohortColumns(row, &result.job.cohort);
       rows.push_back(std::move(row));
     }
   }
@@ -599,9 +539,7 @@ std::string UidSmugglingCsv(
       "browser", "campaign", "seed", "value", "domains", "engine_sightings",
       "native_sightings", "embedded_sightings", "chained_sightings",
       "max_chain_hops"};
-  if (population) {
-    header.insert(header.end(), {"cohort", "device", "cohort_weight"});
-  }
+  if (population) AppendCohortColumns(header, nullptr);
   return RenderCsv(header, rows);
 }
 

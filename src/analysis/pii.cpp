@@ -11,22 +11,26 @@ namespace panoptes::analysis {
 
 namespace {
 
+// `source` is a PiiScanner::Source: the scanned flow's uid and store
+// position.
+template <typename Source>
 void Mark(PiiReport& report, PiiField field, const std::string& host,
-          uint64_t value_hash, std::string sample, uint64_t flow_uid) {
+          uint64_t value_hash, std::string sample, const Source& source) {
   report.leaked[static_cast<size_t>(field)] = true;
   // Dedup on the hash of the FULL value, not the (truncated) sample:
   // two long values sharing an 80-byte prefix are distinct sightings,
   // while the same value re-sent to the same host is not. The first
-  // sighting's flow_uid sticks — uid is provenance, never identity, so
-  // evidence is unchanged by the flow_uid column.
+  // sighting's flow_uid and store position stick — they are
+  // provenance, never identity, so evidence is unchanged by them.
   for (const auto& existing : report.evidence) {
     if (existing.field == field && existing.host == host &&
         existing.value_hash == value_hash) {
       return;
     }
   }
-  report.evidence.push_back(
-      PiiEvidence{field, host, std::move(sample), value_hash, flow_uid});
+  report.evidence.push_back(PiiEvidence{field, host, std::move(sample),
+                                        value_hash, source.uid,
+                                        source.position});
 }
 
 // Live proxy::Flow objects have no store ordinal yet, so the shared
@@ -122,14 +126,14 @@ PiiScanner::PiiScanner(device::DeviceProfile profile)
       dpi_(std::to_string(profile_.dpi)) {}
 
 void PiiScanner::ScanText(std::string_view key_hint, std::string_view value,
-                          const std::string& host, uint64_t flow_uid,
+                          const std::string& host, const Source& source,
                           PiiReport& report) const {
-  ScanValue(TraitsOf(key_hint), key_hint, value, host, flow_uid, report);
+  ScanValue(TraitsOf(key_hint), key_hint, value, host, source, report);
 }
 
 void PiiScanner::ScanValue(const KeyTraits& traits, std::string_view key_hint,
                            std::string_view value, const std::string& host,
-                           uint64_t flow_uid, PiiReport& report) const {
+                           const Source& source, PiiReport& report) const {
   // Evidence samples keep at most 80 bytes of the value, cut on a UTF-8
   // boundary so a multi-byte character straddling the limit is dropped
   // whole instead of leaving a mangled partial sequence in reports.
@@ -144,66 +148,66 @@ void PiiScanner::ScanValue(const KeyTraits& traits, std::string_view key_hint,
       util::EqualsIgnoreCase(value, "tablet") ||
       util::EqualsIgnoreCase(value, "phone")) {
     if (traits.device_or_type || value == profile_.device_type) {
-      Mark(report, PiiField::kDeviceType, host, value_hash, sample(), flow_uid);
+      Mark(report, PiiField::kDeviceType, host, value_hash, sample(), source);
     }
   }
   if (value == profile_.manufacturer ||
       (traits.manuf_or_vendor &&
        util::EqualsIgnoreCase(value, profile_.manufacturer))) {
-    Mark(report, PiiField::kManufacturer, host, value_hash, sample(), flow_uid);
+    Mark(report, PiiField::kManufacturer, host, value_hash, sample(), source);
   }
   if (value == profile_.timezone) {
-    Mark(report, PiiField::kTimezone, host, value_hash, sample(), flow_uid);
+    Mark(report, PiiField::kTimezone, host, value_hash, sample(), source);
   }
   if (value == resolution_) {
-    Mark(report, PiiField::kResolution, host, value_hash, sample(), flow_uid);
+    Mark(report, PiiField::kResolution, host, value_hash, sample(), source);
   }
   if (value == local_ip_) {
-    Mark(report, PiiField::kLocalIp, host, value_hash, sample(), flow_uid);
+    Mark(report, PiiField::kLocalIp, host, value_hash, sample(), source);
   }
   if (value == profile_.locale || value == locale_underscore_) {
-    Mark(report, PiiField::kLocale, host, value_hash, sample(), flow_uid);
+    Mark(report, PiiField::kLocale, host, value_hash, sample(), source);
   }
   if ((traits.lat && util::StartsWith(value, lat_prefix_)) ||
       (traits.lon && util::StartsWith(value, lon_prefix_))) {
-    Mark(report, PiiField::kLocation, host, value_hash, sample(), flow_uid);
+    Mark(report, PiiField::kLocation, host, value_hash, sample(), source);
   }
 
   // Key-anchored detections (generic values: require a keyword).
   if (traits.dpi && value == dpi_) {
-    Mark(report, PiiField::kDpi, host, value_hash, sample(), flow_uid);
+    Mark(report, PiiField::kDpi, host, value_hash, sample(), source);
   }
   if (traits.root_or_jailb &&
       (value == "true" || value == "false" || value == "0" ||
        value == "1")) {
-    Mark(report, PiiField::kRooted, host, value_hash, sample(), flow_uid);
+    Mark(report, PiiField::kRooted, host, value_hash, sample(), source);
   }
   if (traits.country_or_cc &&
       util::EqualsIgnoreCase(value, profile_.country)) {
-    Mark(report, PiiField::kCountry, host, value_hash, sample(), flow_uid);
+    Mark(report, PiiField::kCountry, host, value_hash, sample(), source);
   }
   if (util::EqualsIgnoreCase(value, "metered") ||
       util::EqualsIgnoreCase(value, "unmetered")) {
-    Mark(report, PiiField::kConnectionType, host, value_hash, sample(), flow_uid);
+    Mark(report, PiiField::kConnectionType, host, value_hash, sample(), source);
   }
   if (traits.net_or_conn &&
       (util::EqualsIgnoreCase(value, "wifi") ||
        util::EqualsIgnoreCase(value, "cellular"))) {
-    Mark(report, PiiField::kNetworkType, host, value_hash, sample(), flow_uid);
+    Mark(report, PiiField::kNetworkType, host, value_hash, sample(), source);
   }
 }
 
 template <typename FlowT>
 void PiiScanner::ScanFlowImpl(const FlowT& flow, PiiReport& report) const {
   const std::string host(flow.Host());
-  const uint64_t flow_uid = UidOf(flow);
+  const Source source{UidOf(flow)};
 
   for (const auto& [key, value] : flow.url.QueryParams()) {
-    ScanText(key, value, host, flow_uid, report);
+    ScanText(key, value, host, source, report);
     // Values may be Base64-wrapped (the paper decodes them too).
     if (auto decoded = util::Base64Decode(value);
         decoded && value.size() >= 8) {
-      ScanText(key, *decoded, host, flow_uid, report);
+      ScanText(key, *decoded, host, source, report);
     }
   }
 
@@ -212,17 +216,17 @@ void PiiScanner::ScanFlowImpl(const FlowT& flow, PiiReport& report) const {
   if (!json || !json->is_object()) return;
   for (const auto& [key, value] : json->as_object()) {
     if (value.is_string()) {
-      ScanText(key, value.as_string(), host, flow_uid, report);
+      ScanText(key, value.as_string(), host, source, report);
     } else if (value.is_number()) {
       double number = value.as_number();
       // Exact integers print bare; keep enough precision for lat/lon.
       auto integer = util::ExactInteger<int64_t>(number);
       std::string text = integer ? std::to_string(*integer)
                                  : util::FormatDouble(number, 4);
-      ScanText(key, text, host, flow_uid, report);
+      ScanText(key, text, host, source, report);
     } else if (value.is_bool()) {
-      ScanText(key, value.as_bool() ? "true" : "false", host,
-               flow_uid, report);
+      ScanText(key, value.as_bool() ? "true" : "false", host, source,
+               report);
     }
   }
 
@@ -235,7 +239,7 @@ void PiiScanner::ScanFlowImpl(const FlowT& flow, PiiReport& report) const {
     std::string joined = std::to_string(profile_.screen_width) + "x" +
                          std::to_string(profile_.screen_height);
     Mark(report, PiiField::kResolution, host, util::HashString(joined),
-         "deviceScreenWidth/Height=" + joined, flow_uid);
+         "deviceScreenWidth/Height=" + joined, source);
   }
 }
 
@@ -255,8 +259,10 @@ PiiReport PiiScanner::Scan(const FlowIndex& index) const {
   // instead of once per parameter occurrence.
   std::vector<char> traits_ready(index.key_count(), 0);
   std::vector<KeyTraits> traits(index.key_count());
-  for (const auto& entry : index.entries()) {
+  for (uint32_t i = 0; i < index.entries().size(); ++i) {
+    const FlowIndex::FlowEntry& entry = index.entries()[i];
     const std::string& host = index.host(entry.host_id).raw;
+    const Source source{entry.uid, i};
     // The parameter pool replays the legacy per-flow scan order: query
     // pairs with their Base64-decoded twins interleaved, then scalar
     // JSON body members — so evidence comes out in the same order.
@@ -267,7 +273,7 @@ PiiReport PiiScanner::Scan(const FlowIndex& index) const {
         traits_ready[key_id] = 1;
       }
       ScanValue(traits[key_id], index.key(key_id), params[p].value, host,
-                entry.uid, report);
+                source, report);
     }
 
     // Resolution split across two JSON numbers (Opera's oleads body).
@@ -287,7 +293,7 @@ PiiReport PiiScanner::Scan(const FlowIndex& index) const {
       std::string joined = std::to_string(profile_.screen_width) + "x" +
                            std::to_string(profile_.screen_height);
       Mark(report, PiiField::kResolution, host, util::HashString(joined),
-           "deviceScreenWidth/Height=" + joined, entry.uid);
+           "deviceScreenWidth/Height=" + joined, source);
     }
   }
   return report;

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <array>
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -49,6 +50,12 @@ struct PiiEvidence {
   // a live proxy::Flow (no store ordinal yet). Not part of evidence
   // identity: dedup still keys on (field, host, value_hash) only.
   uint64_t flow_uid = 0;
+  // That flow's position in the scanned store (index entry i is store
+  // flow i), so a report reads the flow without a uid lookup.
+  // kNoStorePosition when the scan ran over a single flow.
+  uint32_t store_position = kNoStorePosition;
+
+  static constexpr uint32_t kNoStorePosition = UINT32_MAX;
 };
 
 // Table 2 row for one browser.
@@ -86,14 +93,18 @@ class PiiScanner {
   static KeyTraits TraitsOf(std::string_view key_hint);
   template <typename FlowT>
   void ScanFlowImpl(const FlowT& flow, PiiReport& report) const;
-  // `flow_uid` is the scanned flow's provenance uid (0 when unknown);
-  // it rides into PiiEvidence::flow_uid on first sighting.
+  // The scanned flow's provenance uid (0 when unknown) and store
+  // position; they ride into PiiEvidence on first sighting.
+  struct Source {
+    uint64_t uid = 0;
+    uint32_t position = PiiEvidence::kNoStorePosition;
+  };
   void ScanText(std::string_view key_hint, std::string_view value,
-                const std::string& host, uint64_t flow_uid,
+                const std::string& host, const Source& source,
                 PiiReport& report) const;
   void ScanValue(const KeyTraits& traits, std::string_view key_hint,
                  std::string_view value, const std::string& host,
-                 uint64_t flow_uid, PiiReport& report) const;
+                 const Source& source, PiiReport& report) const;
 
   device::DeviceProfile profile_;
   // Profile-derived needles, rendered once instead of per scanned value.

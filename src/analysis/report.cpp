@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "analysis/flow_index.h"
 #include "util/strings.h"
 
 namespace panoptes::analysis {
@@ -79,19 +78,15 @@ std::string FleetSummaryTable(
   TextTable table(
       {"Browser", "Campaign", "Engine", "Native", "Ratio", "Native bytes"});
   for (const auto& result : results) {
-    const core::CaptureResult* capture = result.capture();
-    if (capture == nullptr) continue;
-    // Idle runs have no engine side, so no engine count or ratio.
-    const core::CrawlResult* crawl =
-        result.crawl.has_value() ? &*result.crawl : nullptr;
+    if (result.capture() == nullptr) continue;
+    const core::JobFigures figures = result.Figures();
+    // Idle runs have no engine side, so the table prints no ratio.
     table.AddRow({result.job.spec.name,
                   std::string(core::CampaignKindName(result.job.kind)),
-                  crawl != nullptr
-                      ? std::to_string(crawl->EngineRequestCount())
-                      : "0",
-                  std::to_string(capture->native_flows->size()),
-                  crawl != nullptr ? Ratio(crawl->NativeRatio()) : "-",
-                  Bytes(capture->native_index->request_bytes_total())});
+                  std::to_string(figures.engine_requests),
+                  std::to_string(figures.native_requests),
+                  result.crawl.has_value() ? Ratio(figures.native_ratio) : "-",
+                  Bytes(figures.native_request_bytes)});
   }
   std::string out = table.Render();
   if (stats != nullptr && stats->workers > 0) {

@@ -11,9 +11,8 @@ RequestStats ComputeRequestStats(const core::CrawlResult& result) {
   stats.browser = result.browser;
   stats.engine_requests = result.engine_flows->size();
   stats.native_requests = result.native_flows->size();
-  uint64_t total = stats.engine_requests + stats.native_requests;
   stats.native_ratio =
-      total == 0 ? 0 : static_cast<double>(stats.native_requests) / total;
+      core::NativeRatio(stats.engine_requests, stats.native_requests);
   return stats;
 }
 

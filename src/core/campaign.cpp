@@ -203,11 +203,26 @@ double CaptureResult::ShareToDomain(std::string_view domain) const {
          static_cast<double>(native_flows->size());
 }
 
-double CrawlResult::NativeRatio() const {
-  double engine = static_cast<double>(engine_flows->size());
-  double native = static_cast<double>(native_flows->size());
-  if (engine + native == 0) return 0;
-  return native / (engine + native);
+int64_t VisitOfFlow(uint64_t uid, const std::vector<VisitRecord>& visits) {
+  if (uid == 0) return -1;
+  const uint32_t tag = static_cast<uint32_t>(uid >> 32);
+  const uint32_t ord = static_cast<uint32_t>(uid);
+  for (size_t v = 0; v < visits.size(); ++v) {
+    const VisitRecord& rec = visits[v];
+    if ((rec.native_tag == tag && ord >= rec.native_flow_begin &&
+         ord < rec.native_flow_end) ||
+        (rec.engine_tag == tag && ord >= rec.engine_flow_begin &&
+         ord < rec.engine_flow_end)) {
+      return static_cast<int64_t>(v);
+    }
+  }
+  return -1;
+}
+
+double NativeRatio(uint64_t engine_requests, uint64_t native_requests) {
+  const uint64_t total = engine_requests + native_requests;
+  if (total == 0) return 0;
+  return static_cast<double>(native_requests) / static_cast<double>(total);
 }
 
 std::array<CrawlResult::Side, 2> CrawlResult::Sides() const {

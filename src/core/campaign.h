@@ -81,6 +81,20 @@ struct VisitRecord {
   uint32_t native_flow_end = 0;
 };
 
+// The visit (index into `visits`) that captured the flow with provenance
+// uid `uid`: the uid's tag names the store (engine or native side of one
+// job attempt) and its ordinal falls in exactly one visit's recorded
+// range. -1 when no visit matches (idle traffic, or uid 0 from a store
+// without provenance tags). Ranges survive MergeShards because each
+// VisitRecord keeps its original tag and store-local ordinals. Every
+// report and `panoptes_cli explain` resolve uids through this.
+int64_t VisitOfFlow(uint64_t uid, const std::vector<VisitRecord>& visits);
+
+// Fig 2's black line: native / (engine + native), 0 when both are 0. The
+// one definition of the ratio: an idle capture (no engine side) scores 1
+// once it has any flow.
+double NativeRatio(uint64_t engine_requests, uint64_t native_requests);
+
 // The capture every campaign shares (Fig. 1): one browser's native
 // (untainted) flow database with its index, plus the accounting of the
 // capture that filled it. Crawls add the engine side and their visits;
@@ -120,8 +134,9 @@ struct CrawlResult : CaptureResult {
 
   uint64_t EngineRequestCount() const { return engine_flows->size(); }
   uint64_t NativeRequestCount() const { return native_flows->size(); }
-  // Fig 2's black line: native / (native + engine).
-  double NativeRatio() const;
+  double NativeRatio() const {
+    return core::NativeRatio(EngineRequestCount(), NativeRequestCount());
+  }
 
   // One capture side as the (store, index) pair analyses consume;
   // `engine` marks the tainted engine side.

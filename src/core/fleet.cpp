@@ -61,6 +61,21 @@ bool JobFailed(const FleetJobResult& result) {
 
 }  // namespace
 
+JobFigures FleetJobResult::Figures() const {
+  JobFigures figures;
+  const CaptureResult* capture = this->capture();
+  if (capture == nullptr) return figures;
+  if (crawl.has_value()) {
+    figures.engine_requests = crawl->engine_flows->size();
+    figures.engine_request_bytes = crawl->engine_index->request_bytes_total();
+  }
+  figures.native_requests = capture->native_flows->size();
+  figures.native_request_bytes = capture->native_index->request_bytes_total();
+  figures.native_ratio =
+      NativeRatio(figures.engine_requests, figures.native_requests);
+  return figures;
+}
+
 double FleetRunStats::JobLatencyQuantile(double q) const {
   if (job_seconds.empty()) return 0;
   std::vector<double> sorted = job_seconds;

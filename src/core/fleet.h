@@ -88,6 +88,17 @@ struct FleetJob {
   IdleOptions idle;    // idle kind
 };
 
+// A job's headline figures as every fleet report prints them: Fig 2's
+// engine/native request split and native ratio, Fig 4's request bytes.
+// All zero for a job with no capture; an idle job has no engine side.
+struct JobFigures {
+  uint64_t engine_requests = 0;
+  uint64_t native_requests = 0;
+  uint64_t engine_request_bytes = 0;
+  uint64_t native_request_bytes = 0;
+  double native_ratio = 0;
+};
+
 struct FleetJobResult {
   FleetJob job;
   uint64_t seed = 0;  // the derived per-job seed, for provenance
@@ -123,6 +134,8 @@ struct FleetJobResult {
     if (idle.has_value()) return &*idle;
     return nullptr;
   }
+  // The one definition of a job's report figures.
+  JobFigures Figures() const;
 };
 
 struct FleetOptions {

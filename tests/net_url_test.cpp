@@ -296,7 +296,9 @@ TEST_P(UrlRoundTrip, Holds) {
   EXPECT_EQ(Url::Parse(url->Serialize()), url) << text;
   EXPECT_EQ(url->has_explicit_port(), port != 0 && port != 443) << text;
   EXPECT_EQ(url->EffectivePort(), port == 0 ? 443 : port) << text;
-  if (port != 443) EXPECT_EQ(url->Serialize(), text);
+  if (port != 443) {
+    EXPECT_EQ(url->Serialize(), text);
+  }
   // Serialize is a fixed point: the canonical spelling re-parses to
   // itself byte for byte.
   EXPECT_EQ(Url::Parse(url->Serialize())->Serialize(), url->Serialize());

@@ -275,7 +275,9 @@ TEST(SiteGenScenario, PlainHttpRewritesFirstPartyUrls) {
   ASSERT_TRUE(site.plain_http);
   EXPECT_EQ(site.landing_url.scheme(), "http");
   for (const auto& resource : site.resources) {
-    if (!resource.third_party) EXPECT_EQ(resource.url.scheme(), "http");
+    if (!resource.third_party) {
+      EXPECT_EQ(resource.url.scheme(), "http");
+    }
   }
 }
 
