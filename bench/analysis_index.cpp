@@ -8,15 +8,15 @@
 // end-to-end speedup a full_report run sees.
 //
 // Every variant prints a `checksum` counter and verifies it against the
-// legacy oracle (or, for the serialization benches, against a reference
-// encoding): a speedup that changes a byte of output is a bug, not a
+// legacy oracle (or, for the index build, against the capture-time
+// index's bytes): a speedup that changes a byte of output is a bug, not a
 // win. The checked value comes from one call after the timing loop, so
 // the check holds even when a slow build runs the loop zero times. Any
 // mismatch makes the binary exit non-zero so CI's bench smoke step
 // fails hard even though the perf numbers stay advisory.
 //
-// BM_AnalysisIndexBuild / Serialize / Deserialize bound the index's own
-// costs and back the EXPERIMENTS.md rebuild-vs-deserialize note.
+// BM_AnalysisIndexBuild bounds the index's own cost: the work a warm
+// replay does per store, since snapshots persist stores, not indexes.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -235,7 +235,7 @@ uint64_t ConcurrentBattery(const Capture& c, int jobs) {
 }
 
 // Stable hash of an index's serialized bytes — the byte-equivalence
-// probe for the build/serialize/deserialize variants.
+// probe for the build variant.
 uint64_t IndexBytesHash(const analysis::FlowIndex& index) {
   util::BinWriter out;
   index.SerializeTo(out);
@@ -263,7 +263,7 @@ void BM_AnalysisIndex(benchmark::State& state) {
 BENCHMARK(BM_AnalysisIndex)->Unit(benchmark::kMicrosecond);
 
 // Analyzers only, indexes prebuilt — the cache-hit path, where the
-// index arrives deserialized from the job snapshot.
+// index was rebuilt when the job's snapshot was read.
 void BM_AnalysisIndexPrebuilt(benchmark::State& state) {
   Capture& c = GetCapture();
   for (auto _ : state) {
@@ -304,40 +304,6 @@ void BM_AnalysisIndexBuild(benchmark::State& state) {
                  IndexBytesHash(*c.result.native_index));
 }
 BENCHMARK(BM_AnalysisIndexBuild)->Unit(benchmark::kMicrosecond);
-
-void BM_AnalysisIndexSerialize(benchmark::State& state) {
-  Capture& c = GetCapture();
-  const uint64_t reference = IndexBytesHash(*c.result.native_index);
-  for (auto _ : state) {
-    util::BinWriter out;
-    c.result.native_index->SerializeTo(out);
-    benchmark::DoNotOptimize(out.Take());
-  }
-  // Serialization is deterministic: a fresh encoding must hash like the
-  // reference encoding taken before the loop.
-  ReportChecksum(state, IndexBytesHash(*c.result.native_index), reference);
-}
-BENCHMARK(BM_AnalysisIndexSerialize)->Unit(benchmark::kMicrosecond);
-
-void BM_AnalysisIndexDeserialize(benchmark::State& state) {
-  Capture& c = GetCapture();
-  util::BinWriter out;
-  c.result.native_index->SerializeTo(out);
-  std::string bytes = out.Take();
-  for (auto _ : state) {
-    util::BinReader in(bytes);
-    auto index = analysis::FlowIndex::Deserialize(in);
-    benchmark::DoNotOptimize(index);
-  }
-  state.counters["bytes"] =
-      benchmark::Counter(static_cast<double>(bytes.size()));
-  // Decode → re-encode must round-trip to the same bytes.
-  util::BinReader in(bytes);
-  auto decoded = analysis::FlowIndex::Deserialize(in);
-  ReportChecksum(state, decoded ? IndexBytesHash(*decoded) : 0,
-                 util::HashString(bytes));
-}
-BENCHMARK(BM_AnalysisIndexDeserialize)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

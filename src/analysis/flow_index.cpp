@@ -377,9 +377,8 @@ void FlowIndex::SerializeTo(util::BinWriter& out) const {
   obs::ScopedSpan span("index.serialize", "index");
   // Only the interned tables, the parameter pool and the flow entries
   // are encoded. Postings, lookup maps, canonical/domain host forms,
-  // lowercase keys and byte totals are derived data, rebuilt on read —
-  // which is what makes a deserialized index serialize byte-identical
-  // to a freshly built one.
+  // lowercase keys and byte totals follow from those, so two indexes
+  // with equal bytes answer every query alike.
   out.U32(static_cast<uint32_t>(hosts_.size()));
   for (const auto& host : hosts_) {
     out.Str(host.raw);
@@ -414,78 +413,6 @@ void FlowIndex::SerializeTo(util::BinWriter& out) const {
     out.Bool(entry.has_body);
     out.Bool(entry.body_has_percent);
   }
-}
-
-std::unique_ptr<FlowIndex> FlowIndex::Deserialize(util::BinReader& in) {
-  obs::ScopedSpan span("index.deserialize", "index");
-  auto index = std::make_unique<FlowIndex>();
-
-  uint32_t host_count = in.U32();
-  for (uint32_t i = 0; i < host_count && in.ok(); ++i) {
-    std::string raw = in.Str();
-    // InternHost recomputes the canonical/domain forms and the lookup
-    // map; tables were written in first-appearance order, so ids are
-    // reassigned identically.
-    if (index->InternHost(raw) != i) return nullptr;  // duplicate entry
-  }
-  uint32_t key_count = in.U32();
-  for (uint32_t i = 0; i < key_count && in.ok(); ++i) {
-    if (index->InternKey(in.Str()) != i) return nullptr;
-  }
-  uint32_t path_count = in.U32();
-  for (uint32_t i = 0; i < path_count && in.ok(); ++i) {
-    if (index->InternPath(in.Str()) != i) return nullptr;
-  }
-
-  uint64_t param_count = in.U64();
-  if (!in.ok() || param_count > in.remaining()) return nullptr;
-  index->params_.reserve(param_count);
-  for (uint64_t i = 0; i < param_count && in.ok(); ++i) {
-    Param param;
-    param.key_id = in.U32();
-    uint8_t source = in.U8();
-    param.value = index->text_pool_.Copy(in.Str());
-    param.number = in.F64();
-    if (param.key_id >= index->keys_.size() ||
-        source > static_cast<uint8_t>(ParamSource::kBodyJsonBool)) {
-      return nullptr;
-    }
-    param.source = static_cast<ParamSource>(source);
-    index->params_.push_back(std::move(param));
-  }
-
-  uint64_t entry_count = in.U64();
-  if (!in.ok() || entry_count > in.remaining()) return nullptr;
-  index->entries_.reserve(entry_count);
-  PostingsCache cache;
-  for (uint64_t i = 0; i < entry_count && in.ok(); ++i) {
-    FlowEntry entry;
-    entry.uid = in.U64();
-    entry.host_id = in.U32();
-    entry.path_id = in.U32();
-    entry.param_begin = in.U32();
-    entry.param_end = in.U32();
-    entry.time_millis = in.I64();
-    entry.app_uid = static_cast<int32_t>(in.I64());
-    entry.server_ip = in.U32();
-    entry.request_bytes = in.U64();
-    entry.response_bytes = in.U64();
-    entry.has_body = in.Bool();
-    entry.body_has_percent = in.Bool();
-    if (entry.host_id >= index->hosts_.size() ||
-        entry.path_id >= index->paths_.size() ||
-        entry.param_begin > entry.param_end ||
-        entry.param_end > index->params_.size()) {
-      return nullptr;
-    }
-    index->entries_.push_back(entry);
-    index->AddPostings(static_cast<uint32_t>(index->entries_.size() - 1),
-                       cache);
-  }
-  if (!in.ok()) return nullptr;
-
-  span.Arg("flows", static_cast<int64_t>(index->entries_.size()));
-  return index;
 }
 
 }  // namespace panoptes::analysis

@@ -21,16 +21,17 @@
 //     bucket, plus request/response byte totals.
 //
 // A FlowIndex never holds a pointer to its store: analyzers take
-// (store, index) pairs, so stores may be moved, merged or restored from
-// snapshots without dangling the index. Append() folds another shard's
-// index in (remapping interned ids); Build(A+B) and A.Append(B) are
-// byte-identical under SerializeTo, which is what lets the fleet merge
-// per-shard indexes instead of re-parsing merged stores.
+// (store, index) pairs, so stores may be moved or merged without
+// dangling the index. It is derived data and never persisted: a job
+// replayed from its snapshot rebuilds it over the decoded store.
+// Append() folds another shard's index in (remapping interned ids);
+// Build(A+B) and A.Append(B) are byte-identical under SerializeTo,
+// which is what lets the fleet merge per-shard indexes instead of
+// re-parsing merged stores.
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -116,7 +117,7 @@ class FlowIndex {
   // capture order clusters flows by app and by time, so most postings
   // land in the vector the previous flow used. Node pointers into a
   // std::map stay valid across inserts, but the cache must stay local
-  // to one bulk operation (Build/Append/Deserialize) or one streaming
+  // to one bulk operation (Build/Append) or one streaming
   // Cursor — it must not outlive the index.
   struct PostingsCache {
     int32_t uid = 0;
@@ -147,7 +148,7 @@ class FlowIndex {
   // that never saw the rolled-back flows. Text-pool bytes of discarded
   // paths/params stay allocated (views never dangle), mirroring
   // FlowStore::TruncateTo's arena behaviour; serialization writes only
-  // live tables, so the slack never reaches a snapshot. Pass the
+  // live tables, so the slack never reaches the canonical bytes. Pass the
   // stream's cursor so its host map and node cache are invalidated.
   struct Checkpoint {
     size_t hosts = 0;
@@ -198,12 +199,12 @@ class FlowIndex {
   // FlowStore::DistinctHosts(), without rescanning flows.
   std::vector<std::string> SortedHosts() const;
 
-  // Binary round trip (snapshot payload). Only the interned tables,
-  // parameter pool and flow entries are encoded; postings, lookup maps
-  // and byte totals are rebuilt on read, so a deserialized index is
-  // bit-identical (under SerializeTo) to a freshly built one.
+  // The index's canonical byte form: the interned tables, parameter
+  // pool and flow entries, from which everything else is derived. Tests
+  // and benches compare indexes by it (Build(A+B) against A.Append(B),
+  // a cold run against a warm one); nothing decodes it, because a
+  // snapshot persists only the store and replay rebuilds the index.
   void SerializeTo(util::BinWriter& out) const;
-  static std::unique_ptr<FlowIndex> Deserialize(util::BinReader& in);
 
  private:
   uint32_t InternHost(std::string_view raw);

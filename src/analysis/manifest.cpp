@@ -169,7 +169,8 @@ ManifestResult RunManifest(const Manifest& manifest) {
       idle_options.duration = util::Duration::Minutes(entry.idle_minutes);
       auto idle = core::RunIdle(framework, *spec, idle_options);
       entry_result.native_requests = idle.native_flows->size();
-      entry_result.native_ratio = 1.0;  // idle traffic is all native
+      entry_result.native_ratio =
+          core::NativeRatio(0, entry_result.native_requests);
       entry_result.pii_fields = scanner.Scan(*idle.native_index).LeakCount();
     }
     result.entries.push_back(std::move(entry_result));

@@ -103,7 +103,8 @@ struct CaptureResult {
   std::string browser;
   std::unique_ptr<proxy::FlowStore> native_flows;  // full
   // Columnar index over the store, built once at capture end (or
-  // restored from the job snapshot, or merged from shard indexes).
+  // merged from shard indexes, or rebuilt from the store when the job
+  // replays from its snapshot, which persists only the store).
   // Invariant: never null, and flow_count() equals its store's size() —
   // analyses consume (store, index) pairs and have no store-only path.
   // Code assembling a result by hand builds it (FlowIndex::Build).

@@ -246,7 +246,7 @@ std::optional<FleetJobResult> ResultCache::Load(
   }
   FleetJobResult result;
   const bool read = snapshot::Read(bytes, job, &result);
-  // The indexes decoded count even when the snapshot is then rejected;
+  // The indexes Read built count even when the job is then re-run;
   // the replayed job carries nothing else but its hit.
   telemetry->index_builds += result.telemetry.index_builds;
   result.telemetry = obs::JobTelemetry();

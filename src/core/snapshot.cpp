@@ -1,5 +1,6 @@
 #include "core/snapshot.h"
 
+#include <memory>
 #include <stdexcept>
 #include <utility>
 
@@ -11,23 +12,15 @@ namespace panoptes::core::snapshot {
 
 namespace {
 
-// The presence byte is always 1; a 0, or an index whose flow count
-// disagrees with the store just read, is corruption — never a cue to
-// rebuild (see the index note in snapshot.h). Every index decoded counts
-// as a build in `builds`, even in a snapshot rejected later.
-void WriteIndex(const analysis::FlowIndex& index, util::BinWriter& out) {
-  out.Bool(true);
-  index.SerializeTo(out);
-}
-
-bool ReadIndex(util::BinReader& in, const proxy::FlowStore& store,
-               std::unique_ptr<analysis::FlowIndex>* index,
-               uint64_t* builds) {
-  if (!in.Bool()) return false;
-  *index = analysis::FlowIndex::Deserialize(in);
-  if (*index != nullptr) ++*builds;
-  return *index != nullptr && (*index)->flow_count() == store.size() &&
-         in.ok();
+// An index is derived from its store, so it is built over the store
+// just decoded, never read from disk: a replayed result meets the
+// CaptureResult index invariant by construction. Counts one build.
+void BuildIndex(const proxy::FlowStore& store,
+                std::unique_ptr<analysis::FlowIndex>* index,
+                obs::JobTelemetry* telemetry) {
+  *index = std::make_unique<analysis::FlowIndex>(
+      analysis::FlowIndex::Build(store));
+  ++telemetry->index_builds;
 }
 
 void WriteStackStats(const device::NetworkStackStats& stats,
@@ -121,21 +114,15 @@ void ReadVisit(util::BinReader& in, VisitRecord* visit) {
 void WriteCapture(const CaptureResult& capture, util::BinWriter& out) {
   out.Str(capture.browser);
   capture.native_flows->SerializeTo(out);
-  WriteIndex(*capture.native_index, out);
   out.U64(capture.fault_injected_flows);
   WriteIngest(capture.ingest, out);
   out.Bool(capture.watchdog_cancelled);
 }
 
-bool ReadCapture(util::BinReader& in, CaptureResult* capture,
-                 uint64_t* index_builds) {
+bool ReadCapture(util::BinReader& in, CaptureResult* capture) {
   capture->browser = in.Str();
   capture->native_flows = proxy::FlowStore::Deserialize(in);
   if (capture->native_flows == nullptr) return false;
-  if (!ReadIndex(in, *capture->native_flows, &capture->native_index,
-                 index_builds)) {
-    return false;
-  }
   capture->fault_injected_flows = in.U64();
   ReadIngest(in, &capture->ingest);
   capture->watchdog_cancelled = in.Bool();
@@ -147,22 +134,16 @@ void WriteCrawlTail(const CrawlResult& crawl, util::BinWriter& out) {
   out.Bool(crawl.incognito_requested);
   out.Bool(crawl.incognito_effective);
   crawl.engine_flows->SerializeTo(out);
-  WriteIndex(*crawl.engine_index, out);
   out.U32(static_cast<uint32_t>(crawl.visits.size()));
   for (const auto& visit : crawl.visits) WriteVisit(visit, out);
   WriteStackStats(crawl.stack_stats, out);
 }
 
-bool ReadCrawlTail(util::BinReader& in, CrawlResult* crawl,
-                   uint64_t* index_builds) {
+bool ReadCrawlTail(util::BinReader& in, CrawlResult* crawl) {
   crawl->incognito_requested = in.Bool();
   crawl->incognito_effective = in.Bool();
   crawl->engine_flows = proxy::FlowStore::Deserialize(in);
   if (crawl->engine_flows == nullptr) return false;
-  if (!ReadIndex(in, *crawl->engine_flows, &crawl->engine_index,
-                 index_builds)) {
-    return false;
-  }
   uint32_t visit_count = in.U32();
   if (!in.ok() || visit_count > in.remaining()) return false;
   crawl->visits.reserve(visit_count);
@@ -287,10 +268,7 @@ void ReadCohort(util::BinReader& in, device::DeviceCohort* cohort) {
 // campaign and the shard lies inside its shard count.
 bool ReadJob(std::string_view bytes, util::BinReader& in, FleetJob* job) {
   auto header = PeekHeader(bytes);
-  if (!header.has_value() || header->schema < kMinReadableSchema ||
-      header->schema > kSchemaVersion) {
-    return false;
-  }
+  if (!header.has_value() || header->schema != kSchemaVersion) return false;
   for (size_t i = 0; i < kMagic.size(); ++i) in.U8();
   in.U32();
   in.U64();
@@ -312,27 +290,33 @@ bool ReadJob(std::string_view bytes, util::BinReader& in, FleetJob* job) {
 
 // Payload from `seed` onward (everything after the job identity). The
 // job's kind, already in `result`, says which tail follows the capture.
+// Indexes are built only once the whole payload has decoded, so a
+// rejected snapshot costs no build.
 bool ReadPayload(util::BinReader& in, FleetJobResult* result) {
   result->seed = in.U64();
   result->attempts = static_cast<int>(in.I64());
   result->quarantined = in.Bool();
   if (!ReadFaults(in, &result->faults)) return false;
   result->flow_writes_dropped = in.U64();
-  uint64_t* index_builds = &result->telemetry.index_builds;
+  CaptureResult* capture = nullptr;
+  CrawlResult* crawl = nullptr;
   if (result->job.kind == CampaignKind::kIdle) {
     IdleResult& idle = result->idle.emplace();
-    if (!ReadCapture(in, &idle, index_builds) || !ReadIdleTail(in, &idle)) {
-      return false;
-    }
+    if (!ReadCapture(in, &idle) || !ReadIdleTail(in, &idle)) return false;
+    capture = &idle;
   } else {
-    CrawlResult& crawl = result->crawl.emplace();
-    if (!ReadCapture(in, &crawl, index_builds) ||
-        !ReadCrawlTail(in, &crawl, index_builds)) {
-      return false;
-    }
+    crawl = &result->crawl.emplace();
+    if (!ReadCapture(in, crawl) || !ReadCrawlTail(in, crawl)) return false;
+    capture = crawl;
   }
   // Trailing garbage is corruption too — the snapshot is the whole file.
-  return in.ok() && in.AtEnd();
+  if (!in.ok() || !in.AtEnd()) return false;
+  obs::JobTelemetry* telemetry = &result->telemetry;
+  BuildIndex(*capture->native_flows, &capture->native_index, telemetry);
+  if (crawl != nullptr) {
+    BuildIndex(*crawl->engine_flows, &crawl->engine_index, telemetry);
+  }
+  return true;
 }
 
 }  // namespace
@@ -350,7 +334,7 @@ std::string Write(const FleetJobResult& result, uint64_t fingerprint) {
   out.U8(static_cast<uint8_t>(result.job.kind));
   out.U32(static_cast<uint32_t>(result.job.shard));
   out.U32(static_cast<uint32_t>(result.job.shard_count));
-  // v6: the simulated user. The full profile rides along (unlike the
+  // The simulated user. The full profile rides along (unlike the
   // BrowserSpec) because cohorts are synthesized per run — there is no
   // static registry to re-attach them from at `explain` time.
   WriteCohort(result.job.cohort, out);
@@ -359,7 +343,7 @@ std::string Write(const FleetJobResult& result, uint64_t fingerprint) {
   out.Bool(result.quarantined);
   WriteFaults(result.faults, out);
   out.U64(result.flow_writes_dropped);
-  // v8: the shared capture, then the tail of the job's kind.
+  // The shared capture, then the tail of the job's kind.
   const bool idle = result.job.kind == CampaignKind::kIdle;
   if (result.idle.has_value() != idle || result.crawl.has_value() == idle) {
     throw std::invalid_argument(

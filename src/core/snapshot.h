@@ -7,11 +7,9 @@
 // still render byte-identical reports. The format is deliberately
 // boring: fixed magic, explicit schema version, little-endian
 // fixed-width fields (util/binio.h), no in-memory representations on
-// disk. Any schema change bumps kSchemaVersion; unknown versions are
-// rejected at read time — stale formats are re-executed, never
-// misparsed. A version bump only keeps old snapshots readable when the
-// payload encoders themselves can still decode the old bytes (see the
-// kSchemaVersion note below).
+// disk. Any schema change bumps kSchemaVersion, and a reader accepts
+// exactly the current one: stale formats are re-executed, never
+// misparsed.
 //
 // Layout:
 //   bytes 0..7   magic "PANOSNAP"
@@ -31,44 +29,19 @@
 namespace panoptes::core::snapshot {
 
 inline constexpr std::string_view kMagic = "PANOSNAP";
-// v2: each flow store is followed by its serialized analysis::FlowIndex
-// (presence-flagged; absent indexes are rebuilt from the store on read).
-// v3: flow stores use the arena encoding (proxy::FlowStore's 0xF3 tag:
-// interned pools + one payload blob, deserialized as a near-zero-copy
-// blit). v4: provenance — flow stores carry per-record uids (0xF4 tag),
-// FlowIndex entries carry the uid column, and visit records carry
-// store tags + flow ordinal ranges, so findings resolve back to the
-// exact flow/visit that produced them. The FlowIndex payload has no
-// tag of its own (it is versioned by this schema number), so v4 bytes
-// are unreadable by v3 decoders and vice versa: kMinReadableSchema
-// rises to 4 and pre-provenance snapshots re-execute. That is the safe
-// direction — a replayed v3 job would mint findings with no flow_id.
-// v5: streaming ingest — crawl and idle payloads carry IngestStats
-// (shed/spill/backpressure/quarantine accounting) and the
-// watchdog_cancelled flag. v4 snapshots would replay with that
-// accounting silently zeroed, so kMinReadableSchema rises with it.
-// v6: device cohorts — the job identity section carries the cohort
-// (index, id, weight) and the full DeviceProfile, so `explain` can
-// reconstruct which synthetic user a population snapshot simulated
-// and the cache can tell cohorts of the same browser×kind×shard
-// apart. A v5 snapshot replayed as v6 would silently claim the paper
-// testbed for a cohort job, so kMinReadableSchema rises with it.
-// v7: redirect-chain provenance — flow stores serialize in the v5
-// record format (per-record redirect_of uid + hop index).
-// v8: one capture payload — the part crawl and idle results share
-// (CaptureResult: browser, native store + index, fault-injected flows,
-// ingest, watchdog flag) is encoded once, and the job's campaign kind
-// alone says which tail follows (crawl: incognito flags, engine store +
-// index, visits, stack stats; idle: request buckets). The two
-// crawl/idle presence flags are gone, so v7 payloads no longer parse:
-// kMinReadableSchema rises to 8, v7 snapshots re-execute, and the
-// store decoder reads only the v5 record tag.
-// Every store is followed by its FlowIndex behind a presence byte that
-// writers always set; readers reject a 0 or an index whose flow count
-// differs from its store's, so a restored result always satisfies the
-// CaptureResult index invariant.
-inline constexpr uint32_t kSchemaVersion = 8;
-inline constexpr uint32_t kMinReadableSchema = kSchemaVersion;
+// v9 payload, after the job identity (browser, kind, shard, shard
+// count, cohort with its full DeviceProfile): seed, attempts,
+// quarantine flag, fault timeline and dropped writes; then the capture
+// every campaign shares (CaptureResult: browser, native store,
+// fault-injected flows, ingest accounting, watchdog flag); then the
+// tail the job's campaign kind alone selects (crawl: incognito flags,
+// engine store, visits with their store tags and flow ranges, stack
+// stats; idle: request buckets). Stores use proxy::FlowStore's arena
+// encoding with per-record uids and redirect provenance. A snapshot
+// holds only what the job captured: each side's FlowIndex is derived
+// from its store, so Read builds it over the store it has just decoded
+// and never trusts index bytes from disk.
+inline constexpr uint32_t kSchemaVersion = 9;
 
 // Serializes `result` (with `fingerprint` in the header) to the full
 // file image. Throws std::invalid_argument unless the result holds
@@ -88,8 +61,10 @@ std::optional<Header> PeekHeader(std::string_view bytes);
 // `job` (browser, kind, shard, shard_count) — the cache addresses files
 // by job identity, and a mismatch means the file is foreign or corrupt.
 // On success `result->job` is taken from `job` (the snapshot does not
-// carry the full BrowserSpec; the caller's plan does). Returns false on
-// any structural problem; `*result` is unspecified then.
+// carry the full BrowserSpec; the caller's plan does), each side's
+// index is built over its decoded store, and each build counts in
+// `result->telemetry.index_builds`. Returns false on any structural
+// problem; `*result` is unspecified then.
 bool Read(std::string_view bytes, const FleetJob& job, FleetJobResult* result);
 
 // Decodes a snapshot whose identity is NOT known in advance, taking

@@ -79,9 +79,9 @@ constexpr CounterFamily kScopeCounters[] = {
     {&JobTelemetry::faults_injected, "panoptes_chaos_faults_injected_total",
      "Faults injected by the chaos subsystem across all kinds"},
     {&JobTelemetry::index_builds, "panoptes_index_builds_total",
-     "FlowIndex builds: snapshot decodes and salvage rebuilds"},
+     "FlowIndex builds: snapshot replays and salvage rebuilds"},
     {&JobTelemetry::indexed_flows, "panoptes_index_indexed_flows_total",
-     "Flows folded into a FlowIndex: captured, rebuilt or merged"},
+     "Flows folded into a FlowIndex by capture, salvage or shard merge"},
     {&JobTelemetry::body_bytes_materialized,
      "panoptes_web_body_bytes_materialized_total",
      "Response body bytes allocated by the generated web's servers"},

@@ -65,8 +65,9 @@ struct JobTelemetry {
   uint64_t flows_rolled_back = 0;
   uint64_t flow_writes_dropped = 0;
   uint64_t faults_injected = 0;
-  // Flow indexes built in the job (salvage rebuilds, snapshot decodes)
-  // and flows folded into one incrementally or by a build.
+  // Flow indexes built in the job (salvage rebuilds, snapshot replays)
+  // and flows folded into one incrementally or by a salvage build; a
+  // replay's builds add no flows.
   uint64_t index_builds = 0;
   uint64_t indexed_flows = 0;
   // Response body bytes the generated web's servers allocated.

@@ -4,9 +4,7 @@
 //   1. the index's tables/postings/totals agree with direct store scans;
 //   2. Build(A+B) and Build(A).Append(Build(B)) serialize to the SAME
 //      bytes (the fleet merges per-shard indexes instead of re-parsing
-//      merged stores), and Deserialize(Serialize(x)) is byte-faithful
-//      (the snapshot carries indexes; rebuilt and restored indexes must
-//      be indistinguishable);
+//      merged stores);
 //   3. every indexed analyzer reproduces the store-scanning reference
 //      (tests/oracle) field for field on a real crawl.
 #include <gtest/gtest.h>
@@ -171,31 +169,6 @@ TEST(FlowIndex, AppendEqualsBuildOverConcatenatedStores) {
   FlowIndex self = FlowIndex::Build(a);
   self.Append(self);
   EXPECT_EQ(Serialized(self), Serialized(FlowIndex::Build(doubled)));
-}
-
-TEST(FlowIndex, SerializeRoundTripIsByteFaithful) {
-  FlowIndex index = FlowIndex::Build(SmallStore());
-  std::string bytes = Serialized(index);
-
-  util::BinReader in(bytes);
-  auto restored = FlowIndex::Deserialize(in);
-  ASSERT_NE(restored, nullptr);
-  EXPECT_TRUE(in.AtEnd());
-  EXPECT_EQ(Serialized(*restored), bytes);
-
-  // Postings and totals are rebuilt, not stored: they must still agree.
-  EXPECT_EQ(restored->request_bytes_total(), index.request_bytes_total());
-  EXPECT_EQ(restored->SortedHosts(), index.SortedHosts());
-  EXPECT_EQ(restored->by_time_bucket(), index.by_time_bucket());
-}
-
-TEST(FlowIndex, DeserializeRejectsTruncation) {
-  std::string bytes = Serialized(FlowIndex::Build(SmallStore()));
-  for (size_t cut : {size_t{0}, size_t{3}, bytes.size() / 4,
-                     bytes.size() / 2, bytes.size() - 1}) {
-    util::BinReader in(std::string_view(bytes).substr(0, cut));
-    EXPECT_EQ(FlowIndex::Deserialize(in), nullptr) << cut;
-  }
 }
 
 // ---------------------------------------------------------------------------

@@ -174,8 +174,8 @@ TEST(Determinism, WarmCacheRunMatchesColdByteForByte) {
   auto warm_results = warm.Run(jobs);
   for (const auto& result : warm_results) EXPECT_TRUE(result.cache_hit);
 
-  // Snapshot-restored indexes serialize byte-identically to the ones
-  // built at capture time — rebuilt or deserialized, same bytes.
+  // Indexes rebuilt from snapshot-restored stores serialize
+  // byte-identically to the ones built incrementally at capture time.
   EXPECT_EQ(IndexBytes(cold_results), IndexBytes(warm_results));
 
   auto merged_cold = FleetExecutor::MergeShards(std::move(cold_results));

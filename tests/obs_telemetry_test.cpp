@@ -140,7 +140,7 @@ TEST(Telemetry, RegistryIsThePlanOrderFold) {
 }
 
 // A warm replay executes nothing: each job carries only the cache hit
-// and one index build per index its snapshot decoded.
+// and one index build per store its snapshot decoded.
 TEST(Telemetry, WarmReplayCountsOnlyTheCache) {
   namespace fs = std::filesystem;
   fs::path cache = fs::temp_directory_path() / "panoptes_telemetry_test";
