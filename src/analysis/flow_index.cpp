@@ -1,6 +1,7 @@
 #include "analysis/flow_index.h"
 
 #include <algorithm>
+#include <stdexcept>
 #include <utility>
 
 #include "net/psl.h"
@@ -42,51 +43,63 @@ uint32_t FlowIndex::InternKey(std::string_view key) {
 }
 
 namespace {
-inline uint64_t PathHash(std::string_view path) {
-  return std::hash<std::string_view>{}(path);
+// A path's 32-bit tag: the high half of its hash. The tag alone places
+// a path in the table and screens candidates before the string
+// compare, so re-slotting never hashes a path again.
+inline uint32_t PathTag(std::string_view path) {
+  return static_cast<uint32_t>(std::hash<std::string_view>{}(path) >> 32);
+}
+
+// Smallest power-of-two slot count (at least 64) that holds `paths`
+// paths under a load factor of 1/2.
+size_t PathSlotsFor(size_t paths) {
+  size_t cap = 64;
+  while (cap < paths * 2) cap *= 2;
+  return cap;
 }
 }  // namespace
 
-uint32_t FlowIndex::FindPath(std::string_view path, uint64_t hash) const {
+uint32_t FlowIndex::FindPath(std::string_view path, uint32_t tag) const {
   if (path_slots_.empty()) return UINT32_MAX;
   const size_t mask = path_slots_.size() - 1;
-  const uint64_t tag = hash & 0xFFFFFFFF00000000ull;
-  for (size_t i = hash & mask;; i = (i + 1) & mask) {
+  for (size_t i = tag & mask;; i = (i + 1) & mask) {
     const uint64_t slot = path_slots_[i];
     if (slot == 0) return UINT32_MAX;
-    if ((slot & 0xFFFFFFFF00000000ull) == tag) {
+    if (static_cast<uint32_t>(slot >> 32) == tag) {
       uint32_t id = static_cast<uint32_t>(slot) - 1;
       if (paths_[id] == path) return id;
     }
   }
 }
 
-void FlowIndex::GrowPathSlots() {
-  size_t cap = path_slots_.empty() ? 64 : path_slots_.size() * 2;
-  while (cap < paths_.size() * 2) cap *= 2;
-  path_slots_.assign(cap, 0);
-  const size_t mask = cap - 1;
-  for (uint32_t id = 0; id < paths_.size(); ++id) {
-    uint64_t hash = PathHash(paths_[id]);
-    size_t i = hash & mask;
-    while (path_slots_[i] != 0) i = (i + 1) & mask;
-    path_slots_[i] =
-        (hash & 0xFFFFFFFF00000000ull) | (static_cast<uint64_t>(id) + 1);
+void FlowIndex::PlacePath(uint64_t slot) {
+  const size_t mask = path_slots_.size() - 1;
+  size_t i = (slot >> 32) & mask;
+  while (path_slots_[i] != 0) i = (i + 1) & mask;
+  path_slots_[i] = slot;
+}
+
+void FlowIndex::RehashPaths(size_t slots) {
+  std::vector<uint64_t> old = std::move(path_slots_);
+  path_slots_.assign(slots, 0);
+  for (uint64_t slot : old) {
+    // Slots of paths a rewind discarded (id >= paths_.size()) drop out.
+    if (slot != 0 && static_cast<uint32_t>(slot) <= paths_.size()) {
+      PlacePath(slot);
+    }
   }
 }
 
-uint32_t FlowIndex::InternPath(std::string_view path) {
-  const uint64_t hash = PathHash(path);
-  if (uint32_t id = FindPath(path, hash); id != UINT32_MAX) return id;
+uint32_t FlowIndex::InternPath(std::string_view path, uint32_t tag,
+                               bool pooled) {
+  if (uint32_t id = FindPath(path, tag); id != UINT32_MAX) return id;
   // Keep the load factor under 1/2 (counting the entry being added).
-  if ((paths_.size() + 1) * 2 > path_slots_.size()) GrowPathSlots();
+  if ((paths_.size() + 1) * 2 > path_slots_.size()) {
+    RehashPaths(PathSlotsFor(paths_.size() + 1));
+  }
   const uint32_t id = static_cast<uint32_t>(paths_.size());
-  paths_.push_back(text_pool_.Copy(path));
-  const size_t mask = path_slots_.size() - 1;
-  size_t i = hash & mask;
-  while (path_slots_[i] != 0) i = (i + 1) & mask;
-  path_slots_[i] =
-      (hash & 0xFFFFFFFF00000000ull) | (static_cast<uint64_t>(id) + 1);
+  paths_.push_back(pooled ? path : text_pool_.Copy(path));
+  PlacePath((static_cast<uint64_t>(tag) << 32) | (id + 1));
   return id;
 }
 
@@ -95,7 +108,7 @@ void FlowIndex::IndexFlow(const proxy::FlowView& flow, uint32_t host_id,
   FlowEntry entry;
   entry.uid = flow.uid;
   entry.host_id = host_id;
-  entry.path_id = InternPath(flow.url.path());
+  entry.path_id = InternPath(flow.url.path(), PathTag(flow.url.path()));
   entry.param_begin = static_cast<uint32_t>(params_.size());
   entry.time_millis = flow.time.millis;
   entry.app_uid = flow.app_uid;
@@ -198,9 +211,7 @@ FlowIndex FlowIndex::Build(const proxy::FlowStore& store) {
   index.entries_.reserve(store.size());
   // Pre-size the path table for the worst case (every path distinct) so
   // the build never rehashes.
-  size_t slot_cap = 64;
-  while (slot_cap < store.size() * 2) slot_cap *= 2;
-  index.path_slots_.assign(slot_cap, 0);
+  index.RehashPaths(PathSlotsFor(store.size()));
   // The store already interned hosts; remap its pool ids to index ids
   // lazily (first-live-appearance order, matching what per-flow
   // interning produced) so repeated hosts skip the map lookup.
@@ -269,17 +280,9 @@ void FlowIndex::RewindTo(const Checkpoint& checkpoint, Cursor* cursor) {
   keys_lower_.resize(checkpoint.keys);
   if (paths_.size() > checkpoint.paths) {
     paths_.resize(checkpoint.paths);
-    // Rebuild the probe table in place: deleting slots would leave
+    // Rebuild the probe table at its size: deleting slots would leave
     // tombstones that break the empty-slot probe termination.
-    std::fill(path_slots_.begin(), path_slots_.end(), 0);
-    const size_t mask = path_slots_.size() - 1;
-    for (uint32_t id = 0; id < paths_.size(); ++id) {
-      uint64_t hash = PathHash(paths_[id]);
-      size_t i = hash & mask;
-      while (path_slots_[i] != 0) i = (i + 1) & mask;
-      path_slots_[i] =
-          (hash & 0xFFFFFFFF00000000ull) | (static_cast<uint64_t>(id) + 1);
-    }
+    RehashPaths(path_slots_.size());
   }
   request_bytes_total_ = checkpoint.request_bytes;
   response_bytes_total_ = checkpoint.response_bytes;
@@ -294,52 +297,98 @@ void FlowIndex::RewindTo(const Checkpoint& checkpoint, Cursor* cursor) {
   }
 }
 
-void FlowIndex::Append(const FlowIndex& other) {
+void FlowIndex::Reserve(size_t entries, size_t params) {
+  entries_.reserve(entries);
+  params_.reserve(params);
+  // Every flow has one path, so `entries` bounds the distinct paths:
+  // sized for that, the appends never rehash the path table.
+  if (PathSlotsFor(entries) > path_slots_.size()) {
+    RehashPaths(PathSlotsFor(entries));
+  }
+}
+
+void FlowIndex::Append(FlowIndex&& other) {
+  if (&other == this) {
+    throw std::invalid_argument(
+        "FlowIndex::Append: an index cannot consume itself");
+  }
   obs::ScopedSpan span("index.append", "index");
-  // Every table is walked by index up to its size on entry: a
-  // self-append pushes onto the tables it reads (its re-interning finds
-  // the existing ids), and the text pool never moves bytes it handed out.
-  const size_t host_count = other.hosts_.size();
-  const size_t key_count = other.keys_.size();
-  const size_t path_count = other.paths_.size();
-  const size_t param_count = other.params_.size();
   const size_t entry_count = other.entries_.size();
+  // `other`'s paths and parameter values are views into its text pool;
+  // adopting the pool's chunks keeps them valid here, so no text byte
+  // is copied.
+  text_pool_.Adopt(std::move(other.text_pool_));
 
   // Interned tables are in first-appearance order, so re-interning each
   // table in order reproduces exactly the ids a single Build over the
-  // concatenated stores would assign.
-  std::vector<uint32_t> host_map(host_count);
-  for (size_t i = 0; i < host_count; ++i) {
-    host_map[i] = InternHost(other.hosts_[i].raw);
+  // concatenated stores would assign. A new host moves its HostInfo and
+  // its lookup node over instead of recomputing the canonical form and
+  // the registrable domain.
+  std::vector<uint32_t> host_map(other.hosts_.size());
+  for (size_t i = 0; i < other.hosts_.size(); ++i) {
+    auto node = other.host_ids_.extract(other.hosts_[i].raw);
+    node.mapped() = static_cast<uint32_t>(hosts_.size());
+    auto [it, inserted, unused] = host_ids_.insert(std::move(node));
+    host_map[i] = it->second;
+    if (inserted) {
+      hosts_.push_back(std::move(other.hosts_[i]));
+      flows_by_host_.emplace_back();
+    }
   }
-  std::vector<uint32_t> key_map(key_count);
-  for (size_t i = 0; i < key_count; ++i) {
+  std::vector<uint32_t> key_map(other.keys_.size());
+  for (size_t i = 0; i < other.keys_.size(); ++i) {
     key_map[i] = InternKey(other.keys_[i]);
   }
-  std::vector<uint32_t> path_map(path_count);
-  for (size_t i = 0; i < path_count; ++i) {
-    path_map[i] = InternPath(other.paths_[i]);
+  // `other`'s slots carry each path's tag, so no path is hashed again.
+  std::vector<uint32_t> tags(other.paths_.size());
+  for (uint64_t slot : other.path_slots_) {
+    if (slot != 0) tags[static_cast<uint32_t>(slot) - 1] = slot >> 32;
+  }
+  std::vector<uint32_t> path_map(other.paths_.size());
+  for (size_t i = 0; i < other.paths_.size(); ++i) {
+    path_map[i] = InternPath(other.paths_[i], tags[i], /*pooled=*/true);
   }
 
-  const uint32_t param_offset = static_cast<uint32_t>(params_.size());
-  params_.reserve(params_.size() + param_count);
-  for (size_t i = 0; i < param_count; ++i) {
-    const Param& param = other.params_[i];
-    params_.push_back(Param{key_map[param.key_id], param.source,
-                            text_pool_.Copy(param.value), param.number});
+  const size_t param_offset = params_.size();
+  params_.insert(params_.end(), other.params_.begin(), other.params_.end());
+  for (size_t i = param_offset; i < params_.size(); ++i) {
+    params_[i].key_id = key_map[params_[i].key_id];
   }
 
-  entries_.reserve(entries_.size() + entry_count);
-  PostingsCache cache;
-  for (size_t i = 0; i < entry_count; ++i) {
-    FlowEntry mapped = other.entries_[i];
-    mapped.host_id = host_map[mapped.host_id];
-    mapped.path_id = path_map[mapped.path_id];
-    mapped.param_begin += param_offset;
-    mapped.param_end += param_offset;
-    entries_.push_back(mapped);
-    AddPostings(static_cast<uint32_t>(entries_.size() - 1), cache);
+  const size_t entry_offset = entries_.size();
+  entries_.insert(entries_.end(), other.entries_.begin(),
+                  other.entries_.end());
+  for (size_t i = entry_offset; i < entries_.size(); ++i) {
+    FlowEntry& entry = entries_[i];
+    entry.host_id = host_map[entry.host_id];
+    entry.path_id = path_map[entry.path_id];
+    entry.param_begin += static_cast<uint32_t>(param_offset);
+    entry.param_end += static_cast<uint32_t>(param_offset);
   }
+
+  // Postings move list by list: every flow of `other` comes after every
+  // flow here, so its ascending lists, shifted by the entry offset,
+  // extend the matching lists here in order — the lists per-flow
+  // AddPostings would have built.
+  const auto offset = static_cast<uint32_t>(entry_offset);
+  const auto AppendShifted = [offset](std::vector<uint32_t>& into,
+                                      const std::vector<uint32_t>& ids) {
+    const size_t at = into.size();
+    into.resize(at + ids.size());
+    for (size_t k = 0; k < ids.size(); ++k) into[at + k] = ids[k] + offset;
+  };
+  for (size_t i = 0; i < other.flows_by_host_.size(); ++i) {
+    AppendShifted(flows_by_host_[host_map[i]], other.flows_by_host_[i]);
+  }
+  for (const auto& [uid, ids] : other.flows_by_uid_) {
+    AppendShifted(flows_by_uid_[uid], ids);
+  }
+  for (const auto& [bucket, ids] : other.flows_by_bucket_) {
+    AppendShifted(flows_by_bucket_[bucket], ids);
+  }
+  request_bytes_total_ += other.request_bytes_total_;
+  response_bytes_total_ += other.response_bytes_total_;
+  other = FlowIndex();
 
   span.Arg("flows", static_cast<int64_t>(entry_count));
 }
@@ -352,7 +401,7 @@ std::optional<uint32_t> FlowIndex::HostId(std::string_view raw_host) const {
 }
 
 std::optional<uint32_t> FlowIndex::PathId(std::string_view path) const {
-  uint32_t id = FindPath(path, PathHash(path));
+  uint32_t id = FindPath(path, PathTag(path));
   if (id != UINT32_MAX) return id;
   return std::nullopt;
 }

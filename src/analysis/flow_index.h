@@ -25,9 +25,9 @@
 // dangling the index. It is derived data and never persisted: a job
 // replayed from its snapshot rebuilds it over the decoded store.
 // Append() folds another shard's index in (remapping interned ids);
-// Build(A+B) and A.Append(B) are byte-identical under SerializeTo,
-// which is what lets the fleet merge per-shard indexes instead of
-// re-parsing merged stores.
+// Build(A+B) and A.Append(Build(B)) are byte-identical under
+// SerializeTo, which is what lets the fleet merge per-shard indexes
+// instead of re-parsing merged stores.
 #pragma once
 
 #include <cstdint>
@@ -109,16 +109,25 @@ class FlowIndex {
 
   // Folds `other` in after this index's flows, remapping interned ids.
   // Equivalent to (and serialized byte-identical with) building one
-  // index over the concatenated stores; `other` may be this index.
-  void Append(const FlowIndex& other);
+  // index over the concatenated stores. Consumes `other`: this index
+  // adopts its text pool and moves its new hosts' HostInfos, so no
+  // parameter value, path or canonical host is copied or recomputed,
+  // and copies only fixed-width entries and parameters. `other` is left
+  // empty. Throws std::invalid_argument when `other` is this index.
+  void Append(FlowIndex&& other);
+
+  // Capacity for `entries` flow entries (and as many distinct paths)
+  // and `params` parameter-pool entries, so a merge that knows its
+  // total appends without reallocating or rehashing.
+  void Reserve(size_t entries, size_t params);
 
  private:
   // Memoizes the by-uid/by-bucket map nodes across consecutive flows:
   // capture order clusters flows by app and by time, so most postings
   // land in the vector the previous flow used. Node pointers into a
   // std::map stay valid across inserts, but the cache must stay local
-  // to one bulk operation (Build/Append) or one streaming
-  // Cursor — it must not outlive the index.
+  // to one Build or one streaming Cursor — it must not outlive the
+  // index.
   struct PostingsCache {
     int32_t uid = 0;
     std::vector<uint32_t>* uid_flows = nullptr;
@@ -209,11 +218,17 @@ class FlowIndex {
  private:
   uint32_t InternHost(std::string_view raw);
   uint32_t InternKey(std::string_view key);
-  uint32_t InternPath(std::string_view path);
+  // `tag` is PathTag(path). `pooled`: `path` already lives in
+  // text_pool_, so it is interned as is instead of copied.
+  uint32_t InternPath(std::string_view path, uint32_t tag,
+                      bool pooled = false);
   // Open-addressing probe of path_slots_; UINT32_MAX when absent.
-  uint32_t FindPath(std::string_view path, uint64_t hash) const;
-  // Doubles path_slots_ (initial size 64) and re-inserts every path.
-  void GrowPathSlots();
+  uint32_t FindPath(std::string_view path, uint32_t tag) const;
+  // Linear-probes `slot` into path_slots_ from its tag's position.
+  void PlacePath(uint64_t slot);
+  // Resizes path_slots_ to `slots` (a power of two) and re-places the
+  // slot of every live path; the strings are not read.
+  void RehashPaths(size_t slots);
   // `host_id` is this index's interned id for flow.Host(); Build
   // resolves it O(1) through the store's host pool instead of a map
   // lookup per flow.
@@ -250,9 +265,11 @@ class FlowIndex {
   InternMap<uint32_t> key_ids_;
   // Paths (the hottest intern: one lookup per flow, mostly distinct)
   // use a flat open-addressing table instead of a node-based map: each
-  // slot packs (hash's high 32 bits | path id + 1), 0 meaning empty,
-  // over a power-of-two vector — no per-entry allocation and one cache
-  // line per probe.
+  // slot packs (tag << 32 | path id + 1), 0 meaning empty, over a
+  // power-of-two vector, probed from (tag & mask) — no per-entry
+  // allocation and one cache line per probe. The tag is the high half
+  // of the path's hash, so the table can be resized, and merged into
+  // another, without reading a path.
   std::vector<uint64_t> path_slots_;
 };
 

@@ -432,25 +432,58 @@ void FleetExecutor::MergeJournal(const std::vector<FleetJobResult>& results,
   }
 }
 
+namespace {
+
+// Whether `next` is a later shard of the crawl group `head` opened.
+bool ContinuesGroup(const FleetJobResult& head, const FleetJobResult& next) {
+  return head.crawl.has_value() && next.crawl.has_value() &&
+         head.job.spec.name == next.job.spec.name &&
+         head.job.kind == next.job.kind &&
+         head.job.cohort.id == next.job.cohort.id &&
+         head.job.cohort.index == next.job.cohort.index &&
+         next.job.shard > 0;
+}
+
+// Reserves the group that results[head] opens at its summed size, so
+// each appended shard lands without reallocating what came before. A
+// group of one is left as it is: it appends nothing.
+void ReserveGroup(std::vector<FleetJobResult>& results, size_t head) {
+  size_t engine_flows = 0, native_flows = 0;
+  size_t engine_params = 0, native_params = 0;
+  size_t members = 0;
+  for (size_t i = head; i < results.size(); ++i) {
+    if (results[i].quarantined) continue;
+    if (i > head && !ContinuesGroup(results[head], results[i])) break;
+    const CrawlResult& crawl = *results[i].crawl;
+    engine_flows += crawl.engine_flows->size();
+    native_flows += crawl.native_flows->size();
+    engine_params += crawl.engine_index->params().size();
+    native_params += crawl.native_index->params().size();
+    ++members;
+  }
+  if (members == 1) return;
+  CrawlResult& into = *results[head].crawl;
+  into.engine_flows->Reserve(engine_flows);
+  into.native_flows->Reserve(native_flows);
+  into.engine_index->Reserve(engine_flows, engine_params);
+  into.native_index->Reserve(native_flows, native_params);
+}
+
+}  // namespace
+
 std::vector<FleetJobResult> FleetExecutor::MergeShards(
     std::vector<FleetJobResult> results) {
   std::vector<FleetJobResult> merged;
   uint64_t index_appends = 0;
   obs::JobTelemetry appended;  // flows folded into the merged indexes
-  for (auto& result : results) {
+  for (size_t i = 0; i < results.size(); ++i) {
+    FleetJobResult& result = results[i];
     // Salvage: quarantined shards never reach the findings — the
     // merged result covers the surviving shards only (the run manifest
     // accounts for the gap).
     if (result.quarantined) continue;
-    bool continues_group =
-        !merged.empty() && merged.back().crawl.has_value() &&
-        result.crawl.has_value() &&
-        merged.back().job.spec.name == result.job.spec.name &&
-        merged.back().job.kind == result.job.kind &&
-        merged.back().job.cohort.id == result.job.cohort.id &&
-        merged.back().job.cohort.index == result.job.cohort.index &&
-        result.job.shard > 0;
-    if (!continues_group) {
+    if (merged.empty() || !ContinuesGroup(merged.back(), result)) {
+      if (result.crawl.has_value()) ReserveGroup(results, i);
       result.job.shard = 0;
       result.job.shard_count = 1;
       merged.push_back(std::move(result));
@@ -458,15 +491,17 @@ std::vector<FleetJobResult> FleetExecutor::MergeShards(
     }
     CrawlResult& into = *merged.back().crawl;
     CrawlResult& from = *result.crawl;
-    into.engine_flows->Append(*from.engine_flows);
-    into.native_flows->Append(*from.native_flows);
-    // Appending interns `from`'s tables in first-appearance order, so
-    // each merged index serializes exactly like a Build over its store.
-    into.engine_index->Append(*from.engine_index);
-    into.native_index->Append(*from.native_index);
     index_appends += 2;
     appended.indexed_flows +=
         from.engine_index->flow_count() + from.native_index->flow_count();
+    // The merge consumes the shard: stores and indexes move their arena
+    // chunks over, so no payload or text byte is copied. Appending
+    // interns `from`'s tables in first-appearance order, so each merged
+    // index serializes exactly like a Build over its store.
+    into.engine_flows->Append(std::move(*from.engine_flows));
+    into.native_flows->Append(std::move(*from.native_flows));
+    into.engine_index->Append(std::move(*from.engine_index));
+    into.native_index->Append(std::move(*from.native_index));
     into.visits.insert(into.visits.end(),
                        std::make_move_iterator(from.visits.begin()),
                        std::make_move_iterator(from.visits.end()));

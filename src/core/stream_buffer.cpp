@@ -321,14 +321,20 @@ StreamBuffer::Materialized StreamBuffer::Materialize() {
     auto merged = std::make_unique<proxy::FlowStore>(config_.compact);
     merged->SetProvenance(config_.provenance_tag);
     merged->SetTelemetry(config_.telemetry);
+    // Sized once for every segment and the live tail, so neither the
+    // replays nor the tail's append grow the record vector past them.
+    uint64_t flows = live_->size();
+    for (const Segment& segment : segments_) flows += segment.flows;
+    merged->Reserve(static_cast<size_t>(flows));
     size_t consumed = 0;
     for (; consumed < segments_.size(); ++consumed) {
       if (!ConsumeSegment(segments_[consumed], merged.get())) break;
     }
     std::error_code ec;
     if (consumed == segments_.size()) {
-      merged->Append(*live_);
+      // The live tail's chunks move over; the buffer is reset below.
       merged->AccumulateDroppedWrites(live_->dropped_writes());
+      merged->Append(std::move(*live_));
       out.index = std::move(index_);
       for (const Segment& segment : segments_) {
         std::filesystem::remove(segment.path, ec);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <stdexcept>
 #include <type_traits>
 
 #include "chaos/injector.h"
@@ -128,46 +129,41 @@ void FlowStore::StoreFlow(const Flow& flow) {
   recs_.push_back(rec);
 }
 
-void FlowStore::StoreRec(const FlowView& src) {
-  FlowView rec = src;
-  rec.browser = InternLabel(src.browser);
-
-  rec.url = src.url.RebasedTo(arena_.Copy(src.url.text()));
-  rec.host_id = InternHost(rec.url.host());
-
-  rec.request_headers = HeadersView();
-  const auto src_headers = src.request_headers.entries();
-  if (!src_headers.empty()) {
-    HeaderView* arr = arena_.AllocArray<HeaderView>(src_headers.size());
-    for (size_t i = 0; i < src_headers.size(); ++i) {
-      arr[i].name = InternHeaderName(src_headers[i].name);
-      arr[i].value = arena_.Copy(src_headers[i].value);
-    }
-    rec.request_headers = HeadersView(arr, src_headers.size());
-  }
-  rec.request_body = arena_.Copy(src.request_body);
-  rec.taint = arena_.Copy(src.taint);
-  rec.blocked_by = InternLabel(src.blocked_by);
-  recs_.push_back(rec);
-}
-
-void FlowStore::Append(const FlowStore& other) {
-  if (other.recs_.empty()) return;
-  // Merges copy flows verbatim — going through StoreFlow here would
-  // re-apply *this* store's compaction to flows whose capture-time
-  // policy already decided what to keep.
+void FlowStore::Append(FlowStore&& other) {
   if (&other == this) {
-    // Self-append duplicates records in place. The new records alias
-    // the payload bytes already in the arena (views are stable), so no
-    // byte is copied; reserve first because pushing while iterating the
-    // same vector would invalidate the source range on growth.
-    const size_t count = recs_.size();
-    recs_.reserve(2 * count);
-    for (size_t i = 0; i < count; ++i) recs_.push_back(recs_[i]);
-    return;
+    throw std::invalid_argument(
+        "FlowStore::Append: a store cannot consume itself");
   }
-  recs_.reserve(recs_.size() + other.recs_.size());
-  for (const FlowView& rec : other.recs_) StoreRec(rec);
+  // Merges take flows verbatim — going through StoreFlow here would
+  // re-apply *this* store's compaction to flows whose capture-time
+  // policy already decided what to keep. The records move as they are:
+  // every view in them points into `other`'s chunks, which this arena
+  // adopts, so no payload byte is copied. Labels and header names stay
+  // views into those chunks rather than this store's pools; every
+  // reader (SerializeTo included) keys on their content.
+  arena_.Adopt(std::move(other.arena_));
+  const size_t mark = recs_.size();
+  recs_.insert(recs_.end(), other.recs_.begin(), other.recs_.end());
+
+  // Remap host ids in first-live-reference order, as per-flow interning
+  // would, moving each new host's registrable domain instead of
+  // recomputing it.
+  constexpr uint32_t kUnmapped = UINT32_MAX;
+  std::vector<uint32_t> host_map(other.hosts_.size(), kUnmapped);
+  for (size_t i = mark; i < recs_.size(); ++i) {
+    uint32_t& mapped = host_map[recs_[i].host_id];
+    if (mapped == kUnmapped) {
+      HostEntry& host = other.hosts_[recs_[i].host_id];
+      auto [it, inserted] = host_ids_.emplace(
+          host.host, static_cast<uint32_t>(hosts_.size()));
+      if (inserted) {
+        hosts_.push_back(HostEntry{host.host, std::move(host.domain)});
+      }
+      mapped = it->second;
+    }
+    recs_[i].host_id = mapped;
+  }
+  other.Clear();
 }
 
 void FlowStore::SerializeTo(util::BinWriter& out) const {
@@ -418,8 +414,8 @@ bool FlowStore::AppendRelocatable(util::BinReader& in) {
     if (header_count > 0) {
       const HeaderView* old_arr = rec.request_headers.entries().data();
       // The array itself lives in an adopted chunk; rebase it, then fix
-      // its entries in place. Arrays are per-record (the DumpRelocatable
-      // precondition), so each is fixed exactly once.
+      // its entries in place. Every record owns its array (no store
+      // shares one between records), so each is fixed exactly once.
       char* arr_bytes =
           RebaseRaw(reinterpret_cast<uintptr_t>(old_arr),
                     header_count * sizeof(HeaderView));

@@ -15,7 +15,9 @@
 // View validity: arena chunks never move or shrink, so FlowViews (and
 // every string_view inside them) stay valid across Add, Append and
 // TruncateTo, for the store's whole lifetime, including after the store
-// object itself is moved. References *to* the record vector
+// object itself is moved. Append(std::move(src)) hands src's chunks to
+// the destination, so views taken from src stay valid for as long as
+// the destination lives. References *to* the record vector
 // (flows()[i], &flow(i)) follow the usual vector rules and are
 // invalidated by growth — take a FlowView by value to keep it.
 #pragma once
@@ -62,7 +64,8 @@ class FlowStore : public FlowSink {
   explicit FlowStore(bool compact = false) : compact_(compact) {}
 
   // Moving a store moves its arena chunks: all views remain valid.
-  // Copying is disabled — Append onto a fresh store to clone.
+  // Copying is disabled, and nothing clones a store: a merge consumes
+  // its sources (see Append).
   FlowStore(FlowStore&&) = default;
   FlowStore& operator=(FlowStore&&) = default;
   FlowStore(const FlowStore&) = delete;
@@ -140,14 +143,18 @@ class FlowStore : public FlowSink {
   // live flows, so the leak never reaches a snapshot.
   void TruncateTo(size_t size);
 
-  // Appends a copy of every flow in `other`, preserving order. Used to
-  // fold sharded campaign stores back into one database. Flows are
-  // copied verbatim: compaction is a capture-time decision, so a merge
-  // must never strip headers/bodies that the source store kept (nor
-  // can it restore what the source already dropped). Self-append is
-  // well-defined and duplicates the store in place (records alias the
-  // already-arena'd payload bytes; nothing is re-copied).
-  void Append(const FlowStore& other);
+  // Moves every flow of `other` onto the end of this store, preserving
+  // order. Used to fold sharded campaign stores back into one database.
+  // Consumes `other`: this store adopts its arena chunks and its hosts'
+  // registrable domains, and copies only the fixed-width records, with
+  // host ids remapped. No payload byte is copied and the PSL is not run
+  // again. `other` is left empty, like Clear(), and accepts new Adds.
+  // Flows move verbatim: compaction is a capture-time decision, so a
+  // merge must never strip headers/bodies that the source store kept
+  // (nor can it restore what the source already dropped). Dropped-write
+  // counts are not carried. Throws std::invalid_argument when `other`
+  // is this store.
+  void Append(FlowStore&& other);
 
   // Navigation-chain tails: last stored document uid per chain token,
   // consulted by StoreFlow to resolve each redirect hop's predecessor
@@ -186,10 +193,9 @@ class FlowStore : public FlowSink {
   // which is what keeps spilling ingest near batch throughput. The
   // image embeds native pointers and struct layout: it is a same-build,
   // same-run artifact (spill segments never outlive their run), NOT a
-  // portable snapshot — that's SerializeTo's job. Requires records
-  // whose header arrays are unshared (true for any store filled via
-  // Add/Push; a self-Appended store aliases arrays and must not be
-  // dumped).
+  // portable snapshot — that's SerializeTo's job. Every record owns its
+  // header array (no store shares one between records), which replay
+  // relies on to rebase each array once.
   void DumpRelocatable(util::BinWriter& out) const;
 
   // Replays a DumpRelocatable image straight into this store: adopts
@@ -236,8 +242,6 @@ class FlowStore : public FlowSink {
   // Copies `flow` into the arena and appends its record, without the
   // stored-flows counter; a compact store drops headers and body.
   void StoreFlow(const Flow& flow);
-  // Cross-store Append of one record (payload bytes re-arena'd here).
-  void StoreRec(const FlowView& rec);
 
   // The v5 record-stream reader behind Deserialize: appends into this
   // store, all-or-nothing.

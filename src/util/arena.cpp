@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <iterator>
 
 namespace panoptes::util {
 
@@ -85,6 +86,15 @@ std::string_view Arena::Copy(std::string_view bytes) {
   char* out = Alloc(bytes.size());
   if (!bytes.empty()) std::memcpy(out, bytes.data(), bytes.size());
   return std::string_view(out, bytes.size());
+}
+
+void Arena::Adopt(Arena&& other) {
+  if (&other == this) return;
+  chunks_.insert(chunks_.end(), std::make_move_iterator(other.chunks_.begin()),
+                 std::make_move_iterator(other.chunks_.end()));
+  used_ += other.used_;
+  reserved_ += other.reserved_;
+  other.Clear();
 }
 
 void Arena::Clear() {

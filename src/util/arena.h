@@ -5,8 +5,9 @@
 // arena itself is cleared or destroyed, so a pointer or string_view into
 // the arena stays valid across any number of later allocations — the
 // property FlowStore relies on to expose string_view accessors over
-// flows while the store keeps growing. Moving an Arena moves the chunk
-// chain (views survive); copying is deliberately disabled.
+// flows while the store keeps growing. Moving an Arena, or Adopting it
+// into another, moves the chunk chain (views survive); copying is
+// deliberately disabled.
 #pragma once
 
 #include <cstddef>
@@ -62,6 +63,13 @@ class Arena {
   // (new base - old base). The current bump chunk is left alone;
   // later Allocs continue from a fresh chunk.
   char* AdoptBlock(const char* src, size_t n);
+
+  // Moves every chunk of `other` onto the end of this arena's chain,
+  // with its bytes_used and bytes_reserved: views into `other` stay
+  // valid and are now owned by this arena. No byte is copied. `other`
+  // is left empty and still allocates; later Allocs here continue in
+  // the last adopted chunk. Adopting this arena itself is a no-op.
+  void Adopt(Arena&& other);
 
   // Frees every chunk. All views into the arena dangle after this.
   void Clear();

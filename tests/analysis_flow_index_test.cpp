@@ -148,27 +148,64 @@ TEST(FlowIndex, ParamPoolMirrorsLegacyDecodeOrder) {
 // appends in place, so nothing needs (or gets) a copy.
 static_assert(!std::is_copy_constructible_v<FlowIndex>);
 
+// Shares a.example.com with SmallStore (must remap to the existing
+// interned id) and introduces a new host and new keys.
+proxy::FlowStore SecondStore() {
+  proxy::FlowStore store;
+  store.Add(MakeFlow("https://a.example.com/t?z=9", 31'000, 13, 0x01020304));
+  store.Add(MakeFlow("https://d.example.io/r?x=7", 32'000, 10, 0x0d0e0f10));
+  return store;
+}
+
 TEST(FlowIndex, AppendEqualsBuildOverConcatenatedStores) {
-  proxy::FlowStore a = SmallStore();
-  proxy::FlowStore b;
-  // Shares a.example.com (must remap to the existing interned id) and
-  // introduces a new host and new keys.
-  b.Add(MakeFlow("https://a.example.com/t?z=9", 31'000, 13, 0x01020304));
-  b.Add(MakeFlow("https://d.example.io/r?x=7", 32'000, 10, 0x0d0e0f10));
-
+  // Append consumes its source, so each side builds its own copy of b.
   proxy::FlowStore ab = SmallStore();
-  ab.Append(b);
+  ab.Append(SecondStore());
 
-  FlowIndex merged = FlowIndex::Build(a);
-  merged.Append(FlowIndex::Build(b));
+  FlowIndex merged = FlowIndex::Build(SmallStore());
+  merged.Append(FlowIndex::Build(SecondStore()));
   EXPECT_EQ(Serialized(merged), Serialized(FlowIndex::Build(ab)));
+}
 
-  // Self-append duplicates the flows (the aliasing case Append guards).
-  proxy::FlowStore doubled = SmallStore();
-  doubled.Append(SmallStore());
-  FlowIndex self = FlowIndex::Build(a);
-  self.Append(self);
-  EXPECT_EQ(Serialized(self), Serialized(FlowIndex::Build(doubled)));
+// Append adopts the source's text pool: paths and parameter values stay
+// readable after the source index is destroyed, and the result equals a
+// Build over the concatenated stores. The source is left empty.
+TEST(FlowIndex, AppendAdoptsItsSourcePool) {
+  proxy::FlowStore ab = SmallStore();
+  ab.Append(SecondStore());
+  const FlowIndex built = FlowIndex::Build(ab);
+
+  FlowIndex merged = FlowIndex::Build(SmallStore());
+  {
+    proxy::FlowStore b = SecondStore();
+    auto source = std::make_unique<FlowIndex>(FlowIndex::Build(b));
+    merged.Append(std::move(*source));
+    EXPECT_TRUE(source->empty());
+    EXPECT_TRUE(source->hosts().empty());
+    EXPECT_TRUE(source->params().empty());
+  }
+  EXPECT_EQ(Serialized(merged), Serialized(built));
+  // SerializeTo leaves postings and totals out: they must match too.
+  EXPECT_EQ(merged.by_host(), built.by_host());
+  EXPECT_EQ(merged.by_uid(), built.by_uid());
+  EXPECT_EQ(merged.by_time_bucket(), built.by_time_bucket());
+  EXPECT_EQ(merged.request_bytes_total(), built.request_bytes_total());
+  EXPECT_EQ(merged.response_bytes_total(), built.response_bytes_total());
+  ASSERT_TRUE(merged.PathId("/r").has_value());
+  EXPECT_EQ(merged.path(*merged.PathId("/r")), "/r");
+  EXPECT_EQ(merged.params().back().value, "7");
+  EXPECT_EQ(merged.host(*merged.HostId("d.example.io")).canonical,
+            "d.example.io");
+  EXPECT_EQ(merged.host(*merged.HostId("d.example.io")).domain, "example.io");
+  ASSERT_NE(merged.FlowsToHost("a.example.com"), nullptr);
+  EXPECT_EQ(merged.FlowsToHost("a.example.com")->size(), 3u);
+}
+
+TEST(FlowIndex, SelfAppendIsRejected) {
+  FlowIndex index = FlowIndex::Build(SmallStore());
+  const std::string before = Serialized(index);
+  EXPECT_THROW(index.Append(std::move(index)), std::invalid_argument);
+  EXPECT_EQ(Serialized(index), before);
 }
 
 // ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <map>
 #include <set>
 #include <stdexcept>
 
@@ -20,6 +21,7 @@
 #include "obs/metrics.h"
 #include "oracle/serial_fleet.h"
 #include "util/binio.h"
+#include "util/hex.h"
 #include "util/rng.h"
 
 namespace panoptes::core {
@@ -197,6 +199,30 @@ TEST(FleetMerge, MergedIndexesEqualABuildOverTheMergedStores) {
   }
 }
 
+// SerializeTo leaves the postings and byte totals out, and a merge
+// moves them list by list rather than flow by flow: they too must equal
+// a Build over the merged store.
+TEST(FleetMerge, MergedPostingsEqualABuildOverTheMergedStores) {
+  FleetOptions options = TinyFleet(3);
+  options.framework.catalog.sitegen.bounce_fraction = 0.5;
+  auto jobs = FleetExecutor::PlanCampaign(Browsers({"Yandex", "Opera"}),
+                                          {CampaignKind::kCrawl}, 3);
+  auto merged = FleetExecutor::MergeShards(FleetExecutor(options).Run(jobs));
+  ASSERT_EQ(merged.size(), 2u);
+  for (const auto& result : merged) {
+    for (const auto& side : result.crawl->Sides()) {
+      SCOPED_TRACE(result.job.spec.name + (side.engine ? "/engine" : "/native"));
+      const auto built = analysis::FlowIndex::Build(side.flows);
+      EXPECT_EQ(side.index.by_host(), built.by_host());
+      EXPECT_EQ(side.index.by_uid(), built.by_uid());
+      EXPECT_EQ(side.index.by_time_bucket(), built.by_time_bucket());
+      EXPECT_EQ(side.index.request_bytes_total(), built.request_bytes_total());
+      EXPECT_EQ(side.index.response_bytes_total(),
+                built.response_bytes_total());
+    }
+  }
+}
+
 // Stress: the full Table 1 roster × 3 shards at jobs=8, repeatedly.
 // Any scheduling-dependent state (shared RNG, store cross-talk, seed
 // derivation from execution order) shows up as run-to-run drift here.
@@ -262,6 +288,65 @@ TEST(FleetMerge, QuarantinedShardsAreSalvagedAround) {
     EXPECT_EQ(merged[0].crawl->visits.size(), surviving_visits);
     EXPECT_EQ(merged[0].crawl->EngineRequestCount(), surviving_engine);
     EXPECT_FALSE(merged[0].quarantined);
+  }
+}
+
+// The bytes a shard merge produces, pinned: per merged crawl result, one
+// digest over the SerializeTo bytes of its native store, engine store,
+// native index and engine index. 2 browsers × (crawl + incognito + idle)
+// × 3 shards with bounce chains and link decoration, a quarantined head
+// shard in one group and a quarantined middle shard in another. The pins
+// were recorded before merges moved arena chunks instead of copying
+// bytes, so they hold that change to the old copy path's output.
+TEST(FleetMerge, MergedStoreBytesArePinned) {
+  const std::map<uint64_t, std::vector<std::string>> pinned = {
+      {20231024ull,
+       {"Yandex/crawl 0xb7767a075afa5658",
+        "Yandex/incognito 0x5dbe4ac729eb5585",
+        "Opera/crawl 0x362b533087a7602e",
+        "Opera/incognito 0x58c2c7e200301e8e"}},
+      {20240521ull,
+       {"Yandex/crawl 0x8c77c575483df2c3",
+        "Yandex/incognito 0xc2f56ee3ec423fbb",
+        "Opera/crawl 0x1140f6d268eb9bba",
+        "Opera/incognito 0x19c2c7bb565a45bf"}},
+  };
+  for (const auto& [seed, digests] : pinned) {
+    SCOPED_TRACE(seed);
+    FleetOptions options = TinyFleet(2);
+    options.base_seed = seed;
+    options.framework.catalog.sitegen.bounce_fraction = 0.5;
+    options.framework.catalog.sitegen.decoration_fraction = 0.5;
+    auto jobs = FleetExecutor::PlanCampaign(
+        Browsers({"Yandex", "Opera"}),
+        {CampaignKind::kCrawl, CampaignKind::kIncognitoCrawl,
+         CampaignKind::kIdle},
+        3, CrawlOptions{}, ShortIdle());
+    ASSERT_EQ(jobs.size(), 14u);
+    auto results = FleetExecutor(options).Run(jobs);
+    // Yandex crawl loses its head shard, Opera incognito its middle one.
+    ASSERT_EQ(results[0].job.shard, 0);
+    ASSERT_EQ(results[11].job.shard, 1);
+    ASSERT_EQ(results[11].job.kind, CampaignKind::kIncognitoCrawl);
+    results[0].quarantined = true;
+    results[11].quarantined = true;
+    auto merged = FleetExecutor::MergeShards(std::move(results));
+    ASSERT_EQ(merged.size(), 6u);
+
+    std::vector<std::string> actual;
+    for (const auto& result : merged) {
+      if (!result.crawl.has_value()) continue;
+      util::BinWriter out;
+      for (const auto& side : result.crawl->Sides()) {
+        EXPECT_FALSE(side.flows.empty());
+        side.flows.SerializeTo(out);
+      }
+      for (const auto& side : result.crawl->Sides()) side.index.SerializeTo(out);
+      actual.push_back(result.job.spec.name + "/" +
+                       std::string(CampaignKindName(result.job.kind)) + " " +
+                       util::Hex64(util::HashBytes64(out.Take())));
+    }
+    EXPECT_EQ(actual, digests);
   }
 }
 

@@ -1,16 +1,20 @@
 // Property tests for the arena-backed FlowStore (snapshot payload).
 //
-// The arena rewrite makes three promises that plain unit tests of the
-// query API cannot falsify: (1) Serialize → Deserialize → Append is a
+// The arena rewrite makes promises that plain unit tests of the query
+// API cannot falsify: (1) Serialize → Deserialize → Append is a
 // verbatim round trip, flow for flow, against owning deep copies taken
-// before the store was touched; (2) self-Append duplicates the store in
-// place; (3) TruncateTo discards records without freeing payload bytes,
-// keeping stored − rolled_back == final size AND keeping previously
-// handed-out views readable. Every view dereference here runs under
+// before the store was touched; (2) Append adopts its source's arena
+// chunks, so moved views outlive the source store, and a store cannot
+// consume itself; (3) TruncateTo discards records without freeing
+// payload bytes, keeping stored − rolled_back == final size AND keeping
+// previously handed-out views readable. Every view dereference here runs under
 // the CI ASan job, so a dangling string_view into a moved/freed arena
 // chunk is a hard failure, not a silent flake.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -84,10 +88,11 @@ TEST(FlowStoreArena, SerializeDeserializeAppendRoundTripsDeepCopies) {
   }
 
   // The decoded store's views live in ITS arena: appending it onto a
-  // fresh store re-copies every payload byte again.
+  // fresh store hands those chunks over, so they outlive the decoded
+  // store object.
   FlowStore merged;
-  merged.Append(*decoded);
-  decoded.reset();  // merged must not alias the decoded store's arena
+  merged.Append(std::move(*decoded));
+  decoded.reset();
   ASSERT_EQ(merged.size(), expected.size());
   for (size_t i = 0; i < expected.size(); ++i) {
     ExpectViewEqualsFlow(merged.flows()[i], expected[i]);
@@ -100,10 +105,10 @@ TEST(FlowStoreArena, SerializeDeserializeAppendRoundTripsDeepCopies) {
   EXPECT_EQ(again.Take(), bytes);
 }
 
-// Self-append duplicates the store in place; views taken before the
-// append still read the original bytes afterwards (records alias the
-// already-arena'd payloads, nothing moves).
-TEST(FlowStoreArena, SelfAppendDuplicatesAndPreservesViews) {
+// A store cannot consume itself: self-append throws and leaves every
+// record, and every view taken before the call, reading the original
+// bytes.
+TEST(FlowStoreArena, SelfAppendIsRejectedAndPreservesViews) {
   FlowStore store;
   for (uint64_t i = 0; i < 50; ++i) {
     store.Add(MakeFlow(i, "https://dup.example.com/" + std::to_string(i)));
@@ -112,14 +117,65 @@ TEST(FlowStoreArena, SelfAppendDuplicatesAndPreservesViews) {
   std::vector<Flow> expected;
   for (const FlowView& view : before) expected.push_back(view.Materialize());
 
-  store.Append(store);
-  ASSERT_EQ(store.size(), 100u);
+  EXPECT_THROW(store.Append(std::move(store)), std::invalid_argument);
+  ASSERT_EQ(store.size(), 50u);
   for (size_t i = 0; i < 50; ++i) {
     ExpectViewEqualsFlow(store.flows()[i], expected[i]);
-    ExpectViewEqualsFlow(store.flows()[i + 50], expected[i]);
-    // The by-value views from before the append are still readable.
     ExpectViewEqualsFlow(before[i], expected[i]);
   }
+}
+
+// Append moves the source's chunks instead of copying bytes: views
+// taken from the source, and the appended records, read back after the
+// source store is destroyed. The source is left empty and takes new
+// flows into an arena of its own.
+TEST(FlowStoreArena, AppendAdoptsChunksAndOutlivesItsSource) {
+  FlowStore into;
+  for (uint64_t i = 0; i < 20; ++i) {
+    into.Add(MakeFlow(i, "https://into.example.com/" + std::to_string(i)));
+  }
+  auto source = std::make_unique<FlowStore>();
+  for (uint64_t i = 20; i < 120; ++i) {
+    Flow flow = MakeFlow(i, "https://h" + std::to_string(i % 5) +
+                                ".example.com/" + std::to_string(i));
+    flow.request_body = std::string(2048, static_cast<char>('a' + i % 26));
+    source->Add(flow);
+  }
+  std::vector<FlowView> source_views(source->flows().begin(),
+                                     source->flows().end());
+  std::vector<Flow> expected;
+  for (const FlowView& view : into.flows()) {
+    expected.push_back(view.Materialize());
+  }
+  for (const FlowView& view : source_views) {
+    expected.push_back(view.Materialize());
+  }
+
+  into.Append(std::move(*source));
+  EXPECT_TRUE(source->empty());
+  EXPECT_TRUE(source->hosts().empty());
+  // The emptied source still works, and what it stores now is its own.
+  source->Add(MakeFlow(500, "https://after.example.com/x"));
+  ASSERT_EQ(source->size(), 1u);
+  ExpectViewEqualsFlow(source->flow(0),
+                       MakeFlow(500, "https://after.example.com/x"));
+  source.reset();
+
+  ASSERT_EQ(into.size(), expected.size());
+  for (size_t i = 0; i < expected.size(); ++i) {
+    ExpectViewEqualsFlow(into.flow(i), expected[i]);
+  }
+  for (size_t i = 0; i < source_views.size(); ++i) {
+    ExpectViewEqualsFlow(source_views[i], expected[20 + i]);
+  }
+  // Host ids index the destination's pool, which carries each source
+  // host once, with its registrable domain.
+  ASSERT_EQ(into.hosts().size(), 6u);
+  for (const FlowView& view : into.flows()) {
+    EXPECT_EQ(into.hosts()[view.host_id].host, view.Host());
+  }
+  EXPECT_EQ(into.hosts()[1].domain, "example.com");
+  EXPECT_EQ(into.DistinctDomains(), std::set<std::string>{"example.com"});
 }
 
 // TruncateTo must keep the metric reconciliation invariant

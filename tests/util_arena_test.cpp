@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -65,6 +66,45 @@ TEST(Arena, EmptyCopyAndClear) {
   EXPECT_EQ(arena.bytes_used(), 0u);
   EXPECT_EQ(arena.bytes_reserved(), 0u);
   EXPECT_EQ(arena.Copy("after clear"), "after clear");
+}
+
+// Adopt moves chunks, never bytes: views into the source read back
+// after the source is destroyed, byte accounting sums, the source is
+// left empty, and both arenas keep allocating.
+TEST(Arena, AdoptMovesEveryChunk) {
+  Arena into(32);
+  auto own = into.Copy("destination bytes");
+  auto source = std::make_unique<Arena>(16);
+  std::vector<std::string_view> views;
+  std::vector<std::string> expected;
+  for (int i = 0; i < 200; ++i) {
+    expected.push_back("adopted-" + std::to_string(i));
+    views.push_back(source->Copy(expected.back()));
+  }
+  const size_t used = into.bytes_used() + source->bytes_used();
+  const size_t reserved = into.bytes_reserved() + source->bytes_reserved();
+  const size_t source_chunks = source->ChunkRefs().size();
+  ASSERT_GT(source_chunks, 1u);
+
+  into.Adopt(std::move(*source));
+  EXPECT_EQ(into.bytes_used(), used);
+  EXPECT_EQ(into.bytes_reserved(), reserved);
+  EXPECT_EQ(into.ChunkRefs().size(), 1 + source_chunks);
+  EXPECT_EQ(source->bytes_used(), 0u);
+  EXPECT_EQ(source->bytes_reserved(), 0u);
+  EXPECT_TRUE(source->ChunkRefs().empty());
+
+  EXPECT_EQ(source->Copy("source after adopt"), "source after adopt");
+  source.reset();
+  EXPECT_EQ(into.Copy("destination after adopt"), "destination after adopt");
+  EXPECT_EQ(own, "destination bytes");
+  for (size_t i = 0; i < views.size(); ++i) {
+    EXPECT_EQ(views[i], std::string_view(expected[i]));
+  }
+
+  // Adopting itself changes nothing.
+  into.Adopt(std::move(into));
+  EXPECT_EQ(into.ChunkRefs().size(), 1 + source_chunks);
 }
 
 }  // namespace
