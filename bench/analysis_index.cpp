@@ -23,7 +23,6 @@
 #include <memory>
 #include <set>
 
-#include "analysis/battery.h"
 #include "analysis/dns_leakage.h"
 #include "analysis/flow_index.h"
 #include "analysis/geoip.h"
@@ -63,7 +62,7 @@ void ReportChecksum(benchmark::State& state, uint64_t got, uint64_t want) {
 
 // One crawl, captured once and shared by every benchmark. The engine
 // store keeps headers (compact_engine_store = false) so the Referer
-// analysis runs for real, matching AuditBrowser.
+// analysis runs for real, matching AuditBrowsers.
 struct Capture {
   std::unique_ptr<core::Framework> framework;
   core::CrawlResult result;
@@ -179,61 +178,6 @@ uint64_t IndexedBattery(const Capture& c, bool build_indexes) {
                         analysis::FlowIndex::Build(*c.result.native_flows));
 }
 
-// The indexed battery scheduled through analysis::AnalysisBattery —
-// the exact concurrency AuditBrowser uses. Each task writes its own
-// slot; the slots are summed after the join, so the checksum is
-// schedule-independent by construction.
-uint64_t ConcurrentBattery(const Capture& c, int jobs) {
-  const proxy::FlowStore& engine = *c.result.engine_flows;
-  const proxy::FlowStore& native = *c.result.native_flows;
-  const analysis::FlowIndex& engine_index = *c.result.engine_index;
-  const analysis::FlowIndex& native_index = *c.result.native_index;
-
-  analysis::PiiScanner scanner(c.profile);
-  analysis::HistoryLeakDetector detector(c.visited);
-  analysis::NaiveSplitter splitter(c.site_hosts);
-
-  uint64_t slots[8] = {};
-  analysis::AnalysisBattery battery(jobs);
-  battery.Add("bench.pii", [&] {
-    slots[0] = scanner.Scan(native_index).LeakCount();
-  });
-  battery.Add("bench.history", [&] {
-    slots[1] = detector.Scan(native, native_index).size() +
-               detector.Scan(engine, engine_index, true).size();
-  });
-  battery.Add("bench.geo", [&] {
-    slots[2] = analysis::CountriesContacted(native_index, c.geo).size();
-  });
-  battery.Add("bench.referer", [&] {
-    slots[3] = analysis::AnalyzeRefererLeakage(engine, engine_index)
-                   .leaking_requests;
-  });
-  battery.Add("bench.dns", [&] {
-    slots[4] = analysis::AnalyzeDnsLeakage(native_index).queries;
-  });
-  battery.Add("bench.split", [&] {
-    slots[5] = splitter.Evaluate(engine_index, native_index).correct;
-  });
-  battery.Add("bench.bytes", [&] {
-    slots[6] = engine_index.request_bytes_total() +
-               native_index.request_bytes_total();
-  });
-  battery.Add("bench.hosts", [&] {
-    uint64_t sum = 0;
-    for (const auto& host : native_index.hosts()) {
-      sum += host.domain.size();
-      sum += c.hosts_list.IsAdRelated(host.raw) ? 1 : 0;
-    }
-    slots[7] = sum;
-  });
-  battery.Run();
-
-  uint64_t checksum = 0;
-  for (uint64_t slot : slots) checksum += slot;
-  return checksum;
-}
-
 // Stable hash of an index's serialized bytes — the byte-equivalence
 // probe for the build variant.
 uint64_t IndexBytesHash(const analysis::FlowIndex& index) {
@@ -273,22 +217,6 @@ void BM_AnalysisIndexPrebuilt(benchmark::State& state) {
                  OracleChecksum());
 }
 BENCHMARK(BM_AnalysisIndexPrebuilt)->Unit(benchmark::kMicrosecond);
-
-// Prebuilt analyzers scheduled through AnalysisBattery at Arg() worker
-// threads. jobs=1 is the serial reference; higher job counts must hold
-// the same checksum (that is the battery's whole contract).
-void BM_AnalysisIndexBattery(benchmark::State& state) {
-  Capture& c = GetCapture();
-  int jobs = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ConcurrentBattery(c, jobs));
-  }
-  ReportChecksum(state, ConcurrentBattery(c, jobs), OracleChecksum());
-}
-BENCHMARK(BM_AnalysisIndexBattery)
-    ->Arg(1)
-    ->Arg(8)
-    ->Unit(benchmark::kMicrosecond);
 
 void BM_AnalysisIndexBuild(benchmark::State& state) {
   Capture& c = GetCapture();

@@ -3,9 +3,11 @@
 //
 //   ./build/examples/full_report [--sites N] [--jobs N] [--out REPORT.md]
 //
-// --jobs sets the analyzer battery's worker count per browser; any
-// value produces a byte-identical report (pinned by the Determinism
+// The audits run as one fleet plan, a crawl job per browser, and
+// --jobs sets the fleet's worker count: the browsers crawl in parallel.
+// Any value produces a byte-identical report (pinned by the Determinism
 // suite), so it is purely a wall-clock knob.
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 
@@ -18,24 +20,18 @@ using namespace panoptes;
 int main(int argc, char** argv) {
   auto args = util::Args::Parse(argc, argv);
   int site_count = static_cast<int>(args.IntOptionOr("sites", 60));
-  int jobs = static_cast<int>(args.IntOptionOr("jobs", 1));
 
-  core::FrameworkOptions options;
-  options.catalog.popular_count = site_count / 2;
-  options.catalog.sensitive_count = site_count - site_count / 2;
-  core::Framework framework(options);
+  core::FleetOptions options;
+  options.jobs =
+      std::max<int>(1, static_cast<int>(args.IntOptionOr("jobs", 1)));
+  options.framework.catalog.popular_count = site_count / 2;
+  options.framework.catalog.sensitive_count = site_count - site_count / 2;
 
-  std::vector<const web::Site*> sites;
-  for (const auto& site : framework.catalog().sites()) sites.push_back(&site);
-  auto hosts_list = analysis::HostsList::Default();
-  analysis::GeoIpDb geo(framework.geo_plan().ranges());
-
-  std::vector<analysis::BrowserAuditReport> reports;
-  for (const auto& spec : browser::AllBrowserSpecs()) {
-    std::fprintf(stderr, "auditing %s...\n", spec.name.c_str());
-    reports.push_back(analysis::AuditBrowser(framework, spec, sites,
-                                             hosts_list, geo, jobs));
-  }
+  const auto browsers = browser::AllBrowserSpecs();
+  std::fprintf(stderr, "auditing %zu browsers on %d workers...\n",
+               browsers.size(), options.jobs);
+  auto reports = analysis::AuditBrowsers(options, browsers,
+                                         analysis::HostsList::Default());
 
   std::string markdown = analysis::RenderAuditMarkdown(reports);
   std::string out_path = args.OptionOr("out", "");
@@ -48,8 +44,8 @@ int main(int argc, char** argv) {
       return 1;
     }
     out << markdown;
-    std::printf("wrote %s (%zu browsers, %zu sites each)\n",
-                out_path.c_str(), reports.size(), sites.size());
+    std::printf("wrote %s (%zu browsers, %d sites each)\n",
+                out_path.c_str(), reports.size(), site_count);
   }
   return 0;
 }

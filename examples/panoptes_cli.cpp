@@ -34,6 +34,7 @@
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
+#include <thread>
 
 #include "analysis/export.h"
 #include "analysis/flow_index.h"
@@ -920,7 +921,13 @@ int CmdRunManifest(const util::Args& args) {
   std::fprintf(stderr, "running %zu entries over %d sites...\n",
                manifest->entries.size(),
                manifest->popular_sites + manifest->sensitive_sites);
-  auto result = analysis::RunManifest(*manifest);
+  // One fleet job per entry; the worker count follows the plan and the
+  // machine, and never changes a byte of the results.
+  core::FleetOptions options;
+  options.jobs = static_cast<int>(std::min<size_t>(
+      manifest->entries.size(),
+      std::max(1u, std::thread::hardware_concurrency())));
+  auto result = analysis::RunCampaignManifest(*manifest, options);
   std::string rendered = result.ToJson();
   if (auto out_path = args.Option("out")) {
     if (!WriteArtifact(*out_path, rendered)) return 1;

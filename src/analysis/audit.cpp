@@ -1,6 +1,5 @@
 #include "analysis/audit.h"
 
-#include "analysis/battery.h"
 #include "analysis/flow_index.h"
 #include "analysis/report.h"
 
@@ -22,80 +21,60 @@ bool BrowserAuditReport::ContactsNonEu() const {
   return false;
 }
 
-BrowserAuditReport AuditBrowser(core::Framework& framework,
-                                const browser::BrowserSpec& spec,
-                                const std::vector<const web::Site*>& sites,
-                                const HostsList& hosts_list,
-                                const GeoIpDb& geo, int analysis_jobs) {
-  BrowserAuditReport report;
-  report.browser = spec.name;
-  report.version = spec.version;
-  report.sites_visited = sites.size();
-
+std::vector<BrowserAuditReport> AuditBrowsers(
+    const core::FleetOptions& options,
+    const std::vector<browser::BrowserSpec>& browsers,
+    const HostsList& hosts_list) {
   core::CrawlOptions crawl_options;
   crawl_options.compact_engine_store = false;  // Referer analysis
-  auto result = core::RunCrawl(framework, spec, sites, crawl_options);
-  report.stack = result.stack_stats;
+  auto jobs = core::FleetExecutor::PlanCampaign(
+      browsers, {core::CampaignKind::kCrawl}, 1, crawl_options);
+  core::FleetExecutor executor(options);
 
-  // RunCrawl indexed both stores at capture end; every analysis below
-  // consumes the pre-parsed columns instead of rescanning the flows.
-  // The analyzers are independent — each reads the frozen (stores,
-  // indexes) pair and writes its own report field — so the battery may
-  // run them concurrently without changing a byte of output.
-  PiiScanner scanner(framework.device().profile());
-
+  const core::Testbed& testbed = *executor.testbed();
+  const size_t site_count = testbed.world()->catalog().sites().size();
+  GeoIpDb geo(testbed.geo_plan().ranges());
   std::vector<net::Url> visited;
-  visited.reserve(sites.size());
-  for (const auto* site : sites) visited.push_back(site->landing_url);
+  visited.reserve(site_count);
+  for (const auto& site : testbed.world()->catalog().sites()) {
+    visited.push_back(site.landing_url);
+  }
   HistoryLeakDetector detector(std::move(visited));
 
-  AnalysisBattery battery(analysis_jobs);
-  // Observatory: per-analyzer events land in the framework's journal
-  // (when fleet journaling is on), stamped at the frozen post-crawl
-  // simulated clock. Counted tasks report their finding counts.
-  battery.SetJournal(framework.journal(), framework.clock().Now().millis);
-  battery.Add("battery.stats.requests", [&] {
+  // Each worker analyses the crawl it just ran and drops it; the
+  // analyses share only const inputs and write their own report.
+  std::vector<BrowserAuditReport> reports(jobs.size());
+  executor.RunEach(jobs, [&](size_t index,
+                             core::FleetJobResult&& job_result) {
+    const browser::BrowserSpec& spec = job_result.job.spec;
+    BrowserAuditReport& report = reports[index];
+    report.browser = spec.name;
+    report.version = spec.version;
+    if (!job_result.crawl.has_value()) return;
+    const core::CrawlResult& result = *job_result.crawl;
+    report.sites_visited = site_count;
+    report.stack = result.stack_stats;
+
+    // The crawl indexed both stores at capture end; every analysis
+    // below consumes the pre-parsed columns.
     report.requests = ComputeRequestStats(result);
-  });
-  battery.Add("battery.stats.volume", [&] {
     report.volume = ComputeVolumeStats(result);
-  });
-  battery.AddCounted("battery.stats.domains", [&]() -> int64_t {
     report.domains =
         ComputeDomainStats(result, VendorDomainsFor(spec.name), hosts_list);
-    return static_cast<int64_t>(report.domains.ad_related_hosts);
-  });
-  battery.AddCounted("battery.pii", [&]() -> int64_t {
-    report.pii = scanner.Scan(*result.native_index);
-    return static_cast<int64_t>(report.pii.LeakCount());
-  });
-  battery.AddCounted("battery.history.native", [&]() -> int64_t {
+    report.pii = PiiScanner(job_result.job.cohort.profile)
+                     .Scan(*result.native_index);
     report.native_leaks =
         detector.Scan(*result.native_flows, *result.native_index);
-    return static_cast<int64_t>(report.native_leaks.size());
-  });
-  battery.AddCounted("battery.history.engine", [&]() -> int64_t {
     report.engine_leaks =
         detector.Scan(*result.engine_flows, *result.engine_index, true);
-    return static_cast<int64_t>(report.engine_leaks.size());
-  });
-  battery.AddCounted("battery.geo", [&]() -> int64_t {
     report.countries = CountriesContacted(*result.native_index, geo);
-    return static_cast<int64_t>(report.countries.size());
-  });
-  battery.AddCounted("battery.referer", [&]() -> int64_t {
     report.referer =
         AnalyzeRefererLeakage(*result.engine_flows, *result.engine_index);
-    return static_cast<int64_t>(report.referer.leaking_requests);
+    report.smuggling =
+        AnalyzeUidSmuggling(*result.engine_flows, *result.engine_index,
+                            *result.native_flows, *result.native_index);
   });
-  battery.AddCounted("battery.uid_smuggling", [&]() -> int64_t {
-    report.smuggling = AnalyzeUidSmuggling(
-        *result.engine_flows, *result.engine_index, *result.native_flows,
-        *result.native_index);
-    return static_cast<int64_t>(report.smuggling.findings.size());
-  });
-  battery.Run();
-  return report;
+  return reports;
 }
 
 std::string RenderAuditMarkdown(

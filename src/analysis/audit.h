@@ -16,8 +16,7 @@
 #include "analysis/stats.h"
 #include "analysis/uid_smuggling.h"
 #include "browser/spec.h"
-#include "core/campaign.h"
-#include "core/framework.h"
+#include "core/fleet.h"
 
 namespace panoptes::analysis {
 
@@ -41,16 +40,19 @@ struct BrowserAuditReport {
   bool ContactsNonEu() const;
 };
 
-// Crawls `sites` with `spec` and assembles the report. Uses the
-// framework's device profile for the PII scan and its geo plan for the
-// country analysis. `analysis_jobs` sets the analyzer battery's worker
-// count (analysis/battery.h); any value produces byte-identical
-// reports — 1 (the default) runs the analyzers serially.
-BrowserAuditReport AuditBrowser(core::Framework& framework,
-                                const browser::BrowserSpec& spec,
-                                const std::vector<const web::Site*>& sites,
-                                const HostsList& hosts_list,
-                                const GeoIpDb& geo, int analysis_jobs = 1);
+// Audits each browser from one crawl of the whole catalog, run as a
+// fleet plan: one single-shard crawl job per browser, in the given order,
+// with the engine store kept whole for the Referer analysis. `options`
+// sets the catalog, seed, workers and cache. The worker that ran a crawl
+// runs its analyses one after another (PII against the job's cohort
+// profile, countries against the testbed's geo plan) and drops it, so
+// browsers are crawled and analysed in parallel. Reports come back in
+// browser order and are byte-identical at any worker count. A job that
+// captured nothing reports only its name and version.
+std::vector<BrowserAuditReport> AuditBrowsers(
+    const core::FleetOptions& options,
+    const std::vector<browser::BrowserSpec>& browsers,
+    const HostsList& hosts_list);
 
 // Renders audits as a Markdown document (one section per browser plus
 // a comparison table).

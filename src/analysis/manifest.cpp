@@ -1,11 +1,10 @@
 #include "analysis/manifest.h"
 
+#include <limits>
+
 #include "analysis/historyleak.h"
 #include "analysis/pii.h"
-#include "analysis/stats.h"
 #include "browser/profiles.h"
-#include "core/campaign.h"
-#include "core/framework.h"
 #include "util/json.h"
 
 namespace panoptes::analysis {
@@ -71,8 +70,10 @@ std::optional<Manifest> Manifest::FromJson(std::string_view text) {
         incognito != nullptr && incognito->is_bool()) {
       entry.incognito = incognito->as_bool();
     }
+    // util::Duration::Minutes counts milliseconds in an int64_t.
     if (!read(item, "idle_minutes", entry.idle_minutes) ||
-        entry.idle_minutes <= 0) {
+        entry.idle_minutes <= 0 ||
+        entry.idle_minutes > std::numeric_limits<int64_t>::max() / 60000) {
       return std::nullopt;
     }
     manifest.entries.push_back(std::move(entry));
@@ -123,59 +124,63 @@ std::string ManifestResult::ToJson() const {
   return util::Json(std::move(root)).Dump();
 }
 
-ManifestResult RunManifest(const Manifest& manifest) {
-  core::FrameworkOptions options;
-  options.seed = manifest.seed;
-  options.catalog.popular_count = manifest.popular_sites;
-  options.catalog.sensitive_count = manifest.sensitive_sites;
-  core::Framework framework(options);
+ManifestResult RunCampaignManifest(const Manifest& manifest,
+                                   core::FleetOptions options) {
+  options.base_seed = manifest.seed;
+  options.framework.catalog.popular_count = manifest.popular_sites;
+  options.framework.catalog.sensitive_count = manifest.sensitive_sites;
 
-  std::vector<const web::Site*> sites;
+  std::vector<core::FleetJob> jobs;
+  jobs.reserve(manifest.entries.size());
+  for (const auto& entry : manifest.entries) {
+    core::FleetJob job;
+    job.spec = *browser::FindSpec(entry.browser);
+    if (entry.mode == ManifestMode::kIdle) {
+      job.kind = core::CampaignKind::kIdle;
+      job.idle.duration = util::Duration::Minutes(entry.idle_minutes);
+    } else {
+      job.kind = entry.incognito ? core::CampaignKind::kIncognitoCrawl
+                                 : core::CampaignKind::kCrawl;
+    }
+    jobs.push_back(std::move(job));
+  }
+  core::FleetExecutor executor(std::move(options));
+
   std::vector<net::Url> visited;
-  for (const auto& site : framework.catalog().sites()) {
-    sites.push_back(&site);
+  for (const auto& site : executor.testbed()->world()->catalog().sites()) {
     visited.push_back(site.landing_url);
   }
-  HistoryLeakDetector detector(visited);
-  PiiScanner scanner(framework.device().profile());
+  HistoryLeakDetector detector(std::move(visited));
 
-  ManifestResult result;
-  for (const auto& entry : manifest.entries) {
-    const auto* spec = browser::FindSpec(entry.browser);
-    ManifestEntryResult entry_result;
-    entry_result.entry = entry;
-
-    if (entry.mode == ManifestMode::kCrawl) {
-      core::CrawlOptions crawl_options;
-      crawl_options.incognito = entry.incognito;
-      auto crawl = core::RunCrawl(framework, *spec, sites, crawl_options);
-      entry_result.incognito_effective = crawl.incognito_effective;
-      entry_result.engine_requests = crawl.engine_flows->size();
-      entry_result.native_requests = crawl.native_flows->size();
-      entry_result.native_ratio = crawl.NativeRatio();
-      for (const auto& side : crawl.Sides()) {
-        for (const auto& leak :
-             detector.Scan(side.flows, side.index, side.engine)) {
-          if (leak.granularity == LeakGranularity::kFullUrl) {
-            ++entry_result.full_url_leak_destinations;
-          } else {
-            ++entry_result.host_only_leak_destinations;
-          }
+  // Each worker analyses the job it just ran and drops its capture.
+  ManifestResult out;
+  out.entries.resize(jobs.size());
+  executor.RunEach(jobs, [&](size_t index, core::FleetJobResult&& result) {
+    ManifestEntryResult& entry_result = out.entries[index];
+    entry_result.entry = manifest.entries[index];
+    const core::CaptureResult* capture = result.capture();
+    if (capture == nullptr) return;
+    core::JobFigures figures = result.Figures();
+    entry_result.engine_requests = figures.engine_requests;
+    entry_result.native_requests = figures.native_requests;
+    entry_result.native_ratio = figures.native_ratio;
+    entry_result.pii_fields = PiiScanner(result.job.cohort.profile)
+                                  .Scan(*capture->native_index)
+                                  .LeakCount();
+    if (!result.crawl.has_value()) return;
+    entry_result.incognito_effective = result.crawl->incognito_effective;
+    for (const auto& side : result.crawl->Sides()) {
+      for (const auto& leak :
+           detector.Scan(side.flows, side.index, side.engine)) {
+        if (leak.granularity == LeakGranularity::kFullUrl) {
+          ++entry_result.full_url_leak_destinations;
+        } else {
+          ++entry_result.host_only_leak_destinations;
         }
       }
-      entry_result.pii_fields = scanner.Scan(*crawl.native_index).LeakCount();
-    } else {
-      core::IdleOptions idle_options;
-      idle_options.duration = util::Duration::Minutes(entry.idle_minutes);
-      auto idle = core::RunIdle(framework, *spec, idle_options);
-      entry_result.native_requests = idle.native_flows->size();
-      entry_result.native_ratio =
-          core::NativeRatio(0, entry_result.native_requests);
-      entry_result.pii_fields = scanner.Scan(*idle.native_index).LeakCount();
     }
-    result.entries.push_back(std::move(entry_result));
-  }
-  return result;
+  });
+  return out;
 }
 
 }  // namespace panoptes::analysis

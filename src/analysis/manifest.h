@@ -12,6 +12,8 @@
 #include <string>
 #include <vector>
 
+#include "core/fleet.h"
+
 namespace panoptes::analysis {
 
 enum class ManifestMode { kCrawl, kIdle };
@@ -55,8 +57,14 @@ struct ManifestResult {
   std::string ToJson() const;
 };
 
-// Builds a fresh framework from the manifest's dataset parameters and
-// executes every entry in order.
-ManifestResult RunManifest(const Manifest& manifest);
+// Runs the manifest as one fleet plan on core::FleetExecutor: one
+// single-shard, default-cohort job per entry, in entry order, each on its
+// own framework and derived seed. `options` supplies the fleet's workers,
+// cache and journal; its base_seed and catalog counts are taken from the
+// manifest. Results map 1:1 onto entries and are never shard-merged (two
+// entries may share a browser and kind, e.g. idle at 1 and 10 minutes),
+// and they are byte-identical at any worker count, cold or warm.
+ManifestResult RunCampaignManifest(const Manifest& manifest,
+                                   core::FleetOptions options = {});
 
 }  // namespace panoptes::analysis

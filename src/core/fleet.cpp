@@ -352,6 +352,18 @@ FleetJobResult FleetExecutor::RunJobCached(const FleetJob& job) const {
 std::vector<FleetJobResult> FleetExecutor::Run(
     const std::vector<FleetJob>& jobs, FleetRunStats* stats) const {
   std::vector<FleetJobResult> results(jobs.size());
+  RunEach(
+      jobs,
+      [&results](size_t index, FleetJobResult&& result) {
+        results[index] = std::move(result);
+      },
+      stats);
+  return results;
+}
+
+void FleetExecutor::RunEach(const std::vector<FleetJob>& jobs,
+                            const ResultSink& sink,
+                            FleetRunStats* stats) const {
   size_t worker_count = options_.jobs < 1 ? 1 : options_.jobs;
   if (worker_count > jobs.size()) worker_count = jobs.size();
   // Every family is registered with the executor, so an empty plan
@@ -360,7 +372,7 @@ std::vector<FleetJobResult> FleetExecutor::Run(
   if (jobs.empty()) {
     families_.fleet_queue_depth.Set(0);
     if (stats != nullptr) *stats = FleetRunStats{};
-    return results;
+    return;
   }
   obs::ScopedSpan run_span("fleet.run", "fleet");
   run_span.Arg("jobs", static_cast<int64_t>(jobs.size()));
@@ -372,11 +384,13 @@ std::vector<FleetJobResult> FleetExecutor::Run(
   // histogram; each job counts into its own scope.
   std::vector<int> jobs_per_worker(worker_count, 0);
   std::vector<double> job_seconds(jobs.size(), 0.0);
+  std::vector<obs::JobTelemetry> telemetry(jobs.size());
   families_.fleet_queue_depth.Set(static_cast<int64_t>(jobs.size()));
 
-  // Workers claim job indices from a shared counter and write into
-  // disjoint slots of `results`; job identity (not scheduling) decides
-  // every seed, so the outcome is order-independent by construction.
+  // Workers claim job indices from a shared counter and hand each result
+  // to the sink under its own index; job identity (not scheduling)
+  // decides every seed, so the outcome is order-independent by
+  // construction.
   std::atomic<size_t> next{0};
   auto work = [&](size_t worker) {
     while (true) {
@@ -386,13 +400,15 @@ std::vector<FleetJobResult> FleetExecutor::Run(
           static_cast<int64_t>(jobs.size() - index - 1));
       families_.fleet_workers_busy.Add(1);
       int64_t start = util::SteadyNowNanos();
-      results[index] = RunJobCached(jobs[index]);
+      FleetJobResult result = RunJobCached(jobs[index]);
       double seconds =
           static_cast<double>(util::SteadyNowNanos() - start) * 1e-9;
       job_seconds[index] = seconds;
       families_.fleet_job_seconds.Observe(seconds);
       families_.fleet_workers_busy.Add(-1);
       ++jobs_per_worker[worker];
+      telemetry[index] = result.telemetry;
+      sink(index, std::move(result));
     }
   };
 
@@ -405,8 +421,8 @@ std::vector<FleetJobResult> FleetExecutor::Run(
   // One publish per run, folded in plan order: the registry's counters
   // are the same at any worker count.
   obs::JobTelemetry run;
-  for (const FleetJobResult& result : results) {
-    run.Accumulate(result.telemetry);
+  for (const obs::JobTelemetry& job_telemetry : telemetry) {
+    run.Accumulate(job_telemetry);
   }
   families_.Publish(run);
   families_.fleet_jobs.Inc(jobs.size());
@@ -421,7 +437,6 @@ std::vector<FleetJobResult> FleetExecutor::Run(
 
   PANOPTES_LOG(kInfo, "fleet")
       << jobs.size() << " jobs over " << worker_count << " workers";
-  return results;
 }
 
 void FleetExecutor::MergeJournal(const std::vector<FleetJobResult>& results,

@@ -218,6 +218,16 @@ class FleetExecutor {
   std::vector<FleetJobResult> Run(const std::vector<FleetJob>& jobs,
                                   FleetRunStats* stats = nullptr) const;
 
+  // Run without holding the results: each job's result goes to `sink`
+  // with its plan index, on the worker that ran the job, as soon as the
+  // job completes, so a caller that analyses each result and drops it
+  // holds at most one capture per worker. `sink` runs on up to
+  // options.jobs threads at once and must write only state keyed by the
+  // index it is given. Telemetry and `stats` are as for Run.
+  using ResultSink = std::function<void(size_t index, FleetJobResult&&)>;
+  void RunEach(const std::vector<FleetJob>& jobs, const ResultSink& sink,
+               FleetRunStats* stats = nullptr) const;
+
   // Expands browsers × cohorts × kinds × shards into the canonical job
   // list: browsers in the given (Table 1) order, cohorts in population
   // (index) order nested inside each browser, kinds in the given order,

@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <atomic>
 #include <bit>
 #include <fstream>
 #include <sstream>
@@ -269,10 +270,14 @@ void ResultCache::Store(const FleetJobResult& result, uint64_t fingerprint,
   int64_t start_ns = util::SteadyNowNanos();
   std::string bytes = snapshot::Write(result, fingerprint);
   std::filesystem::path final_path = PathFor(result.job);
-  // Pid-suffixed temp keeps concurrent processes off each other's
-  // half-written files; the rename is the atomic commit point.
+  // The pid keeps concurrent processes, and the sequence number this
+  // process's workers, off each other's half-written files: two jobs of
+  // one plan may share a path (an idle browser at two durations). The
+  // rename is the atomic commit point.
+  static std::atomic<uint64_t> temp_sequence{0};
   std::filesystem::path temp_path = final_path;
-  temp_path += ".tmp" + std::to_string(static_cast<long long>(getpid()));
+  temp_path += ".tmp" + std::to_string(static_cast<long long>(getpid())) +
+               "." + std::to_string(temp_sequence.fetch_add(1));
   {
     std::ofstream file(temp_path, std::ios::binary | std::ios::trunc);
     if (!file) return;

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "browser/profiles.h"
+#include "util/hex.h"
+#include "util/rng.h"
 
 namespace panoptes::analysis {
 namespace {
@@ -10,24 +12,23 @@ namespace {
 class AuditTest : public ::testing::Test {
  protected:
   AuditTest() : hosts_list_(HostsList::Default()) {
-    core::FrameworkOptions options;
-    options.catalog.popular_count = 6;
-    options.catalog.sensitive_count = 2;
-    framework_ = std::make_unique<core::Framework>(options);
-    geo_ = GeoIpDb(framework_->geo_plan().ranges());
-    for (const auto& site : framework_->catalog().sites()) {
+    options_.framework.catalog.popular_count = 6;
+    options_.framework.catalog.sensitive_count = 2;
+    testbed_ =
+        core::Testbed::Build(options_.base_seed, options_.framework.catalog);
+    for (const auto& site : testbed_->world()->catalog().sites()) {
       sites_.push_back(&site);
     }
   }
 
   BrowserAuditReport Audit(const char* name) {
-    return AuditBrowser(*framework_, *browser::FindSpec(name), sites_,
-                        hosts_list_, geo_);
+    return AuditBrowsers(options_, {*browser::FindSpec(name)}, hosts_list_)
+        .front();
   }
 
-  std::unique_ptr<core::Framework> framework_;
+  core::FleetOptions options_;
+  std::shared_ptr<const core::Testbed> testbed_;
   HostsList hosts_list_;
-  GeoIpDb geo_;
   std::vector<const web::Site*> sites_;
 };
 
@@ -70,6 +71,27 @@ TEST_F(AuditTest, MarkdownRendererCoversFindings) {
   EXPECT_NE(markdown.find("persistent identifier"), std::string::npos);
   EXPECT_NE(markdown.find("**YES**"), std::string::npos);  // full-URL cell
   EXPECT_NE(markdown.find("lower bound"), std::string::npos);  // Chrome pins
+}
+
+// The audit Markdown over four browsers (a full-URL leaker, a pinned
+// clean browser, an idle-heavy one and the Frida-instrumented one) on an
+// 8-site web, audited by two fleet workers. If a deliberate report-format
+// change lands, re-derive the hash by running this test and copying the
+// reported actual value.
+TEST(AuditGolden, MarkdownIsPinned) {
+  core::FleetOptions options;
+  options.jobs = 2;
+  options.framework.catalog.popular_count = 6;
+  options.framework.catalog.sensitive_count = 2;
+  std::vector<browser::BrowserSpec> browsers;
+  for (const char* name : {"Yandex", "Chrome", "Opera", "UC International"}) {
+    browsers.push_back(*browser::FindSpec(name));
+  }
+  auto reports = AuditBrowsers(options, browsers, HostsList::Default());
+  ASSERT_EQ(reports.size(), 4u);
+  std::string markdown = RenderAuditMarkdown(reports);
+  EXPECT_NE(markdown.find("## UC International"), std::string::npos);
+  EXPECT_EQ(util::Hex64(util::HashBytes64(markdown)), "0x6527a21b17631516");
 }
 
 }  // namespace

@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
+#include "browser/profiles.h"
+#include "util/hex.h"
 #include "util/json.h"
+#include "util/rng.h"
 
 namespace panoptes::analysis {
 namespace {
@@ -98,6 +103,22 @@ TEST(ManifestParse, RejectsBadInput) {
       Manifest::FromJson(
           R"({"entries":[{"browser":"Opera","mode":"idle","idle_minutes":0}]})")
           .has_value());
+  // An idle time whose milliseconds overflow an int64_t
+  // (util::Duration::Minutes), and the largest one that does not.
+  constexpr int64_t kMaxMinutes = std::numeric_limits<int64_t>::max() / 60000;
+  for (int64_t minutes : {kMaxMinutes + 1, int64_t{1} << 52}) {
+    SCOPED_TRACE(minutes);
+    EXPECT_FALSE(
+        Manifest::FromJson(
+            R"({"entries":[{"browser":"Opera","mode":"idle","idle_minutes":)" +
+            std::to_string(minutes) + "}]}")
+            .has_value());
+  }
+  EXPECT_TRUE(
+      Manifest::FromJson(
+          R"({"entries":[{"browser":"Opera","mode":"idle","idle_minutes":)" +
+          std::to_string(kMaxMinutes) + "}]}")
+          .has_value());
   // A seed or count that is not an integer in its field's range.
   for (std::string v : {"1e300", "-1", "2.5"}) {
     SCOPED_TRACE(v);
@@ -118,7 +139,7 @@ TEST(ManifestParse, RejectsBadInput) {
 TEST(ManifestRun, ExecutesCrawlAndIdleEntries) {
   auto manifest = Manifest::FromJson(kManifestJson);
   ASSERT_TRUE(manifest.has_value());
-  auto result = RunManifest(*manifest);
+  auto result = RunCampaignManifest(*manifest);
   ASSERT_EQ(result.entries.size(), 3u);
 
   const auto& yandex = result.entries[0];
@@ -141,6 +162,52 @@ TEST(ManifestRun, ExecutesCrawlAndIdleEntries) {
   auto json = util::Json::Parse(result.ToJson());
   ASSERT_TRUE(json.has_value());
   EXPECT_EQ(json->Find("results")->as_array().size(), 3u);
+}
+
+// Every browser: crawl, incognito, and idle at 1 and 10 minutes. The
+// two idle entries of a browser share its (browser, kind) and, in a
+// cache, its snapshot path.
+Manifest AllBrowsersManifest() {
+  Manifest manifest;
+  manifest.seed = 20231024;
+  manifest.popular_sites = 6;
+  manifest.sensitive_sites = 2;
+  for (const auto& spec : browser::AllBrowserSpecs()) {
+    manifest.entries.push_back({spec.name, ManifestMode::kCrawl, false});
+    manifest.entries.push_back({spec.name, ManifestMode::kCrawl, true});
+    manifest.entries.push_back({spec.name, ManifestMode::kIdle, false, 1});
+    manifest.entries.push_back({spec.name, ManifestMode::kIdle, false, 10});
+  }
+  return manifest;
+}
+
+// If a deliberate change moves these bytes, re-derive the hash by running
+// this test and copying the reported actual value.
+TEST(ManifestRun, AllBrowsersJsonIsPinnedAtAnyWorkerCount) {
+  const Manifest manifest = AllBrowsersManifest();
+  ASSERT_EQ(manifest.entries.size(), 60u);
+  core::FleetOptions options;
+  options.jobs = 1;
+  const std::string serial = RunCampaignManifest(manifest, options).ToJson();
+  options.jobs = 4;
+  EXPECT_EQ(RunCampaignManifest(manifest, options).ToJson(), serial);
+  EXPECT_EQ(util::Hex64(util::HashBytes64(serial)), "0x97145b5c0ec5d456");
+}
+
+TEST(ManifestRun, WarmCacheReplaysTheColdJson) {
+  namespace fs = std::filesystem;
+  fs::path dir = fs::temp_directory_path() / "panoptes_manifest_test";
+  fs::remove_all(dir);
+  const Manifest manifest = AllBrowsersManifest();
+  core::FleetOptions options;
+  options.jobs = 4;
+  options.cache_dir = dir.string();
+  const std::string cold = RunCampaignManifest(manifest, options).ToJson();
+  EXPECT_FALSE(fs::is_empty(dir));
+  EXPECT_EQ(RunCampaignManifest(manifest, options).ToJson(), cold);
+  options.cache_dir.clear();
+  EXPECT_EQ(RunCampaignManifest(manifest, options).ToJson(), cold);
+  fs::remove_all(dir);
 }
 
 }  // namespace

@@ -385,6 +385,49 @@ TEST(ResultCache, WarmRunIsAllHitsAndByteIdentical) {
   EXPECT_EQ(ReportOf(std::move(warm_results)), cold_report);
 }
 
+// PathFor keys on (browser, kind, cohort, shard), not on the idle
+// duration, so a plan holding one browser idle at two durations has two
+// jobs per snapshot path. Four workers run each pair at once; every write
+// goes through its own temp file, so the file each rename commits is one
+// whole snapshot. Warm, a job whose own snapshot holds the path replays
+// it and any other re-executes; either way the bytes are the cold ones.
+TEST(ResultCache, JobsSharingASnapshotPathKeepTheirBytes) {
+  fs::path dir = ScratchDir("shared_path");
+  std::vector<core::FleetJob> jobs;
+  for (const auto& spec : Browsers({"Opera", "Yandex", "Edge", "Brave"})) {
+    for (int64_t minutes : {1, 2}) {
+      core::IdleOptions idle;
+      idle.duration = util::Duration::Minutes(minutes);
+      auto pair = core::FleetExecutor::PlanCampaign(
+          {spec}, {core::CampaignKind::kIdle}, 1, {}, idle);
+      jobs.push_back(std::move(pair.front()));
+    }
+  }
+  core::FleetOptions options = SmallFleet(dir);
+  options.jobs = 4;
+  const core::ResultCache cache(options.cache_dir);
+  ASSERT_EQ(cache.PathFor(jobs[0]), cache.PathFor(jobs[1]));
+
+  auto cold = core::FleetExecutor(options).Run(jobs);
+  auto warm = core::FleetExecutor(options).Run(jobs);
+  ASSERT_EQ(cold.size(), jobs.size());
+  ASSERT_EQ(warm.size(), jobs.size());
+  for (size_t i = 0; i < jobs.size(); ++i) {
+    EXPECT_EQ(core::snapshot::Write(warm[i], 0),
+              core::snapshot::Write(cold[i], 0))
+        << i;
+  }
+  // Which partner replays depends on the schedule; each warm job either
+  // replays or re-executes, and none finds its path empty.
+  obs::JobTelemetry counts = CacheCounts(warm);
+  EXPECT_EQ(counts.cache_hits + counts.cache_invalidations, jobs.size());
+  EXPECT_EQ(counts.cache_misses, 0u);
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    EXPECT_EQ(entry.path().string().find(".tmp"), std::string::npos)
+        << entry.path();
+  }
+}
+
 TEST(ResultCache, SpecChangeInvalidatesOnlyThatBrowsersJobs) {
   fs::path dir = ScratchDir("spec_change");
   auto jobs = SmallPlan();

@@ -190,31 +190,31 @@ TEST(Determinism, WarmCacheRunMatchesColdByteForByte) {
 }
 
 // ---------------------------------------------------------------------------
-// Parallel analyzer battery determinism: AuditBrowser schedules its
-// analyzers through analysis::AnalysisBattery, and the battery's
-// contract is that the worker count is a pure wall-clock knob. Pin it
-// on every artifact shape a battery result reaches — the Markdown
-// report, the CSV exports, and a canonical JSON rendering — at jobs 1
-// (the serial reference schedule) vs 8.
+// Browser audit determinism: AuditBrowsers runs one crawl job per
+// browser on the fleet, so the fleet's worker count must be a pure
+// wall-clock knob for audits too. Pin it on every artifact shape an
+// audit reaches — the Markdown report, the CSV exports, and a canonical
+// JSON rendering — at jobs 1 (the serial reference schedule) vs 4, over
+// several browsers.
 // ---------------------------------------------------------------------------
 
-analysis::BrowserAuditReport AuditAtJobs(int analysis_jobs) {
-  FrameworkOptions options;
-  options.seed = kPaperSeed;
-  options.catalog.popular_count = 5;
-  options.catalog.sensitive_count = 3;
-  Framework framework(options);
-  std::vector<const web::Site*> sites;
-  for (const auto& site : framework.catalog().sites()) sites.push_back(&site);
-  auto hosts_list = analysis::HostsList::Default();
-  analysis::GeoIpDb geo(framework.geo_plan().ranges());
-  return analysis::AuditBrowser(framework, *browser::FindSpec("Yandex"),
-                                sites, hosts_list, geo, analysis_jobs);
+std::vector<analysis::BrowserAuditReport> AuditAtJobs(int jobs) {
+  FleetOptions options;
+  options.jobs = jobs;
+  options.base_seed = kPaperSeed;
+  options.framework.catalog.popular_count = 5;
+  options.framework.catalog.sensitive_count = 3;
+  std::vector<browser::BrowserSpec> browsers;
+  for (const char* name : {"Yandex", "Chrome", "Opera", "UC International"}) {
+    browsers.push_back(*browser::FindSpec(name));
+  }
+  return analysis::AuditBrowsers(options, browsers,
+                                 analysis::HostsList::Default());
 }
 
-// Canonical JSON over every report field the battery tasks write, so a
-// scheduling bug in ANY task breaks byte equality, not just the fields
-// the Markdown renderer happens to print.
+// Canonical JSON over every report field an audit writes, so a
+// scheduling bug in ANY analysis breaks byte equality, not just the
+// fields the Markdown renderer happens to print.
 std::string AuditJson(const analysis::BrowserAuditReport& report) {
   util::JsonObject object;
   object["browser"] = report.browser;
@@ -248,20 +248,25 @@ std::string AuditJson(const analysis::BrowserAuditReport& report) {
   return util::Json(std::move(object)).Dump();
 }
 
-TEST(Determinism, AuditBatteryInvariantUnderAnalysisJobs) {
+TEST(Determinism, AuditInvariantUnderFleetJobs) {
   auto serial = AuditAtJobs(1);
-  auto parallel = AuditAtJobs(8);
+  auto parallel = AuditAtJobs(4);
+  ASSERT_EQ(serial.size(), 4u);
+  ASSERT_EQ(parallel.size(), 4u);
 
   // Report, CSV and JSON artifacts, all byte-identical.
-  EXPECT_EQ(analysis::RenderAuditMarkdown({serial}),
-            analysis::RenderAuditMarkdown({parallel}));
-  EXPECT_EQ(analysis::RequestStatsCsv({serial.requests}),
-            analysis::RequestStatsCsv({parallel.requests}));
-  EXPECT_EQ(analysis::VolumeStatsCsv({serial.volume}),
-            analysis::VolumeStatsCsv({parallel.volume}));
-  EXPECT_EQ(analysis::DomainStatsCsv({serial.domains}),
-            analysis::DomainStatsCsv({parallel.domains}));
-  EXPECT_EQ(AuditJson(serial), AuditJson(parallel));
+  EXPECT_EQ(analysis::RenderAuditMarkdown(serial),
+            analysis::RenderAuditMarkdown(parallel));
+  for (size_t i = 0; i < serial.size(); ++i) {
+    SCOPED_TRACE(serial[i].browser);
+    EXPECT_EQ(analysis::RequestStatsCsv({serial[i].requests}),
+              analysis::RequestStatsCsv({parallel[i].requests}));
+    EXPECT_EQ(analysis::VolumeStatsCsv({serial[i].volume}),
+              analysis::VolumeStatsCsv({parallel[i].volume}));
+    EXPECT_EQ(analysis::DomainStatsCsv({serial[i].domains}),
+              analysis::DomainStatsCsv({parallel[i].domains}));
+    EXPECT_EQ(AuditJson(serial[i]), AuditJson(parallel[i]));
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "analysis/battery.h"
 #include "analysis/export.h"
 #include "browser/profiles.h"
 #include "core/fleet.h"
@@ -137,42 +136,6 @@ TEST(JournalEndToEnd, MergedJournalIsByteIdenticalAcrossWorkerCounts) {
         "\"layer\":\"store\",\"kind\":\"flow_stored\""}) {
     EXPECT_NE(jsonl.find(needle), std::string::npos) << needle;
   }
-}
-
-// The analysis battery journals one analyzer_begin/analyzer_end pair
-// per task in registration order — after the concurrent run completes,
-// so the schedule can never reorder (or interleave) the events.
-TEST(JournalEndToEnd, BatteryJournalsAnalyzersInRegistrationOrder) {
-  auto run_battery = [](int jobs) {
-    Journal journal;
-    analysis::AnalysisBattery battery(jobs);
-    battery.SetJournal(&journal, /*sim_millis=*/1234);
-    battery.AddCounted("battery.first", [] { return int64_t{3}; });
-    battery.Add("battery.second", [] {});
-    battery.AddCounted("battery.third", [] { return int64_t{0}; });
-    battery.Run();
-    return journal.Jsonl();
-  };
-
-  std::string serial = run_battery(1);
-  std::string concurrent = run_battery(4);
-  EXPECT_EQ(serial, concurrent);
-
-  // Counted tasks report their finding count; plain tasks omit it.
-  size_t first = serial.find(
-      "\"kind\":\"analyzer_end\",\"name\":\"battery.first\",\"findings\":3");
-  size_t second = serial.find(
-      "\"kind\":\"analyzer_end\",\"name\":\"battery.second\"}");
-  size_t third = serial.find(
-      "\"kind\":\"analyzer_end\",\"name\":\"battery.third\",\"findings\":0");
-  ASSERT_NE(first, std::string::npos);
-  ASSERT_NE(second, std::string::npos);
-  ASSERT_NE(third, std::string::npos);
-  EXPECT_LT(first, second);
-  EXPECT_LT(second, third);
-  EXPECT_NE(serial.find("\"kind\":\"analyzer_begin\",\"name\":\"battery.first\""),
-            std::string::npos);
-  EXPECT_NE(serial.find("\"t\":1234,"), std::string::npos);
 }
 
 // Strictly additive: enabling the journal changes no report byte.
