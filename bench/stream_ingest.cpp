@@ -11,10 +11,10 @@
 //    spilled, materialized store and index are byte-identical to the
 //    unbounded capture) and boundedness (peak live memory stays within
 //    budget + one segment's slack). The throughput ratio is advisory:
-//    spilling double-handles every byte (dump, write, read, rebase),
-//    so the isolated ingest path cannot match batch and the relocatable
-//    segment format exists to keep that overhead to arena-image memcpy
-//    speed rather than a per-record re-encode.
+//    spilling double-handles every byte (image, write, read, adopt),
+//    so the isolated ingest path cannot match batch; the flow-store
+//    image keeps that overhead to a text-block copy plus fixed-width
+//    records rather than a per-field re-encode and re-parse.
 //
 //  - End-to-end: the same fleet campaign (sim, capture, analyzers,
 //    report) run unbounded vs hard-budgeted with spill. Reports must be

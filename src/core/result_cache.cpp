@@ -4,8 +4,10 @@
 
 #include <atomic>
 #include <bit>
+#include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <system_error>
 #include <utility>
 
@@ -13,6 +15,7 @@
 #include "obs/metrics.h"
 #include "obs/telemetry.h"
 #include "util/clock.h"
+#include "util/frame.h"
 #include "util/rng.h"
 
 namespace panoptes::core {
@@ -171,6 +174,25 @@ void MixCohort(FingerprintHasher& h, const device::DeviceCohort& cohort) {
   h.Mix(device::DeviceProfileFingerprint(cohort.profile));
 }
 
+// Every field in which two jobs of one plan can differ, besides the
+// browser name: kind, shard geometry, cohort and the options of the
+// job's campaign kind. It names the job's file, so no two jobs of a
+// plan share one. A spec change keeps the path, so the file it leaves
+// behind is invalidated and rewritten rather than orphaned.
+uint64_t JobIdentity(const FleetJob& job) {
+  FingerprintHasher h(util::HashString("panoptes-job-identity"));
+  h.Mix(static_cast<uint64_t>(job.kind));
+  h.Mix(static_cast<int64_t>(job.shard));
+  h.Mix(static_cast<int64_t>(job.shard_count));
+  MixCohort(h, job.cohort);
+  if (job.kind == CampaignKind::kIdle) {
+    MixIdleOptions(h, job.idle);
+  } else {
+    MixCrawlOptions(h, job.crawl);
+  }
+  return h.Digest();
+}
+
 // Filename-safe projection of a browser name ("UC Browser" →
 // "UC-Browser"). Collisions are harmless: the snapshot payload carries
 // the exact name and Read rejects a mismatch.
@@ -216,10 +238,12 @@ uint64_t ResultCache::FingerprintJob(const FleetOptions& options,
 std::filesystem::path ResultCache::PathFor(const FleetJob& job) const {
   std::ostringstream name;
   name << SanitizeName(job.spec.name) << '_' << CampaignKindName(job.kind);
-  // Population jobs get a per-cohort file; default-cohort paths keep
-  // the pre-population layout so existing caches stay addressable.
   if (!job.cohort.IsDefault()) name << '_' << job.cohort.Label();
-  name << "_shard" << job.shard << "of" << job.shard_count << ".snap";
+  char identity[17];
+  std::snprintf(identity, sizeof(identity), "%016llx",
+                static_cast<unsigned long long>(JobIdentity(job)));
+  name << "_shard" << job.shard << "of" << job.shard_count << '_' << identity
+       << ".snap";
   return dir_ / name.str();
 }
 
@@ -227,13 +251,11 @@ std::optional<FleetJobResult> ResultCache::Load(
     const FleetJob& job, uint64_t fingerprint, bool skip_quarantined,
     obs::JobTelemetry* telemetry) const {
   int64_t start_ns = util::SteadyNowNanos();
-  std::ifstream file(PathFor(job), std::ios::binary);
-  if (!file) {
+  std::string bytes;
+  if (!util::ReadFileBytes(PathFor(job), &bytes)) {
     ++telemetry->cache_misses;
     return std::nullopt;
   }
-  std::string bytes((std::istreambuf_iterator<char>(file)),
-                    std::istreambuf_iterator<char>());
 
   auto invalidate = [&]() -> std::optional<FleetJobResult> {
     ++telemetry->cache_invalidations;
@@ -268,12 +290,16 @@ std::optional<FleetJobResult> ResultCache::Load(
 void ResultCache::Store(const FleetJobResult& result, uint64_t fingerprint,
                         obs::JobTelemetry* telemetry) const {
   int64_t start_ns = util::SteadyNowNanos();
-  std::string bytes = snapshot::Write(result, fingerprint);
+  std::string bytes;
+  try {
+    bytes = snapshot::Write(result, fingerprint);
+  } catch (const std::length_error&) {
+    return;  // a store past the image's 4 GiB text limit is not cached
+  }
   std::filesystem::path final_path = PathFor(result.job);
   // The pid keeps concurrent processes, and the sequence number this
-  // process's workers, off each other's half-written files: two jobs of
-  // one plan may share a path (an idle browser at two durations). The
-  // rename is the atomic commit point.
+  // process's workers, off each other's half-written files. The rename
+  // is the atomic commit point.
   static std::atomic<uint64_t> temp_sequence{0};
   std::filesystem::path temp_path = final_path;
   temp_path += ".tmp" + std::to_string(static_cast<long long>(getpid())) +

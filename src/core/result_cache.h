@@ -5,8 +5,10 @@
 // file (core/snapshot.h) and replayed on the next run. The cache is
 // addressed two ways at once:
 //
-//   * the *filename* carries the job identity (browser, kind, shard),
-//     so each planned job maps to exactly one candidate file, and
+//   * the *filename* carries the job identity (browser, kind, cohort,
+//     shard and a digest of the job's campaign options, every other
+//     field two jobs of one plan can differ in), so each planned job
+//     maps to a file of its own, and
 //   * the snapshot *header* carries a content fingerprint folding every
 //     input that can change the job's bytes — schema version, framework
 //     and catalog configuration, the full BrowserSpec, campaign kind
@@ -48,11 +50,15 @@ class ResultCache {
                                  const FleetJob& job);
 
   // The single candidate file for `job`:
-  // <dir>/<browser>_<kind>_shard<k>of<n>.snap (browser sanitized to
-  // filename-safe characters).
+  // <dir>/<browser>_<kind>[_<cohort>]_shard<k>of<n>_<identity>.snap,
+  // with the browser sanitized to filename-safe characters and
+  // <identity> 16 hex digits over the kind, shard geometry, cohort and
+  // the options of the job's campaign kind: two jobs of one plan never
+  // share a file.
   std::filesystem::path PathFor(const FleetJob& job) const;
 
-  // Probes the cache for `job`. Returns the restored result on a hit;
+  // Probes the cache for `job`, reading its file with one sized read.
+  // Returns the restored result on a hit;
   // nullopt on a miss (no file), an invalidation (stale fingerprint or
   // undecodable snapshot) or — when `skip_quarantined` is set — a
   // cached quarantine (resume semantics: a restarted run gives dead

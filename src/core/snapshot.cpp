@@ -3,14 +3,22 @@
 #include <memory>
 #include <stdexcept>
 #include <utility>
+#include <vector>
 
 #include "analysis/flow_index.h"
 #include "browser/profiles.h"
 #include "util/binio.h"
+#include "util/frame.h"
 
 namespace panoptes::core::snapshot {
 
 namespace {
+
+// The frame holding the fingerprint, the job identity and every field
+// of the result but its stores, and the frame holding one store's image.
+constexpr uint32_t kJobFrame = util::FrameTag("JOB ");
+constexpr uint32_t kStoreFrame = util::FrameTag("STOR");
+constexpr size_t kPrefixBytes = 8 + 4;  // magic, schema
 
 // An index is derived from its store, so it is built over the store
 // just decoded, never read from disk: a replayed result meets the
@@ -110,10 +118,9 @@ void ReadVisit(util::BinReader& in, VisitRecord* visit) {
   visit->native_flow_end = in.U32();
 }
 
-// The part every campaign shares (CaptureResult).
+// The part every campaign shares (CaptureResult), but its store.
 void WriteCapture(const CaptureResult& capture, util::BinWriter& out) {
   out.Str(capture.browser);
-  capture.native_flows->SerializeTo(out);
   out.U64(capture.fault_injected_flows);
   WriteIngest(capture.ingest, out);
   out.Bool(capture.watchdog_cancelled);
@@ -121,8 +128,6 @@ void WriteCapture(const CaptureResult& capture, util::BinWriter& out) {
 
 bool ReadCapture(util::BinReader& in, CaptureResult* capture) {
   capture->browser = in.Str();
-  capture->native_flows = proxy::FlowStore::Deserialize(in);
-  if (capture->native_flows == nullptr) return false;
   capture->fault_injected_flows = in.U64();
   ReadIngest(in, &capture->ingest);
   capture->watchdog_cancelled = in.Bool();
@@ -133,7 +138,6 @@ bool ReadCapture(util::BinReader& in, CaptureResult* capture) {
 void WriteCrawlTail(const CrawlResult& crawl, util::BinWriter& out) {
   out.Bool(crawl.incognito_requested);
   out.Bool(crawl.incognito_effective);
-  crawl.engine_flows->SerializeTo(out);
   out.U32(static_cast<uint32_t>(crawl.visits.size()));
   for (const auto& visit : crawl.visits) WriteVisit(visit, out);
   WriteStackStats(crawl.stack_stats, out);
@@ -142,8 +146,6 @@ void WriteCrawlTail(const CrawlResult& crawl, util::BinWriter& out) {
 bool ReadCrawlTail(util::BinReader& in, CrawlResult* crawl) {
   crawl->incognito_requested = in.Bool();
   crawl->incognito_effective = in.Bool();
-  crawl->engine_flows = proxy::FlowStore::Deserialize(in);
-  if (crawl->engine_flows == nullptr) return false;
   uint32_t visit_count = in.U32();
   if (!in.ok() || visit_count > in.remaining()) return false;
   crawl->visits.reserve(visit_count);
@@ -262,17 +264,31 @@ void ReadCohort(util::BinReader& in, device::DeviceCohort* cohort) {
   ReadProfile(in, &cohort->profile);
 }
 
-// Decodes the header and the job identity that follows it into `job`
-// (its spec carries only the browser name), leaving `in` at the
-// payload. False unless the schema is readable, the kind names a
-// campaign and the shard lies inside its shard count.
-bool ReadJob(std::string_view bytes, util::BinReader& in, FleetJob* job) {
+// A snapshot's frames: the job frame, then one store frame per side.
+struct Frames {
+  std::string_view job;
+  std::vector<std::string_view> stores;
+};
+
+// Splits `bytes` into its frames. False unless the prefix names the
+// current schema, every frame is intact and they are exactly one job
+// frame and its stores, to the last byte.
+bool ReadFrames(std::string_view bytes, Frames* frames) {
   auto header = PeekHeader(bytes);
   if (!header.has_value() || header->schema != kSchemaVersion) return false;
-  for (size_t i = 0; i < kMagic.size(); ++i) in.U8();
-  in.U32();
-  in.U64();
+  util::FrameReader reader(bytes.substr(kPrefixBytes));
+  if (!reader.Next(kJobFrame, &frames->job)) return false;
+  std::string_view store;
+  while (reader.Next(kStoreFrame, &store)) frames->stores.push_back(store);
+  return reader.stop() == util::FrameReader::Stop::kEnd;
+}
 
+// Decodes the job identity at the start of the job frame into `job`
+// (its spec carries only the browser name), leaving `in` at the
+// payload. False unless the kind names a campaign and the shard lies
+// inside its shard count.
+bool ReadJob(util::BinReader& in, FleetJob* job) {
+  in.U64();  // the fingerprint, which PeekHeader reads
   job->spec.name = in.Str();
   const uint8_t kind = in.U8();
   job->shard = static_cast<int>(in.U32());
@@ -288,11 +304,13 @@ bool ReadJob(std::string_view bytes, util::BinReader& in, FleetJob* job) {
   return true;
 }
 
-// Payload from `seed` onward (everything after the job identity). The
-// job's kind, already in `result`, says which tail follows the capture.
-// Indexes are built only once the whole payload has decoded, so a
-// rejected snapshot costs no build.
-bool ReadPayload(util::BinReader& in, FleetJobResult* result) {
+// The rest of the job frame, from `seed` onward, then the stores. The
+// job's kind, already in `result`, says which tail follows the capture
+// and how many stores there are (native, then a crawl's engine store).
+// Indexes are built only once everything has decoded, so a rejected
+// snapshot costs no build.
+bool ReadPayload(util::BinReader& in, const Frames& frames,
+                 FleetJobResult* result) {
   result->seed = in.U64();
   result->attempts = static_cast<int>(in.I64());
   result->quarantined = in.Bool();
@@ -309,8 +327,15 @@ bool ReadPayload(util::BinReader& in, FleetJobResult* result) {
     if (!ReadCapture(in, crawl) || !ReadCrawlTail(in, crawl)) return false;
     capture = crawl;
   }
-  // Trailing garbage is corruption too — the snapshot is the whole file.
+  // Trailing bytes are corruption too: the frame is the whole record.
   if (!in.ok() || !in.AtEnd()) return false;
+  if (frames.stores.size() != (crawl != nullptr ? 2u : 1u)) return false;
+  capture->native_flows = proxy::FlowStore::ReadImage(frames.stores[0]);
+  if (capture->native_flows == nullptr) return false;
+  if (crawl != nullptr) {
+    crawl->engine_flows = proxy::FlowStore::ReadImage(frames.stores[1]);
+    if (crawl->engine_flows == nullptr) return false;
+  }
   obs::JobTelemetry* telemetry = &result->telemetry;
   BuildIndex(*capture->native_flows, &capture->native_index, telemetry);
   if (crawl != nullptr) {
@@ -322,59 +347,74 @@ bool ReadPayload(util::BinReader& in, FleetJobResult* result) {
 }  // namespace
 
 std::string Write(const FleetJobResult& result, uint64_t fingerprint) {
-  util::BinWriter out;
-  for (char c : kMagic) out.U8(static_cast<uint8_t>(c));
-  out.U32(kSchemaVersion);
-  out.U64(fingerprint);
-  // Job identity, so a misplaced file can be detected at read time. The
-  // full BrowserSpec is deliberately absent: the executor re-attaches
-  // it from the current plan, and spec changes are caught by the
-  // fingerprint, not by diffing specs.
-  out.Str(result.job.spec.name);
-  out.U8(static_cast<uint8_t>(result.job.kind));
-  out.U32(static_cast<uint32_t>(result.job.shard));
-  out.U32(static_cast<uint32_t>(result.job.shard_count));
-  // The simulated user. The full profile rides along (unlike the
-  // BrowserSpec) because cohorts are synthesized per run — there is no
-  // static registry to re-attach them from at `explain` time.
-  WriteCohort(result.job.cohort, out);
-  out.U64(result.seed);
-  out.I64(result.attempts);
-  out.Bool(result.quarantined);
-  WriteFaults(result.faults, out);
-  out.U64(result.flow_writes_dropped);
-  // The shared capture, then the tail of the job's kind.
   const bool idle = result.job.kind == CampaignKind::kIdle;
   if (result.idle.has_value() != idle || result.crawl.has_value() == idle) {
     throw std::invalid_argument(
         "snapshot::Write: the result must hold exactly its kind's side");
   }
-  WriteCapture(*result.capture(), out);
-  if (idle) {
-    WriteIdleTail(*result.idle, out);
-  } else {
-    WriteCrawlTail(*result.crawl, out);
+  util::BinWriter out;
+  out.Raw(kMagic);
+  out.U32(kSchemaVersion);
+  util::WriteFrame(out, kJobFrame, [&] {
+    out.U64(fingerprint);
+    // Job identity, so a misplaced file can be detected at read time.
+    // The full BrowserSpec is deliberately absent: the executor
+    // re-attaches it from the current plan, and spec changes are caught
+    // by the fingerprint, not by diffing specs.
+    out.Str(result.job.spec.name);
+    out.U8(static_cast<uint8_t>(result.job.kind));
+    out.U32(static_cast<uint32_t>(result.job.shard));
+    out.U32(static_cast<uint32_t>(result.job.shard_count));
+    // The simulated user. The full profile rides along (unlike the
+    // BrowserSpec) because cohorts are synthesized per run — there is
+    // no static registry to re-attach them from at `explain` time.
+    WriteCohort(result.job.cohort, out);
+    out.U64(result.seed);
+    out.I64(result.attempts);
+    out.Bool(result.quarantined);
+    WriteFaults(result.faults, out);
+    out.U64(result.flow_writes_dropped);
+    // The shared capture, then the tail of the job's kind.
+    WriteCapture(*result.capture(), out);
+    if (idle) {
+      WriteIdleTail(*result.idle, out);
+    } else {
+      WriteCrawlTail(*result.crawl, out);
+    }
+  });
+  util::WriteFrame(out, kStoreFrame,
+                   [&] { result.capture()->native_flows->WriteImage(out); });
+  if (!idle) {
+    util::WriteFrame(out, kStoreFrame,
+                     [&] { result.crawl->engine_flows->WriteImage(out); });
   }
   return out.Take();
 }
 
 std::optional<Header> PeekHeader(std::string_view bytes) {
   util::BinReader in(bytes);
-  for (char expected : kMagic) {
-    if (in.U8() != static_cast<uint8_t>(expected)) return std::nullopt;
-  }
+  if (in.Raw(kMagic.size()) != kMagic) return std::nullopt;
   Header header;
   header.schema = in.U32();
-  header.fingerprint = in.U64();
   if (!in.ok()) return std::nullopt;
+  // Only the current schema's fingerprint is read: an older snapshot
+  // re-executes whatever it holds.
+  if (header.schema == kSchemaVersion) {
+    in.U32();  // the job frame's tag
+    in.U64();  // and length
+    header.fingerprint = in.U64();
+    if (!in.ok()) return std::nullopt;
+  }
   return header;
 }
 
 bool Read(std::string_view bytes, const FleetJob& job,
           FleetJobResult* result) {
-  util::BinReader in(bytes);
+  Frames frames;
+  if (!ReadFrames(bytes, &frames)) return false;
+  util::BinReader in(frames.job);
   FleetJob stored;
-  if (!ReadJob(bytes, in, &stored) || stored.spec.name != job.spec.name ||
+  if (!ReadJob(in, &stored) || stored.spec.name != job.spec.name ||
       stored.kind != job.kind || stored.shard != job.shard ||
       stored.shard_count != job.shard_count ||
       stored.cohort.id != job.cohort.id ||
@@ -384,13 +424,15 @@ bool Read(std::string_view bytes, const FleetJob& job,
 
   *result = FleetJobResult();
   result->job = job;
-  return ReadPayload(in, result);
+  return ReadPayload(in, frames, result);
 }
 
 bool ReadAny(std::string_view bytes, FleetJobResult* result) {
-  util::BinReader in(bytes);
+  Frames frames;
+  if (!ReadFrames(bytes, &frames)) return false;
+  util::BinReader in(frames.job);
   FleetJob stored;
-  if (!ReadJob(bytes, in, &stored)) return false;
+  if (!ReadJob(in, &stored)) return false;
   if (const browser::BrowserSpec* spec = browser::FindSpec(stored.spec.name);
       spec != nullptr) {
     stored.spec = *spec;
@@ -398,7 +440,7 @@ bool ReadAny(std::string_view bytes, FleetJobResult* result) {
 
   *result = FleetJobResult();
   result->job = std::move(stored);
-  return ReadPayload(in, result);
+  return ReadPayload(in, frames, result);
 }
 
 }  // namespace panoptes::core::snapshot

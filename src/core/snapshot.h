@@ -6,17 +6,21 @@
 // bytes, so a later run can replay the job without executing it and
 // still render byte-identical reports. The format is deliberately
 // boring: fixed magic, explicit schema version, little-endian
-// fixed-width fields (util/binio.h), no in-memory representations on
-// disk. Any schema change bumps kSchemaVersion, and a reader accepts
-// exactly the current one: stale formats are re-executed, never
-// misparsed.
+// fixed-width fields (util/binio.h) in checksummed frames
+// (util/frame.h), no in-memory representations on disk. Any schema
+// change bumps kSchemaVersion, and a reader accepts exactly the current
+// one: stale formats are re-executed, never misparsed.
 //
 // Layout:
 //   bytes 0..7   magic "PANOSNAP"
 //   u32          schema version (kSchemaVersion)
-//   u64          job fingerprint (see ResultCache::FingerprintJob)
-//   ...          job identity (browser, kind, shard, shard_count) and
-//                the serialized result payload
+//   frame "JOB " job fingerprint (see ResultCache::FingerprintJob), job
+//                identity (browser, kind, shard, shard_count, cohort)
+//                and every field of the result but its stores
+//   frame "STOR" the native store's flow-store image
+//   frame "STOR" the engine store's image (crawl kinds only)
+// and nothing after. Every byte past the schema is covered by a frame
+// digest, so a corrupt snapshot is rejected, never replayed.
 #pragma once
 
 #include <cstdint>
@@ -29,19 +33,19 @@
 namespace panoptes::core::snapshot {
 
 inline constexpr std::string_view kMagic = "PANOSNAP";
-// v9 payload, after the job identity (browser, kind, shard, shard
+// v10 job frame, after the job identity (browser, kind, shard, shard
 // count, cohort with its full DeviceProfile): seed, attempts,
 // quarantine flag, fault timeline and dropped writes; then the capture
-// every campaign shares (CaptureResult: browser, native store,
-// fault-injected flows, ingest accounting, watchdog flag); then the
-// tail the job's campaign kind alone selects (crawl: incognito flags,
-// engine store, visits with their store tags and flow ranges, stack
-// stats; idle: request buckets). Stores use proxy::FlowStore's arena
-// encoding with per-record uids and redirect provenance. A snapshot
+// every campaign shares (CaptureResult: browser, fault-injected flows,
+// ingest accounting, watchdog flag); then the tail the job's campaign
+// kind alone selects (crawl: incognito flags, visits with their store
+// tags and flow ranges, stack stats; idle: request buckets). Stores are
+// proxy::FlowStore images (FlowStore::WriteImage), one frame each, read
+// back by adopting their text block with no field re-parsed. A snapshot
 // holds only what the job captured: each side's FlowIndex is derived
 // from its store, so Read builds it over the store it has just decoded
 // and never trusts index bytes from disk.
-inline constexpr uint32_t kSchemaVersion = 9;
+inline constexpr uint32_t kSchemaVersion = 10;
 
 // Serializes `result` (with `fingerprint` in the header) to the full
 // file image. Throws std::invalid_argument unless the result holds
@@ -54,7 +58,9 @@ struct Header {
   uint64_t fingerprint = 0;
 };
 
-// Decodes just the header; nullopt when `bytes` is not a snapshot.
+// Decodes just the header, without checking any digest (Read does);
+// nullopt when `bytes` is not a snapshot. The fingerprint is read for
+// the current schema only, and is 0 for any other.
 std::optional<Header> PeekHeader(std::string_view bytes);
 
 // Decodes the payload into `result`. The snapshot must describe exactly

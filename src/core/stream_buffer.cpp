@@ -4,80 +4,53 @@
 #include <cerrno>
 #include <cstdio>
 #include <iterator>
+#include <stdexcept>
 
 #include "chaos/injector.h"
 #include "obs/journal.h"
 #include "obs/metrics.h"
 #include "obs/telemetry.h"
-#include "util/clock.h"
 #include "util/binio.h"
+#include "util/clock.h"
+#include "util/frame.h"
 #include "util/strings.h"
 
 #include <fcntl.h>
-#include <sys/uio.h>
 #include <unistd.h>
 
 namespace panoptes::core {
 
 namespace {
 
-// PANOSPILL segment framing: magic, schema, the sealing store's
-// provenance tag and ordinal base (so a reader can verify segments are
-// consumed in capture order), the flow count, a length-prefixed
-// FlowStore::DumpRelocatable payload (the store's arena chunks and
-// record array imaged verbatim, replayed by pointer rebase instead of
-// a per-record re-parse) and a trailing payload digest. The image — and
-// the digest, see HashBytes64 — is native-layout: segments are
-// same-build, same-run scratch files, not portable snapshots. Any
-// mismatch marks the segment — and everything after it — corrupt.
+// PANOSPILL segment: magic and schema, then one checksummed frame
+// (util/frame.h) whose payload is the sealing store's provenance tag
+// and ordinal base (so a reader can verify segments are consumed in
+// capture order), the flow count and the store's flow-store image
+// (FlowStore::WriteImage), the same image a snapshot holds. A segment
+// whose length, prefix, frame or image does not check out is corrupt,
+// and so is everything after it.
 constexpr std::string_view kSpillMagic = "PANOSPILL";
-constexpr uint32_t kSpillSchema = 2;
+constexpr uint32_t kSpillSchema = 3;
+constexpr uint32_t kSegmentFrame = util::FrameTag("SPIL");
 
 // Shed sampling: over budget with shedding enabled, 7 of 8 flows are
 // shed and a seeded 1-in-8 trickle is kept, so a saturated run still
 // observes a deterministic sample of late traffic.
 constexpr double kShedProbability = 0.875;
 
-// Creates `path` holding `parts` back to back: one open and one
-// gathering write. A short write is a failure.
+// Creates `path` holding `bytes`: one open and one write. A short
+// write is a failure.
 bool WriteSegmentFile(const std::filesystem::path& path,
-                      std::initializer_list<std::string_view> parts) {
+                      std::string_view bytes) {
   const int fd =
       ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
   if (fd < 0) return false;
-  std::vector<iovec> iov;
-  size_t total = 0;
-  for (std::string_view part : parts) {
-    iov.push_back(iovec{const_cast<char*>(part.data()), part.size()});
-    total += part.size();
-  }
   ssize_t written;
   do {
-    written = ::writev(fd, iov.data(), static_cast<int>(iov.size()));
+    written = ::write(fd, bytes.data(), bytes.size());
   } while (written < 0 && errno == EINTR);
   const bool closed = ::close(fd) == 0;
-  return closed && written == static_cast<ssize_t>(total);
-}
-
-// Reads the file at `path`, which must hold exactly `size` bytes.
-bool ReadSegmentFile(const std::filesystem::path& path, uint64_t size,
-                     std::string& out) {
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) return false;
-  // One byte of headroom tells a file that grew since it was sealed
-  // from one of exactly the sealed length.
-  out.resize(static_cast<size_t>(size) + 1);
-  size_t got = 0;
-  while (got < out.size()) {
-    const ssize_t n = ::read(fd, out.data() + got, out.size() - got);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) break;
-    got += static_cast<size_t>(n);
-  }
-  ::close(fd);
-  if (got != size) return false;
-  out.resize(got);
-  return true;
+  return closed && written == static_cast<ssize_t>(bytes.size());
 }
 
 }  // namespace
@@ -209,26 +182,26 @@ void StreamBuffer::SpillLive() {
     return;
   }
 
-  util::BinWriter payload;
-  live_->DumpRelocatable(payload);
-  // Header and trailer framed separately so the payload is written
-  // straight from its serialization buffer instead of being copied
-  // into a second one.
-  util::BinWriter header;
-  header.Raw(kSpillMagic);
-  header.U32(kSpillSchema);
-  header.U32(config_.provenance_tag);
-  header.U64(live_->ordinal_base());
-  header.U64(live_->size());
-  header.U64(payload.data().size());
-  util::BinWriter trailer;
-  trailer.U64(util::HashBytes64(payload.data()));
+  util::BinWriter out;
+  out.Raw(kSpillMagic);
+  out.U32(kSpillSchema);
+  try {
+    util::WriteFrame(out, kSegmentFrame, [&] {
+      out.U32(config_.provenance_tag);
+      out.U64(live_->ordinal_base());
+      out.U64(live_->size());
+      live_->WriteImage(out);
+    });
+  } catch (const std::length_error&) {
+    // A live store past the image's 4 GiB text limit stays in memory.
+    fail();
+    return;
+  }
 
   Segment segment;
   segment.flow_base = live_->ordinal_base();
   segment.flows = live_->size();
-  segment.bytes =
-      header.data().size() + payload.data().size() + trailer.data().size();
+  segment.bytes = out.size();
   char name[128];
   std::snprintf(name, sizeof(name), "seg-%.*s-%x-%llu.panospill",
                 static_cast<int>(config_.role.size()), config_.role.data(),
@@ -244,8 +217,7 @@ void StreamBuffer::SpillLive() {
   // Written in place, with no temp file and rename: only this buffer
   // reads the segment back, and it checks the length, framing and
   // digest, so a torn write reads as corrupt like any other damage.
-  if (!WriteSegmentFile(segment.path,
-                        {header.data(), payload.data(), trailer.data()})) {
+  if (!WriteSegmentFile(segment.path, out.data())) {
     std::filesystem::remove(segment.path, ec);
     fail();
     return;
@@ -282,33 +254,36 @@ bool StreamBuffer::ConsumeSegment(const Segment& segment,
   }
   // A segment that shrank or grew since it was sealed is corrupt.
   std::string bytes;
-  if (!ReadSegmentFile(segment.path, segment.bytes, bytes)) return false;
-  util::BinReader reader(bytes);
-  if (reader.Raw(kSpillMagic.size()) != kSpillMagic) return false;
-  if (reader.U32() != kSpillSchema) return false;
-  if (reader.U32() != config_.provenance_tag) return false;
-  if (reader.U64() != segment.flow_base) return false;
-  const uint64_t flow_count = reader.U64();
-  // The header is outside the checksum; cross-check it against the
-  // metadata recorded when the segment was sealed.
-  if (flow_count != segment.flows) return false;
-  const uint64_t payload_size = reader.U64();
-  if (!reader.ok() || payload_size > reader.remaining()) return false;
-  std::string_view payload = reader.Raw(static_cast<size_t>(payload_size));
-  if (reader.U64() != util::HashBytes64(payload) || !reader.ok()) {
+  if (!util::ReadFileBytes(segment.path, &bytes) ||
+      bytes.size() != segment.bytes) {
     return false;
   }
-  // The checksummed payload replays straight into the merge target —
-  // adopted chunk bytes plus a pointer rebase per view, no re-parse.
-  // AppendRelocatable is all-or-nothing, so a framing failure leaves
-  // `into` holding exactly the segments consumed before this one.
-  util::BinReader payload_reader(payload);
-  const size_t before = into->size();
-  if (!into->AppendRelocatable(payload_reader)) return false;
-  if (into->size() - before != flow_count) {
-    into->TruncateTo(before);
+  util::BinReader prefix(bytes);
+  if (prefix.Raw(kSpillMagic.size()) != kSpillMagic ||
+      prefix.U32() != kSpillSchema || !prefix.ok()) {
     return false;
   }
+  util::FrameReader frames(
+      std::string_view(bytes).substr(kSpillMagic.size() + 4));
+  std::string_view payload;
+  if (!frames.Next(kSegmentFrame, &payload) || !frames.AtEnd()) return false;
+  util::BinReader reader(payload);
+  if (reader.U32() != config_.provenance_tag ||
+      reader.U64() != segment.flow_base || reader.U64() != segment.flows ||
+      !reader.ok()) {
+    return false;
+  }
+  // The image decodes into a store of its own whose chunks `into` then
+  // adopts, so a failure leaves `into` holding exactly the segments
+  // consumed before this one. Compaction is a capture-time decision
+  // (see FlowStore::Append): an image with the other policy is corrupt.
+  auto store = proxy::FlowStore::ReadImage(payload.substr(4 + 8 + 8));
+  if (store == nullptr || store->compact() != config_.compact ||
+      store->size() != segment.flows) {
+    return false;
+  }
+  into->AccumulateDroppedWrites(store->dropped_writes());
+  into->Append(std::move(*store));
   return true;
 }
 

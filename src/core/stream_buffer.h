@@ -164,9 +164,10 @@ class StreamBuffer : public proxy::FlowSink {
   // transaction is open, spilling is disabled, or the store is empty).
   void MaybeSpill();
   void SpillLive();
-  // Validates one sealed segment (framing, provenance, checksum) and
-  // replays its flows straight into `into` via AppendRelocatable.
-  // False — with `into` unchanged — on a read fault or corruption.
+  // Validates one sealed segment (length, frame digest, provenance),
+  // decodes its flow-store image and appends the flows to `into`,
+  // which adopts the decoded text block. False — with `into` unchanged
+  // — on a read fault or corruption.
   bool ConsumeSegment(const Segment& segment, proxy::FlowStore* into) const;
   int64_t NowMillis() const;
 

@@ -141,6 +141,55 @@ std::optional<UrlView> UrlView::Parse(std::string_view text) {
   return view;
 }
 
+std::optional<UrlView> UrlView::FromLayout(std::string_view text,
+                                           const Layout& layout) {
+  const uint64_t scheme = layout.scheme_len;
+  if ((scheme != 4 || !text.starts_with("http://")) &&
+      (scheme != 5 || !text.starts_with("https://"))) {
+    return std::nullopt;
+  }
+  if (layout.host_len == 0 || layout.path_len == 0 || layout.port_len > 5 ||
+      (layout.has_query ? layout.query_len == 0 : layout.query_len != 0)) {
+    return std::nullopt;
+  }
+  // 64-bit sums: no u32 field can wrap a position.
+  const uint64_t host_end = scheme + 3 + layout.host_len;
+  const uint64_t path_begin =
+      host_end + (layout.port_len > 0 ? layout.port_len + 1 : 0);
+  const uint64_t path_end = path_begin + layout.path_len;
+  const uint64_t query_end =
+      path_end + (layout.has_query ? layout.query_len + 1 : 0);
+  // A fragment holds at least one byte past its '#'.
+  if (query_end + (layout.has_fragment ? 2 : 0) > text.size()) {
+    return std::nullopt;
+  }
+  if (!layout.has_fragment && query_end != text.size()) return std::nullopt;
+  if (layout.port_len > 0) {
+    if (text[host_end] != ':') return std::nullopt;
+    const std::string_view digits = text.substr(host_end + 1, layout.port_len);
+    auto port = util::ParseUint(digits);
+    if (!port || *port == 0 || *port > 65535 || digits.front() == '0' ||
+        *port == (scheme == 5 ? 443u : 80u)) {
+      return std::nullopt;
+    }
+  }
+  if (text[path_begin] != '/' ||
+      (layout.has_query && text[path_end] != '?') ||
+      (layout.has_fragment && text[query_end] != '#')) {
+    return std::nullopt;
+  }
+  UrlView view;
+  view.text_ = text;
+  view.scheme_len_ = layout.scheme_len;
+  view.host_len_ = layout.host_len;
+  view.port_len_ = layout.port_len;
+  view.path_len_ = layout.path_len;
+  view.query_len_ = layout.query_len;
+  view.has_query_ = layout.has_query;
+  view.has_fragment_ = layout.has_fragment;
+  return view;
+}
+
 uint16_t UrlView::EffectivePort() const {
   if (port_len_ > 0) {
     std::string_view digits =

@@ -79,6 +79,29 @@ class UrlView {
   // can only slice, so it accepts exactly the canonical spellings.
   static std::optional<UrlView> Parse(std::string_view text);
 
+  // The offsets Parse finds, apart from the text: what a flow-store
+  // image stores per URL so that decoding never parses again.
+  struct Layout {
+    uint32_t scheme_len = 0;
+    uint32_t host_len = 0;
+    uint32_t port_len = 0;
+    uint32_t path_len = 0;
+    uint32_t query_len = 0;
+    bool has_query = false;
+    bool has_fragment = false;
+  };
+  Layout layout() const {
+    return Layout{scheme_len_, host_len_, port_len_, path_len_,
+                  query_len_,  has_query_, has_fragment_};
+  }
+  // A view of `text` with a stored layout. Checks, without scanning the
+  // parts, that the parts tile the text exactly, that the delimiters
+  // between them ("://", ':', '/', '?', '#') are where the layout puts
+  // them, and that the scheme and port are what Parse accepts; nullopt
+  // otherwise. Every accessor of the result stays inside `text`.
+  static std::optional<UrlView> FromLayout(std::string_view text,
+                                           const Layout& layout);
+
   std::string_view text() const { return text_; }
   std::string_view scheme() const { return text_.substr(0, scheme_len_); }
   std::string_view host() const {
@@ -126,7 +149,7 @@ class UrlView {
   Url ToUrl() const;
 
   // Re-points the view at `text`, which must hold the same bytes as
-  // text() at a different address (a relocated arena image, an owning
+  // text() at a different address (an arena copy, an owning
   // Url's buffer). The offsets carry over unchanged, so this is a
   // pointer swap, not a re-parse.
   UrlView RebasedTo(std::string_view text) const {

@@ -9,8 +9,8 @@
 // carries the precomputed registrable domain. Flows are exposed as
 // proxy::FlowView records — fixed-width structs of string_views into
 // the arena — so analyzers scan without per-flow string ownership, and
-// serialization blits the payload bytes as one blob instead of
-// re-encoding field by field.
+// the persisted image (WriteImage) writes the arena's bytes as one text
+// block instead of re-encoding field by field.
 //
 // View validity: arena chunks never move or shrink, so FlowViews (and
 // every string_view inside them) stay valid across Add, Append and
@@ -114,7 +114,8 @@ class FlowStore : public FlowSink {
   // is what lets a memory budget produce the same spill points at any
   // worker count.
   uint64_t MemoryUsage() const {
-    return arena_.bytes_used() + recs_.size() * sizeof(FlowView);
+    return arena_.bytes_used() + header_arena_.bytes_used() +
+           recs_.size() * sizeof(FlowView);
   }
 
   // Folds dropped-write counts carried by spill segments back into the
@@ -169,45 +170,47 @@ class FlowStore : public FlowSink {
     chain_tails_ = std::move(tails);
   }
 
-  // Binary round trip for the job-snapshot format (store format v5:
-  // records each carry their provenance uid and redirect-chain
-  // provenance: redirect_of uid and hop index).
-  // Writes the compaction flag, the dropped-write count, the interned
-  // name/label pools actually referenced by live flows (in first-
-  // reference order, so a store that was truncated serializes exactly
-  // like one that never held the discarded flows) and one payload blob
-  // plus fixed-width records. Deserialize recognizes the v5 tag byte
-  // and reconstructs views over a single blob copy; any other leading
-  // byte (older formats included) is rejected. Returns nullptr
-  // on truncation or corruption. Restored flows never re-enter the
-  // stored-flows metric (they were counted at first capture, in the
-  // run that produced the snapshot).
+  // The canonical byte form of the live flows: the compaction flag,
+  // the dropped-write count, the label and header-name pools referenced
+  // by live flows (in first-reference order, so a truncated store
+  // writes exactly like one that never held the discarded flows), one
+  // payload blob and per-record fields. It depends on flow content
+  // only, never on arena history, which is what digests of merged
+  // stores pin. Nothing in src/ decodes it; persistence uses the image
+  // below.
   void SerializeTo(util::BinWriter& out) const;
-  static std::unique_ptr<FlowStore> Deserialize(util::BinReader& in);
 
-  // Relocatable image of this store: raw arena chunks (with their
-  // original base addresses), the host pool (with precomputed
-  // registrable domains) and the record array blitted verbatim. This is
-  // the PANOSPILL segment payload — reading it back is a memcpy plus a
-  // pointer rebase per view instead of a per-field re-encode/re-parse,
-  // which is what keeps spilling ingest near batch throughput. The
-  // image embeds native pointers and struct layout: it is a same-build,
-  // same-run artifact (spill segments never outlive their run), NOT a
-  // portable snapshot — that's SerializeTo's job. Every record owns its
-  // header array (no store shares one between records), which replay
-  // relies on to rebase each array once.
-  void DumpRelocatable(util::BinWriter& out) const;
+  // The flow-store image, the one form in which snapshots and spill
+  // segments persist a store. It holds
+  //   - the store's text block: every arena chunk's bytes, back to
+  //     back, written once (the arena holds only bytes copied from
+  //     flows and labels; HeaderView arrays live apart, so no address,
+  //     padding or uninitialized byte reaches the image);
+  //   - one record per flow, explicit fixed-width little-endian fields,
+  //     in which every string is an (offset, length) view into the text
+  //     block, the URL carries its UrlView layout, and the browser and
+  //     blocked-by labels, header names and hosts are pool ids;
+  //   - the label and header-name pools (views into the text block) and
+  //     the host pool (each host's registrable domain; a host's text is
+  //     that of its first referencing URL), all in first-reference
+  //     order over the live records.
+  // Bytes depend only on the flows stored and the order of arena
+  // writes, so a capture writes the same image on every run, and a
+  // store read from an image writes that image back byte for byte.
+  // Throws std::length_error when the text block exceeds 4 GiB.
+  void WriteImage(util::BinWriter& out) const;
 
-  // Replays a DumpRelocatable image straight into this store: adopts
-  // the chunk bytes, rebases every view by (new base - old base),
-  // remaps host ids into this store's pool (reusing the dumped
-  // registrable domains — no PSL recomputation) and accumulates the
-  // dropped-write count. The image's compaction flag must match this
-  // store's (capture-time policy, see Append). Returns false — leaving
-  // the record vector untouched — on a tag/compaction mismatch or a
-  // malformed image.
-  bool AppendRelocatable(util::BinReader& in);
+  // Decodes exactly one image into a fresh store, or returns nullptr.
+  // The text block is adopted as one arena chunk (its one copy); every
+  // view is checked against it, the URL layouts against their text
+  // (UrlView::FromLayout), every pool id and enum against its range and
+  // every bool against 0/1, and the pools must be distinct and in first-
+  // reference order. So any image this accepts is the one WriteImage
+  // gives for the decoded store. Restored flows never re-enter the
+  // stored-flows metric (they were counted at first capture).
+  static std::unique_ptr<FlowStore> ReadImage(std::string_view image);
 
+  bool compact() const { return compact_; }
   void Reserve(size_t capacity) { recs_.reserve(capacity); }
 
   const std::vector<FlowView>& flows() const { return recs_; }
@@ -243,10 +246,6 @@ class FlowStore : public FlowSink {
   // stored-flows counter; a compact store drops headers and body.
   void StoreFlow(const Flow& flow);
 
-  // The v5 record-stream reader behind Deserialize: appends into this
-  // store, all-or-nothing.
-  bool AppendRecords(util::BinReader& in);
-
   uint32_t InternHost(std::string_view host);
   std::string_view InternLabel(std::string_view label);
   std::string_view InternHeaderName(std::string_view name);
@@ -260,7 +259,11 @@ class FlowStore : public FlowSink {
   uint64_t dropped_writes_ = 0;
   size_t transaction_mark_ = 0;
 
-  util::Arena arena_;  // every string payload and HeaderView array
+  // Every string payload: URL text, header values, bodies, taints,
+  // labels and header names. Bytes copied from flows only — the image's
+  // text block.
+  util::Arena arena_;
+  util::Arena header_arena_;  // HeaderView arrays
   std::vector<FlowView> recs_;
 
   // chain token -> uid of the last stored flow in that chain.

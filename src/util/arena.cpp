@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <iterator>
+#include <stdexcept>
 
 namespace panoptes::util {
 
@@ -56,13 +57,33 @@ char* Arena::AllocAligned(size_t n, size_t align) {
   return out;
 }
 
-std::vector<Arena::ChunkRef> Arena::ChunkRefs() const {
-  std::vector<ChunkRef> out;
-  out.reserve(chunks_.size());
-  for (const Chunk& chunk : chunks_) {
-    out.push_back(ChunkRef{chunk.data.get(), chunk.used});
+Arena::Block::Block(const Arena& arena) {
+  for (const Chunk& chunk : arena.chunks_) {
+    if (chunk.used == 0) continue;
+    chunks_.emplace_back(chunk.data.get(), chunk.used);
+    const auto begin = reinterpret_cast<uintptr_t>(chunk.data.get());
+    spans_.push_back(Span{begin, begin + chunk.used, size_});
+    size_ += chunk.used;
   }
-  return out;
+  std::sort(spans_.begin(), spans_.end(),
+            [](const Span& a, const Span& b) { return a.begin < b.begin; });
+}
+
+uint64_t Arena::Block::OffsetOf(std::string_view range) {
+  if (range.empty()) return 0;
+  const auto begin = reinterpret_cast<uintptr_t>(range.data());
+  const auto end = begin + range.size();
+  if (hint_ >= spans_.size() || begin < spans_[hint_].begin ||
+      end > spans_[hint_].end) {
+    auto it = std::upper_bound(
+        spans_.begin(), spans_.end(), begin,
+        [](uintptr_t p, const Span& span) { return p < span.begin; });
+    if (it == spans_.begin() || end > std::prev(it)->end) {
+      throw std::logic_error("Arena::Block: a range outside the arena");
+    }
+    hint_ = static_cast<size_t>(std::prev(it) - spans_.begin());
+  }
+  return spans_[hint_].offset + (begin - spans_[hint_].begin);
 }
 
 char* Arena::AdoptBlock(const char* src, size_t n) {

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <string_view>
 #include <vector>
@@ -46,22 +47,39 @@ class Arena {
 
   size_t bytes_used() const { return used_; }
   size_t bytes_reserved() const { return reserved_; }
+  size_t chunk_count() const { return chunks_.size(); }
 
-  // The live chunk chain, in allocation order: base address and bytes
-  // handed out per chunk. Every view the arena ever returned points
-  // into one of these ranges — the property relocatable spill dumps
-  // rely on to image a store as (chunk bytes, pointer fixup table).
-  struct ChunkRef {
-    const char* data;
-    size_t used;
+  // The arena's bytes as one block: every chunk's used bytes back to
+  // back, in chain order — what a flow-store image writes as its text
+  // block — with the offset in that block of any range the arena
+  // handed out.
+  class Block {
+   public:
+    explicit Block(const Arena& arena);
+    uint64_t size() const { return size_; }
+    // The block's pieces, one per non-empty chunk, in chain order.
+    const std::vector<std::string_view>& chunks() const { return chunks_; }
+    // Offset of `range`, which lies inside one chunk; the empty range
+    // is offset 0. Ranges are looked up near the previous one first.
+    // Throws std::logic_error for a range the arena never handed out.
+    uint64_t OffsetOf(std::string_view range);
+
+   private:
+    struct Span {
+      uintptr_t begin;
+      uintptr_t end;
+      uint64_t offset;
+    };
+    std::vector<std::string_view> chunks_;
+    std::vector<Span> spans_;  // sorted by address
+    uint64_t size_ = 0;
+    size_t hint_ = 0;
   };
-  std::vector<ChunkRef> ChunkRefs() const;
 
   // Appends one fully-used chunk holding a copy of `src` and returns
-  // its base. Used when replaying a relocatable dump: the copied image
-  // keeps its internal offsets, so old views rebase by adding
-  // (new base - old base). The current bump chunk is left alone;
-  // later Allocs continue from a fresh chunk.
+  // its base: a decoded flow-store image's text block, whose views are
+  // offsets into it. The current bump chunk is left alone; later
+  // Allocs continue from a fresh chunk.
   char* AdoptBlock(const char* src, size_t n);
 
   // Moves every chunk of `other` onto the end of this arena's chain,

@@ -1,20 +1,19 @@
 #include "util/binio.h"
 
 #include <bit>
-#include <cstring>
 
 namespace panoptes::util {
 
 void BinWriter::U32(uint32_t v) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    out_.push_back(static_cast<char>((v >> shift) & 0xFF));
-  }
+  char bytes[4];
+  StoreLe32(bytes, v);
+  out_.append(bytes, sizeof(bytes));
 }
 
 void BinWriter::U64(uint64_t v) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    out_.push_back(static_cast<char>((v >> shift) & 0xFF));
-  }
+  char bytes[8];
+  StoreLe64(bytes, v);
+  out_.append(bytes, sizeof(bytes));
 }
 
 void BinWriter::F64(double v) { U64(std::bit_cast<uint64_t>(v)); }
@@ -41,22 +40,12 @@ uint8_t BinReader::U8() {
 
 uint32_t BinReader::U32() {
   std::string_view bytes = Bytes(4);
-  if (!ok_) return 0;
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<uint32_t>(static_cast<uint8_t>(bytes[i])) << (8 * i);
-  }
-  return v;
+  return ok_ ? LoadLe32(bytes.data()) : 0;
 }
 
 uint64_t BinReader::U64() {
   std::string_view bytes = Bytes(8);
-  if (!ok_) return 0;
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<uint64_t>(static_cast<uint8_t>(bytes[i])) << (8 * i);
-  }
-  return v;
+  return ok_ ? LoadLe64(bytes.data()) : 0;
 }
 
 double BinReader::F64() { return std::bit_cast<double>(U64()); }

@@ -3,6 +3,8 @@
 #include <cmath>
 #include <cstring>
 
+#include "util/binio.h"
+
 namespace panoptes::util {
 
 namespace {
@@ -28,14 +30,13 @@ uint64_t HashString(std::string_view s) {
 }
 
 uint64_t HashBytes64(std::string_view s) {
-  // Mix one native-order word per step (wyhash-style multiply-fold),
+  // Mix one little-endian word per step (wyhash-style multiply-fold),
   // then run the tail through the same path padded with the length so
   // "abc" and "abc\0" cannot collide trivially.
   uint64_t h = 0x9E3779B97F4A7C15ULL ^ (s.size() * 0x100000001B3ULL);
   size_t i = 0;
   for (; i + 8 <= s.size(); i += 8) {
-    uint64_t w;
-    std::memcpy(&w, s.data() + i, sizeof(w));
+    uint64_t w = LoadLe64(s.data() + i);
     w *= 0x9DDFEA08EB382D69ULL;
     w ^= w >> 29;
     h = (h ^ w) * 0xBF58476D1CE4E5B9ULL;

@@ -71,10 +71,10 @@ uint64_t SplitMix64(uint64_t& state);
 uint64_t HashString(std::string_view s);
 
 // Fast 64-bit hash over bulk payloads, eight bytes per step — roughly
-// 8x the throughput of HashString on large buffers. The digest reads
-// words in native byte order, so it is stable within a machine but NOT
-// across architectures: use it for same-host integrity checks (spill
-// segment checksums), never for cross-platform pins or seed derivation.
+// 8x the throughput of HashString on large buffers. Words are read
+// little-endian, so a digest is the same on every host: it is the
+// checksum of every util::Frame (snapshots, spill segments) and the
+// report pins' digest. Not for seed derivation.
 uint64_t HashBytes64(std::string_view s);
 
 }  // namespace panoptes::util

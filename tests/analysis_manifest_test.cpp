@@ -4,6 +4,7 @@
 
 #include <filesystem>
 #include <limits>
+#include <map>
 #include <stdexcept>
 #include <string>
 
@@ -165,8 +166,8 @@ TEST(ManifestRun, ExecutesCrawlAndIdleEntries) {
 }
 
 // Every browser: crawl, incognito, and idle at 1 and 10 minutes. The
-// two idle entries of a browser share its (browser, kind) and, in a
-// cache, its snapshot path.
+// two idle entries of a browser share its (browser, kind) but, in a
+// cache, not its snapshot path.
 Manifest AllBrowsersManifest() {
   Manifest manifest;
   manifest.seed = 20231024;
@@ -203,8 +204,17 @@ TEST(ManifestRun, WarmCacheReplaysTheColdJson) {
   options.jobs = 4;
   options.cache_dir = dir.string();
   const std::string cold = RunCampaignManifest(manifest, options).ToJson();
-  EXPECT_FALSE(fs::is_empty(dir));
+  // One snapshot per entry, and a warm run rewrites none of them: no
+  // entry finds another's snapshot and re-executes.
+  std::map<fs::path, fs::file_time_type> written;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    written[entry.path()] = entry.last_write_time();
+  }
+  EXPECT_EQ(written.size(), manifest.entries.size());
   EXPECT_EQ(RunCampaignManifest(manifest, options).ToJson(), cold);
+  for (const auto& [path, time] : written) {
+    EXPECT_EQ(fs::last_write_time(path), time) << path;
+  }
   options.cache_dir.clear();
   EXPECT_EQ(RunCampaignManifest(manifest, options).ToJson(), cold);
   fs::remove_all(dir);

@@ -127,12 +127,28 @@ core::FleetJobResult& FirstCrawl(std::vector<core::FleetJobResult>& results) {
   return results.front();
 }
 
-// Header layout: magic, u32 schema, u64 fingerprint, then the job
-// identity (length-prefixed browser name, campaign-kind byte, ...).
+// Layout: magic, u32 schema, then the job frame (u32 tag, u64 length)
+// whose payload opens with the u64 fingerprint and the job identity
+// (length-prefixed browser name, campaign-kind byte, ...).
 constexpr size_t kSchemaAt = core::snapshot::kMagic.size();
 
 size_t KindAt(const core::FleetJobResult& result) {
-  return kSchemaAt + 4 + 8 + 4 + result.job.spec.name.size();
+  return kSchemaAt + 4 + 4 + 8 + 8 + 4 + result.job.spec.name.size();
+}
+
+// Recomputes every frame's digest after a test edits bytes inside a
+// frame, so the edit reaches the decoder's own checks below the digest.
+std::string Reframed(std::string bytes) {
+  size_t at = kSchemaAt + 4;
+  while (at + 20 <= bytes.size()) {
+    util::BinReader length(std::string_view(bytes).substr(at + 4, 8));
+    const size_t covered = 12 + static_cast<size_t>(length.U64());
+    util::BinWriter digest;
+    digest.U64(util::HashBytes64(std::string_view(bytes).substr(at, covered)));
+    bytes.replace(at + covered, 8, digest.data());
+    at += covered + 8;
+  }
+  return bytes;
 }
 
 std::string WithSchema(std::string bytes, uint32_t schema) {
@@ -178,6 +194,7 @@ TEST(Snapshot, RejectsAnOutOfRangeCampaignKind) {
   for (uint8_t kind : {uint8_t{3}, uint8_t{0xFF}}) {
     std::string mutated = bytes;
     mutated[KindAt(result)] = static_cast<char>(kind);
+    mutated = Reframed(mutated);
     core::FleetJobResult restored;
     EXPECT_FALSE(core::snapshot::ReadAny(mutated, &restored)) << int{kind};
     EXPECT_FALSE(core::snapshot::Read(mutated, result.job, &restored))
@@ -195,18 +212,18 @@ TEST(Snapshot, RejectsOutOfRangeFlowEnums) {
   const std::string bytes = core::snapshot::Write(result, 1);
   const proxy::FlowView& flow = result.crawl->engine_flows->flow(0);
 
-  // A record opens with its id and uid; the method byte follows the
-  // time, browser label id and app uid. Version and origin follow the
-  // url/header/body framing, status, byte counts and server IP.
+  // An image record opens with its id and uid; the method byte follows
+  // the time, browser label id and app uid. Version and origin follow
+  // the URL view and layout, host id, header count, body view, status,
+  // byte counts and server IP.
   util::BinWriter key;
   key.U64(flow.id);
   key.U64(flow.uid);
   const size_t record = bytes.find(key.Take());
   ASSERT_NE(record, std::string::npos);
-  const size_t method_at = record + 8 + 8 + 8 + 4 + 8;
-  const size_t version_at =
-      method_at + 1 + 4 + 4 + 8 * flow.request_headers.size() + 4 + 8 + 8 +
-      8 + 4;
+  const size_t method_at = record + 8 + 8 + 8 + 4 + 4;
+  const size_t version_at = method_at + 1 + 8 + 3 + 12 + 4 + 4 + 8 + 4 +
+                            8 + 8 + 4;
   const size_t origin_at = version_at + 1;
   ASSERT_EQ(bytes[method_at], static_cast<char>(flow.method));
   ASSERT_EQ(bytes[version_at], static_cast<char>(flow.version));
@@ -222,12 +239,14 @@ TEST(Snapshot, RejectsOutOfRangeFlowEnums) {
   for (const auto& [at, last] : fields) {
     std::string mutated = bytes;
     mutated[at] = static_cast<char>(last);
-    EXPECT_TRUE(core::snapshot::Read(mutated, result.job, &restored)) << at;
+    EXPECT_TRUE(core::snapshot::Read(Reframed(mutated), result.job, &restored))
+        << at;
     for (int bad : {last + 1, 9, 0xFF}) {
       mutated[at] = static_cast<char>(bad);
-      EXPECT_FALSE(core::snapshot::Read(mutated, result.job, &restored))
+      EXPECT_FALSE(
+          core::snapshot::Read(Reframed(mutated), result.job, &restored))
           << at << " " << bad;
-      EXPECT_FALSE(core::snapshot::ReadAny(mutated, &restored))
+      EXPECT_FALSE(core::snapshot::ReadAny(Reframed(mutated), &restored))
           << at << " " << bad;
     }
   }
@@ -258,11 +277,12 @@ TEST(Snapshot, RejectsAnOutOfRangeSiteCategory) {
   core::FleetJobResult restored;
   std::string mutated = bytes;
   mutated[category_at] = static_cast<char>(web::SiteCategory::kHealth);
-  EXPECT_TRUE(core::snapshot::Read(mutated, result.job, &restored));
+  EXPECT_TRUE(core::snapshot::Read(Reframed(mutated), result.job, &restored));
   for (int bad : {static_cast<int>(web::SiteCategory::kHealth) + 1, 0xFF}) {
     mutated[category_at] = static_cast<char>(bad);
-    EXPECT_FALSE(core::snapshot::Read(mutated, result.job, &restored)) << bad;
-    EXPECT_FALSE(core::snapshot::ReadAny(mutated, &restored)) << bad;
+    EXPECT_FALSE(core::snapshot::Read(Reframed(mutated), result.job, &restored))
+        << bad;
+    EXPECT_FALSE(core::snapshot::ReadAny(Reframed(mutated), &restored)) << bad;
   }
 }
 
@@ -278,6 +298,7 @@ TEST(Snapshot, RejectsAPayloadOfTheOtherKind) {
         idle ? core::CampaignKind::kCrawl : core::CampaignKind::kIdle;
     std::string mutated = core::snapshot::Write(*result, 1);
     mutated[KindAt(*result)] = static_cast<char>(other);
+    mutated = Reframed(mutated);
     core::FleetJob job = result->job;
     job.kind = other;
 
@@ -297,17 +318,37 @@ TEST(Snapshot, RejectsAPayloadOfTheOtherKind) {
   }
 }
 
-std::string IndexBytes(const analysis::FlowIndex& index) {
-  util::BinWriter out;
-  index.SerializeTo(out);
-  return out.Take();
+// A job whose stores spilled and were merged back from their segments
+// writes, replayed, the bytes it wrote cold: an image holds the store's
+// content, not how its arena was filled.
+TEST(Snapshot, SpilledResultsRewriteTheirColdBytes) {
+  const fs::path spill = ScratchDir("spill_rewrite");
+  core::CrawlOptions crawl;
+  crawl.stream.memory_budget_bytes = 4096;
+  crawl.stream.spill_dir = spill.string();
+  core::IdleOptions idle;
+  idle.stream = crawl.stream;
+  auto jobs = core::FleetExecutor::PlanCampaign(
+      Browsers({"Yandex", "DuckDuckGo"}),
+      {core::CampaignKind::kCrawl, core::CampaignKind::kIdle}, 1, crawl,
+      idle);
+  auto results = core::FleetExecutor(SmallFleet()).Run(jobs);
+  ASSERT_EQ(results.size(), jobs.size());
+  int spilled = 0;
+  for (size_t i = 0; i < results.size(); ++i) {
+    if (results[i].capture()->ingest.spill_segments > 0) ++spilled;
+    const std::string bytes = core::snapshot::Write(results[i], 7);
+    core::FleetJobResult restored;
+    ASSERT_TRUE(core::snapshot::Read(bytes, jobs[i], &restored)) << i;
+    EXPECT_EQ(core::snapshot::Write(restored, 7), bytes) << i;
+  }
+  EXPECT_GT(spilled, 0);
 }
 
-// A snapshot persists stores, not the indexes derived from them, so no
-// corruption that Read lets through can make a replayed index disagree
-// with its store. Seeded single-byte flips over one crawl snapshot:
-// every accepted mutant's indexes must be exactly what Build gives over
-// its decoded stores, and its figures must be what the stores hold.
+// Every byte past the schema sits in a checksummed frame, and the magic
+// and schema must match exactly, so no single-byte flip of a crawl
+// snapshot replays as a capture that never happened: seeded flips are
+// all rejected.
 TEST(Snapshot, AcceptedMutantsDescribeTheirOwnStores) {
   core::FleetOptions options = SmallFleet();
   options.framework.catalog.popular_count = 1;
@@ -318,6 +359,8 @@ TEST(Snapshot, AcceptedMutantsDescribeTheirOwnStores) {
   ASSERT_EQ(results.size(), 1u);
   const std::string bytes = core::snapshot::Write(results[0], 1);
   RecordProperty("snapshot_bytes", static_cast<int>(bytes.size()));
+  core::FleetJobResult restored;
+  ASSERT_TRUE(core::snapshot::Read(bytes, jobs[0], &restored));
 
   util::Rng rng(20231024);
   constexpr int kMutants = 2000;
@@ -326,29 +369,13 @@ TEST(Snapshot, AcceptedMutantsDescribeTheirOwnStores) {
     std::string mutated = bytes;
     const size_t at = rng.NextBelow(bytes.size());
     mutated[at] = static_cast<char>(mutated[at] ^ (1 + rng.NextBelow(255)));
-    core::FleetJobResult restored;
-    if (!core::snapshot::Read(mutated, jobs[0], &restored)) continue;
-    ++accepted;
-    ASSERT_TRUE(restored.crawl.has_value()) << at;
-    for (const auto& side : restored.crawl->Sides()) {
-      EXPECT_EQ(IndexBytes(side.index),
-                IndexBytes(analysis::FlowIndex::Build(side.flows)))
-          << "byte " << at << (side.engine ? " engine" : " native");
+    if (core::snapshot::Read(mutated, jobs[0], &restored)) {
+      ++accepted;
+      ADD_FAILURE() << "a flip of byte " << at << " was accepted";
     }
-    const core::JobFigures figures = restored.Figures();
-    const core::CrawlResult& crawl = *restored.crawl;
-    EXPECT_EQ(figures.engine_requests, crawl.engine_flows->size()) << at;
-    EXPECT_EQ(figures.native_requests, crawl.native_flows->size()) << at;
-    EXPECT_EQ(figures.engine_request_bytes, crawl.engine_flows->RequestBytes())
-        << at;
-    EXPECT_EQ(figures.native_request_bytes, crawl.native_flows->RequestBytes())
-        << at;
   }
-  // Flips inside flow bodies and headers decode, so the check is not
-  // vacuous; most structural flips are rejected.
   RecordProperty("accepted_mutants", accepted);
-  EXPECT_GT(accepted, 0);
-  EXPECT_LT(accepted, kMutants);
+  EXPECT_EQ(accepted, 0);
 }
 
 TEST(ResultCache, WarmRunIsAllHitsAndByteIdentical) {
@@ -385,12 +412,10 @@ TEST(ResultCache, WarmRunIsAllHitsAndByteIdentical) {
   EXPECT_EQ(ReportOf(std::move(warm_results)), cold_report);
 }
 
-// PathFor keys on (browser, kind, cohort, shard), not on the idle
-// duration, so a plan holding one browser idle at two durations has two
-// jobs per snapshot path. Four workers run each pair at once; every write
-// goes through its own temp file, so the file each rename commits is one
-// whole snapshot. Warm, a job whose own snapshot holds the path replays
-// it and any other re-executes; either way the bytes are the cold ones.
+// Two jobs of one plan that differ only in their idle duration get a
+// file each, so a warm run replays every job: no job finds its partner's
+// snapshot, invalidates it and re-executes. Four workers run the plan,
+// and every write goes through its own temp file.
 TEST(ResultCache, JobsSharingASnapshotPathKeepTheirBytes) {
   fs::path dir = ScratchDir("shared_path");
   std::vector<core::FleetJob> jobs;
@@ -406,7 +431,7 @@ TEST(ResultCache, JobsSharingASnapshotPathKeepTheirBytes) {
   core::FleetOptions options = SmallFleet(dir);
   options.jobs = 4;
   const core::ResultCache cache(options.cache_dir);
-  ASSERT_EQ(cache.PathFor(jobs[0]), cache.PathFor(jobs[1]));
+  ASSERT_NE(cache.PathFor(jobs[0]), cache.PathFor(jobs[1]));
 
   auto cold = core::FleetExecutor(options).Run(jobs);
   auto warm = core::FleetExecutor(options).Run(jobs);
@@ -417,10 +442,9 @@ TEST(ResultCache, JobsSharingASnapshotPathKeepTheirBytes) {
               core::snapshot::Write(cold[i], 0))
         << i;
   }
-  // Which partner replays depends on the schedule; each warm job either
-  // replays or re-executes, and none finds its path empty.
   obs::JobTelemetry counts = CacheCounts(warm);
-  EXPECT_EQ(counts.cache_hits + counts.cache_invalidations, jobs.size());
+  EXPECT_EQ(counts.cache_hits, jobs.size());
+  EXPECT_EQ(counts.cache_invalidations, 0u);
   EXPECT_EQ(counts.cache_misses, 0u);
   for (const auto& entry : fs::directory_iterator(dir)) {
     EXPECT_EQ(entry.path().string().find(".tmp"), std::string::npos)

@@ -1,7 +1,7 @@
 // Property tests for the arena-backed FlowStore (snapshot payload).
 //
 // The arena rewrite makes promises that plain unit tests of the query
-// API cannot falsify: (1) Serialize → Deserialize → Append is a
+// API cannot falsify: (1) WriteImage → ReadImage → Append is a
 // verbatim round trip, flow for flow, against owning deep copies taken
 // before the store was touched; (2) Append adopts its source's arena
 // chunks, so moved views outlive the source store, and a store cannot
@@ -59,7 +59,7 @@ void ExpectViewEqualsFlow(const FlowView& view, const Flow& expected) {
   }
 }
 
-// Serialize → Deserialize → Append must reproduce the original flows
+// WriteImage → ReadImage → Append must reproduce the original flows
 // verbatim, compared against owning deep copies (Materialize) taken
 // before any of the three steps ran — so the comparison cannot be
 // fooled by two stores aliasing the same (possibly wrong) arena bytes.
@@ -76,11 +76,12 @@ TEST(FlowStoreArena, SerializeDeserializeAppendRoundTripsDeepCopies) {
   }
 
   util::BinWriter out;
-  original.SerializeTo(out);
+  original.WriteImage(out);
   std::string bytes = out.Take();
+  util::BinWriter canonical;
+  original.SerializeTo(canonical);
 
-  util::BinReader in(bytes);
-  auto decoded = FlowStore::Deserialize(in);
+  auto decoded = FlowStore::ReadImage(bytes);
   ASSERT_NE(decoded, nullptr);
   ASSERT_EQ(decoded->size(), expected.size());
   for (size_t i = 0; i < expected.size(); ++i) {
@@ -98,11 +99,14 @@ TEST(FlowStoreArena, SerializeDeserializeAppendRoundTripsDeepCopies) {
     ExpectViewEqualsFlow(merged.flows()[i], expected[i]);
   }
 
-  // And the round trip is byte-stable: re-serializing the merged store
-  // yields the exact original encoding.
+  // And the round trip is byte-stable: the merged store writes the
+  // exact original image and canonical bytes.
   util::BinWriter again;
-  merged.SerializeTo(again);
+  merged.WriteImage(again);
   EXPECT_EQ(again.Take(), bytes);
+  util::BinWriter again_canonical;
+  merged.SerializeTo(again_canonical);
+  EXPECT_EQ(again_canonical.data(), canonical.data());
 }
 
 // A store cannot consume itself: self-append throws and leaves every
@@ -321,8 +325,7 @@ TEST(FlowStoreSerialize, PreV4EncodingsAreRejected) {
   v3.Bool(false);  // fault injected
 
   for (const std::string& bytes : {v2.Take(), v3.Take()}) {
-    util::BinReader in(bytes);
-    EXPECT_EQ(FlowStore::Deserialize(in), nullptr)
+    EXPECT_EQ(FlowStore::ReadImage(bytes), nullptr)
         << "leading byte " << static_cast<int>(bytes[0] & 0xFF);
   }
 }

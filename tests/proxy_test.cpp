@@ -149,13 +149,11 @@ TEST(FlowStore, BinaryRoundTripPreservesEverything) {
   store.Add(MakeFlow("https://b.com/y"));
 
   util::BinWriter out;
-  store.SerializeTo(out);
+  store.WriteImage(out);
   std::string bytes = out.Take();
 
-  util::BinReader in(bytes);
-  auto restored = FlowStore::Deserialize(in);
+  auto restored = FlowStore::ReadImage(bytes);
   ASSERT_NE(restored, nullptr);
-  EXPECT_TRUE(in.AtEnd());
   ASSERT_EQ(restored->size(), 2u);
   const FlowView& back = restored->flows()[0];
   EXPECT_EQ(back.id, 7u);
@@ -174,8 +172,9 @@ TEST(FlowStore, BinaryRoundTripPreservesEverything) {
 
   // Truncated input fails soft, never throws.
   for (size_t cut : {size_t{0}, size_t{5}, bytes.size() - 1}) {
-    util::BinReader bad(std::string_view(bytes).substr(0, cut));
-    EXPECT_EQ(FlowStore::Deserialize(bad), nullptr) << cut;
+    EXPECT_EQ(FlowStore::ReadImage(std::string_view(bytes).substr(0, cut)),
+              nullptr)
+        << cut;
   }
 }
 

@@ -19,6 +19,7 @@
 #include "device/device.h"
 #include "device/netstack.h"
 #include "net/fabric.h"
+#include "oracle/store_v9.h"
 #include "proxy/flowstore.h"
 #include "test_hosts.h"
 #include "util/binio.h"
@@ -75,7 +76,7 @@ TEST(FlowStoreRedirect, V5RoundTripPreservesChainProvenance) {
   std::string bytes = out.Take();
 
   util::BinReader in(bytes);
-  auto restored = proxy::FlowStore::Deserialize(in);
+  auto restored = oracle::DecodeSerializedStore(in);
   ASSERT_NE(restored, nullptr);
   ASSERT_EQ(restored->size(), 2u);
   EXPECT_EQ(restored->flows()[1].redirect_hop, 1u);
@@ -83,8 +84,17 @@ TEST(FlowStoreRedirect, V5RoundTripPreservesChainProvenance) {
 
   for (size_t cut : {size_t{0}, size_t{5}, bytes.size() - 1}) {
     util::BinReader bad(std::string_view(bytes).substr(0, cut));
-    EXPECT_EQ(proxy::FlowStore::Deserialize(bad), nullptr) << cut;
+    EXPECT_EQ(oracle::DecodeSerializedStore(bad), nullptr) << cut;
   }
+
+  // The image, which snapshots and spill segments persist, carries the
+  // same provenance.
+  util::BinWriter image;
+  store.WriteImage(image);
+  auto decoded = proxy::FlowStore::ReadImage(image.data());
+  ASSERT_NE(decoded, nullptr);
+  EXPECT_EQ(decoded->flows()[1].redirect_hop, 1u);
+  EXPECT_EQ(decoded->flows()[1].redirect_of, store.flows()[0].uid);
 }
 
 TEST(FlowStoreRedirect, V4StreamIsRejected) {
@@ -104,11 +114,12 @@ TEST(FlowStoreRedirect, V4StreamIsRejected) {
   v4[0] = static_cast<char>(0xF4);
 
   util::BinReader in(v4);
-  EXPECT_EQ(proxy::FlowStore::Deserialize(in), nullptr);
+  EXPECT_EQ(oracle::DecodeSerializedStore(in), nullptr);
+  EXPECT_EQ(proxy::FlowStore::ReadImage(v4), nullptr);
   // The same bytes under the v5 tag are merely truncated: also rejected.
   v4[0] = bytes[0];
   util::BinReader truncated(v4);
-  EXPECT_EQ(proxy::FlowStore::Deserialize(truncated), nullptr);
+  EXPECT_EQ(oracle::DecodeSerializedStore(truncated), nullptr);
 }
 
 TEST(FlowStoreRedirect, ChainTailsHandOffAcrossStores) {

@@ -83,16 +83,16 @@ TEST(Arena, AdoptMovesEveryChunk) {
   }
   const size_t used = into.bytes_used() + source->bytes_used();
   const size_t reserved = into.bytes_reserved() + source->bytes_reserved();
-  const size_t source_chunks = source->ChunkRefs().size();
+  const size_t source_chunks = source->chunk_count();
   ASSERT_GT(source_chunks, 1u);
 
   into.Adopt(std::move(*source));
   EXPECT_EQ(into.bytes_used(), used);
   EXPECT_EQ(into.bytes_reserved(), reserved);
-  EXPECT_EQ(into.ChunkRefs().size(), 1 + source_chunks);
+  EXPECT_EQ(into.chunk_count(), 1 + source_chunks);
   EXPECT_EQ(source->bytes_used(), 0u);
   EXPECT_EQ(source->bytes_reserved(), 0u);
-  EXPECT_TRUE(source->ChunkRefs().empty());
+  EXPECT_EQ(source->chunk_count(), 0u);
 
   EXPECT_EQ(source->Copy("source after adopt"), "source after adopt");
   source.reset();
@@ -104,7 +104,7 @@ TEST(Arena, AdoptMovesEveryChunk) {
 
   // Adopting itself changes nothing.
   into.Adopt(std::move(into));
-  EXPECT_EQ(into.ChunkRefs().size(), 1 + source_chunks);
+  EXPECT_EQ(into.chunk_count(), 1 + source_chunks);
 }
 
 }  // namespace
